@@ -9,6 +9,7 @@ float64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -528,12 +529,72 @@ def matmul(a, b) -> Tensor:
 # convolution
 
 
-def _triple(v) -> tuple[int, int, int]:
-    return (v, v, v) if isinstance(v, int) else tuple(v)
+def _im2col(xd: np.ndarray, ksize, strides, pads) -> np.ndarray:
+    """Column matrix [C * prod(ksize), B * prod(out)] of xd [B, C, *spatial].
+
+    Row (c, *offset) holds the padded input that kernel tap `offset` of channel
+    c reads at every (batch item, output position); one copy of the window view.
+    """
+    n = len(ksize)
+    xp = np.pad(xd, ((0, 0), (0, 0), *((p, p) for p in pads)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, ksize, axis=tuple(range(2, 2 + n)))
+    win = win[(slice(None), slice(None), *(slice(None, None, s) for s in strides))]
+    # [B, C, *out, *K] -> [C, *K, B, *out]
+    win = win.transpose(1, *range(2 + n, 2 + 2 * n), 0, *range(2, 2 + n))
+    return win.reshape(xd.shape[1] * math.prod(ksize), -1)
 
 
-def _pair(v) -> tuple[int, int]:
-    return (v, v) if isinstance(v, int) else tuple(v)
+def _conv_nd(name: str, x: Tensor, k: Tensor, stride, padding) -> Tensor:
+    """Cross-correlation over the trailing n = k.ndim - 2 axes, as one GEMM.
+
+    x is [C_in, *spatial] or [B, C_in, *spatial]; k is [C_out, C_in, *ksize].
+    The backward rule rebuilds the column matrix from x instead of keeping it
+    from forward, and scatters the column gradient back one kernel tap at a
+    time (col2im).
+    """
+    n = k.ndim - 2
+    squeeze = x.ndim == n + 1
+    xd = x.data[None] if squeeze else x.data
+    if xd.shape[1] != k.shape[1]:
+        raise DimensionError(f"{name}: channel mismatch, input {x.shape} vs kernels {k.shape}")
+    strides = (stride,) * n if isinstance(stride, int) else tuple(stride)
+    pads = (padding,) * n if isinstance(padding, int) else tuple(padding)
+    if len(strides) != n or len(pads) != n:
+        raise ConfigurationError(f"{name}: stride {stride} and padding {padding} need {n} entries each")
+    batch, c_in, c_out = xd.shape[0], xd.shape[1], k.shape[0]
+    ksize = k.shape[2:]
+    padded = tuple(d + 2 * p for d, p in zip(xd.shape[2:], pads))
+    out_dims = tuple((d - kd) // s + 1 for d, kd, s in zip(padded, ksize, strides))
+    if min(out_dims) < 1:
+        raise ConfigurationError(
+            f"{name}: non-positive output dims ({','.join(map(str, out_dims))}) for input {x.shape}, "
+            f"kernel {k.shape}, stride {strides}, padding {pads}"
+        )
+    k_mat = k.data.reshape(c_out, -1)
+    y = (k_mat @ _im2col(xd, ksize, strides, pads)).reshape(c_out, batch, *out_dims)
+    y = np.moveaxis(y, 0, 1)
+    out = Tensor(y[0] if squeeze else y)
+
+    def rule(g):
+        gb = g[None] if squeeze else g
+        g_mat = np.moveaxis(gb, 1, 0).reshape(c_out, -1)
+        gx = gk = None
+        if k.requires_grad:
+            gk = (g_mat @ _im2col(xd, ksize, strides, pads).T).reshape(k.shape)
+        if x.requires_grad:
+            gcols = (k_mat.T @ g_mat).reshape(c_in, *ksize, batch, *out_dims)
+            gxp = np.zeros((c_in, batch, *padded), dtype=xd.dtype)
+            for offset in np.ndindex(*ksize):
+                taps = (slice(o, o + m * s, s) for o, m, s in zip(offset, out_dims, strides))
+                gxp[(slice(None), slice(None), *taps)] += gcols[(slice(None), *offset)]
+            crop = (slice(p, d - p) for p, d in zip(pads, padded))
+            gx = np.moveaxis(gxp[(slice(None), slice(None), *crop)], 0, 1)
+            if squeeze:
+                gx = gx[0]
+        return gx, gk
+
+    _record(out, (x, k), rule)
+    return out
 
 
 def conv3d(x, kernels, stride=1, padding=0) -> Tensor:
@@ -544,92 +605,18 @@ def conv3d(x, kernels, stride=1, padding=0) -> Tensor:
     """
     x = _as_tensor(x)
     k = _as_tensor(kernels, like=x)
-    squeeze = x.ndim == 4
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 5 or k.ndim != 5:
+    if x.ndim not in (4, 5) or k.ndim != 5:
         raise DimensionError(f"conv3d: input {x.shape} and kernels {k.shape} must be 4/5-D and 5-D")
-    if xd.shape[1] != k.data.shape[1]:
-        raise DimensionError(f"conv3d: channel mismatch, input {x.shape} vs kernels {k.shape}")
-    st, sh, sw = _triple(stride)
-    pt, ph, pw = _triple(padding)
-    kt, kh, kw = k.data.shape[2:]
-    tp, hp, wp = (xd.shape[2] + 2 * pt, xd.shape[3] + 2 * ph, xd.shape[4] + 2 * pw)
-    t_out = (tp - kt) // st + 1
-    h_out = (hp - kh) // sh + 1
-    w_out = (wp - kw) // sw + 1
-    if min(t_out, h_out, w_out) < 1 or kt > tp or kh > hp or kw > wp:
-        raise ConfigurationError(
-            f"conv3d: non-positive output dims ({t_out},{h_out},{w_out}) "
-            f"for input {x.shape}, kernel {k.shape}, stride {(st, sh, sw)}, padding {(pt, ph, pw)}"
-        )
-    xp = np.pad(xd, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kt, kh, kw), axis=(2, 3, 4))
-    win = win[:, :, ::st, ::sh, ::sw]
-    y = np.einsum("bcthwxyz,ocxyz->bothw", win, k.data, optimize=True)
-    out = Tensor(y[0] if squeeze else y)
-
-    def rule(g):
-        gb = g[None] if squeeze else g
-        gk = np.einsum("bcthwxyz,bothw->ocxyz", win, gb, optimize=True)
-        gxp = np.zeros_like(xp)
-        for ox in range(kt):
-            for oy in range(kh):
-                for oz in range(kw):
-                    patch = np.einsum("bothw,oc->bcthw", gb, k.data[:, :, ox, oy, oz], optimize=True)
-                    gxp[
-                        :,
-                        :,
-                        ox : ox + t_out * st : st,
-                        oy : oy + h_out * sh : sh,
-                        oz : oz + w_out * sw : sw,
-                    ] += patch
-        gx = gxp[:, :, pt : tp - pt, ph : hp - ph, pw : wp - pw]
-        return (gx[0] if squeeze else gx), gk
-
-    _record(out, (x, k), rule)
-    return out
+    return _conv_nd("conv3d", x, k, stride, padding)
 
 
 def conv2d(x, kernels, stride=1, padding=0) -> Tensor:
     """Cross-correlation over (H, W); x is [C_in, H, W] or [B, C_in, H, W]."""
     x = _as_tensor(x)
     k = _as_tensor(kernels, like=x)
-    squeeze = x.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 4 or k.ndim != 4:
+    if x.ndim not in (3, 4) or k.ndim != 4:
         raise DimensionError(f"conv2d: input {x.shape} and kernels {k.shape} must be 3/4-D and 4-D")
-    if xd.shape[1] != k.data.shape[1]:
-        raise DimensionError(f"conv2d: channel mismatch, input {x.shape} vs kernels {k.shape}")
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
-    kh, kw = k.data.shape[2:]
-    hp, wp = xd.shape[2] + 2 * ph, xd.shape[3] + 2 * pw
-    h_out = (hp - kh) // sh + 1
-    w_out = (wp - kw) // sw + 1
-    if min(h_out, w_out) < 1 or kh > hp or kw > wp:
-        raise ConfigurationError(
-            f"conv2d: non-positive output dims ({h_out},{w_out}) for input {x.shape}, "
-            f"kernel {k.shape}, stride {(sh, sw)}, padding {(ph, pw)}"
-        )
-    xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::sh, ::sw]
-    y = np.einsum("bchwyz,ocyz->bohw", win, k.data, optimize=True)
-    out = Tensor(y[0] if squeeze else y)
-
-    def rule(g):
-        gb = g[None] if squeeze else g
-        gk = np.einsum("bchwyz,bohw->ocyz", win, gb, optimize=True)
-        gxp = np.zeros_like(xp)
-        for oy in range(kh):
-            for oz in range(kw):
-                patch = np.einsum("bohw,oc->bchw", gb, k.data[:, :, oy, oz], optimize=True)
-                gxp[:, :, oy : oy + h_out * sh : sh, oz : oz + w_out * sw : sw] += patch
-        gx = gxp[:, :, ph : hp - ph, pw : wp - pw]
-        return (gx[0] if squeeze else gx), gk
-
-    _record(out, (x, k), rule)
-    return out
+    return _conv_nd("conv2d", x, k, stride, padding)
 
 
 # ---------------------------------------------------------------------------

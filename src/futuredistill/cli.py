@@ -152,7 +152,6 @@ def cmd_finetune(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
-    out_dir = resolve_out_dir(cfg.run.out_dir, args.out)
     header, params = read_checkpoint(args.checkpoint)
     if header.get("kind") != "finetuned" or not header.get("head"):
         raise CheckpointError(
@@ -179,7 +178,6 @@ def cmd_evaluate(args) -> int:
     print(f"macro_precision={result.macro_precision:.6f} n_frames={result.n_frames}")
     for cls, p in enumerate(result.per_class):
         print(f"  class {cls}: precision {p:.4f}")
-    _ = out_dir
     return EXIT_OK
 
 
@@ -269,7 +267,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="evaluate a finetuned checkpoint on the test split")
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("ablate", help="run a backbone x interval x loss grid, resumable")

@@ -9,7 +9,7 @@ family maps a [T, C, H, W] clip to an embed_dim vector.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -245,13 +245,6 @@ def embed(backbone: Backbone, clip) -> Tensor:
     if clip.ndim != 4:
         raise DimensionError(f"expected a [T, C, H, W] clip, got shape {clip.shape}")
     return backbone.forward(ad.reshape(clip, (1, *clip.shape)))[0]
-
-
-@dataclass
-class HeadSpec:
-    embed_dim: int
-    n_classes: int
-    horizon: int = 1  # rows of logits (t_pred for prediction, 1 for recognition)
 
 
 class PredictionHead(nn.Module):

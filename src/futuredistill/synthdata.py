@@ -51,7 +51,6 @@ class WorldState:
     x: float
     y: float
     heading: float
-    speed: float
     action: int
     until_change: int
     pending: tuple[int, int] | None = None  # (upcoming action, countdown)
@@ -145,7 +144,6 @@ def generate_video(seed: int, length: int) -> SyntheticVideo:
         x=float(rng.uniform(4, FRAME_SIZE - 4)),
         y=float(rng.uniform(4, FRAME_SIZE - 4)),
         heading=float(rng.uniform(0, 2 * np.pi)),
-        speed=1.0,
         action=int(rng.integers(0, N_ACTIONS)),
         until_change=int(rng.integers(DWELL_RANGE[0], DWELL_RANGE[1] + 1)),
     )

@@ -88,8 +88,10 @@ class TestConv3d:
                     assert y[t, h, w] == pytest.approx(k[0, 0, 1 - t, 1 - h, 1 - w])
 
     def test_non_positive_output_dim(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=r"conv3d: non-positive output dims \(0,0,0\)"):
             ad.conv3d(Tensor(np.zeros((1, 2, 2, 2))), Tensor(np.zeros((1, 1, 3, 3, 3))))
+        with pytest.raises(ConfigurationError, match=r"conv2d: non-positive output dims \(1,0\)"):
+            ad.conv2d(Tensor(np.zeros((1, 3, 2))), Tensor(np.zeros((1, 1, 3, 3))), stride=(1, 2))
 
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -113,6 +115,34 @@ class TestConv3d:
         for i in range(3):
             single = ad.conv3d(Tensor(xs[i]), k, stride=1, padding=1).data
             assert np.allclose(batched[i], single, atol=1e-6)
+
+    def test_stride_and_padding_need_one_entry_per_axis(self):
+        x, k = Tensor(np.zeros((1, 4, 4, 4))), Tensor(np.zeros((1, 1, 2, 2, 2)))
+        with pytest.raises(ConfigurationError, match="conv3d: stride"):
+            ad.conv3d(x, k, stride=(1, 2))
+        with pytest.raises(ConfigurationError, match="conv2d: stride"):
+            ad.conv2d(x[:, 0], k[:, :, 0], padding=(1, 1, 1))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv2d_is_conv3d_with_singleton_time(self, dtype):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(2, 3, 7, 6)).astype(dtype)
+        k = rng.normal(size=(4, 3, 3, 2)).astype(dtype)
+        cases = (
+            (ad.conv2d, x, k, (2, 1), (1, 0)),
+            (ad.conv3d, x[:, :, None], k[:, :, None], (1, 2, 1), (0, 1, 0)),
+        )
+        results = []
+        for conv, xv, kv, stride, padding in cases:
+            xt, kt = Tensor(xv, requires_grad=True), Tensor(kv, requires_grad=True)
+            tape = Tape()
+            with tape:
+                y = conv(xt, kt, stride=stride, padding=padding)
+                loss = ad.sum_(ad.mul(y, y))
+            backward(loss, tape)
+            results.append((y.data.reshape(-1), xt.grad.reshape(-1), kt.grad.reshape(-1)))
+        for a, b in zip(*results):
+            assert np.array_equal(a, b)
 
 
 class TestRecurrentStep:
@@ -406,6 +436,18 @@ class TestStructuralOps:
             return ad.sum_(ad.mul(ad.conv2d(t, k, stride=2, padding=1), 0.7))
 
         fd_check(f, Tensor(rng.normal(size=(2, 2, 6, 6))), tol=1e-4)
+
+        # unbatched [C, H, W] input, per-axis stride and padding; both gradients
+        x = Tensor(rng.normal(size=(2, 5, 6)))
+
+        def loss_x(t):
+            return ad.sum_(ad.mul(ad.conv2d(t, k, stride=(1, 2), padding=(0, 1)), 0.7))
+
+        def loss_k(t):
+            return ad.sum_(ad.mul(ad.conv2d(x, t, stride=(1, 2), padding=(0, 1)), 0.7))
+
+        fd_check(loss_x, x, tol=1e-4)
+        fd_check(loss_k, k, tol=1e-4)
 
     def test_forward_outputs_finite_on_finite_inputs(self):
         rng = np.random.default_rng(47)

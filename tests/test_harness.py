@@ -366,9 +366,12 @@ class TestCli:
         assert list((root / "relative_out").glob("*.ckpt"))
 
     def test_console_entry_point(self):
+        # the child imports the same package as this process, installed or not
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "futuredistill.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         for sub_cmd in ("pretrain", "finetune", "evaluate", "ablate", "report"):
