@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .downstream import FinetuneConfig, StandardizedHead, make_head
 from .errors import CheckpointError
 from .models import BackboneSpec, build_backbone
 from .nn import Module
@@ -31,13 +32,16 @@ def save_checkpoint(
     module: Module,
     backbone_spec: BackboneSpec,
     *,
-    kind: str = "pretrain",
     step: int = 0,
     config_hash: str = "",
-    rng_state: dict | None = None,
-    head_info: dict | None = None,
+    head_cfg: FinetuneConfig | None = None,
 ) -> None:
-    """Atomically persist module parameters plus identifying metadata."""
+    """Atomically persist module parameters plus identifying metadata.
+
+    With head_cfg, `module` is a finetuned ModelWithHead: the header is of kind
+    'finetuned' and describes the head (see `_describe_head`); without it the
+    checkpoint is a 'pretrain' one with no head.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     index = []
@@ -49,12 +53,11 @@ def save_checkpoint(
         chunks.append(arr.tobytes())
         offset += arr.size
     header = {
-        "kind": kind,
+        "kind": "pretrain" if head_cfg is None else "finetuned",
         "backbone_spec": dataclasses.asdict(backbone_spec),
-        "head": head_info,
+        "head": None if head_cfg is None else _describe_head(module.head, head_cfg),
         "step": step,
         "config_hash": config_hash,
-        "rng_state": rng_state,
         "params": index,
         "total_floats": offset,
     }
@@ -109,10 +112,9 @@ def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def load_backbone_checkpoint(path: str | Path, expect_config_hash: str | None = None):
-    """Rebuild the backbone named in the header and load its parameters.
+    """Read a checkpoint and rebuild its backbone; returns (backbone, spec, header).
 
-    Only 'backbone.*' parameters are restored; pass expect_config_hash to
-    refuse resuming under a different configuration.
+    Pass expect_config_hash to refuse resuming under a different configuration.
     """
     header, params = read_checkpoint(path)
     if expect_config_hash is not None and header["config_hash"] != expect_config_hash:
@@ -120,6 +122,15 @@ def load_backbone_checkpoint(path: str | Path, expect_config_hash: str | None = 
             f"{path}: config hash mismatch "
             f"(checkpoint {header['config_hash'][:12]}.., expected {expect_config_hash[:12]}..)"
         )
+    backbone, spec = restore_backbone(path, header, params)
+    return backbone, spec, header
+
+
+def restore_backbone(path: str | Path, header: dict, params: dict[str, np.ndarray]):
+    """Rebuild the backbone named in a read header; returns (backbone, spec).
+
+    Only 'backbone.*' parameters (or unprefixed ones) are restored.
+    """
     spec = BackboneSpec(**header["backbone_spec"])
     spec.conv_widths = tuple(spec.conv_widths)
     backbone = build_backbone(spec, seed=0)
@@ -134,4 +145,41 @@ def load_backbone_checkpoint(path: str | Path, expect_config_hash: str | None = 
     if missing:
         raise CheckpointError(f"{path}: checkpoint lacks parameters {sorted(missing)[:4]}")
     backbone.load_state_arrays(restored)
-    return backbone, spec, header
+    return backbone, spec
+
+
+def _describe_head(head: Module, cfg: FinetuneConfig) -> dict:
+    """The header's head entry: task, t_pred, n_classes and any standardizer mu/sigma."""
+    info = {"task": cfg.task, "t_pred": cfg.t_pred, "n_classes": cfg.n_classes}
+    if isinstance(head, StandardizedHead):
+        info["standardizer"] = {"mu": head.mu.tolist(), "sigma": head.sigma.tolist()}
+    return info
+
+
+def restore_head(
+    path: str | Path, header: dict, params: dict[str, np.ndarray], head_cfg: FinetuneConfig
+) -> Module:
+    """Rebuild a finetuned checkpoint's head from the description in its header.
+
+    Raises CheckpointError when the checkpoint has no head, or when the stored
+    task, t_pred or n_classes disagree with head_cfg.
+    """
+    info = header.get("head")
+    if not info:
+        raise CheckpointError(
+            f"{path}: {header.get('kind')} checkpoint has no head; need a finetuned one"
+        )
+    stored = {key: info[key] for key in ("task", "t_pred", "n_classes")}
+    wanted = {"task": head_cfg.task, "t_pred": head_cfg.t_pred, "n_classes": head_cfg.n_classes}
+    if stored != wanted:
+        raise CheckpointError(f"{path}: checkpoint head {stored} does not match config head {wanted}")
+    embed_dim = header["backbone_spec"]["embed_dim"]
+    head = make_head(FinetuneConfig(**stored), embed_dim, np.random.default_rng(0))
+    std = info.get("standardizer")
+    if std:
+        head = StandardizedHead(head, np.asarray(std["mu"]), np.asarray(std["sigma"]))
+    prefix = "head."
+    head.load_state_arrays(
+        {name[len(prefix) :]: arr for name, arr in params.items() if name.startswith(prefix)}
+    )
+    return head

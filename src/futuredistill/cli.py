@@ -14,21 +14,18 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .checkpoint import load_backbone_checkpoint, read_checkpoint, save_checkpoint
+from .checkpoint import (
+    load_backbone_checkpoint,
+    read_checkpoint,
+    restore_backbone,
+    restore_head,
+    save_checkpoint,
+)
 from .config import ExperimentConfig, config_hash, load_config, load_grid_config
 from .distill import pretrain, write_training_log
-from .downstream import (
-    FinetuneConfig,
-    Protocol,
-    StandardizedHead,
-    evaluate_model,
-    make_head,
-    run_single_protocol,
-)
+from .downstream import MetricsRow, Protocol, evaluate_model, run_single_protocol
 from .errors import CheckpointError, ConfigurationError, DivergenceError
-from .models import build_backbone
+from .models import BackboneSpec
 from .reporting import append_metrics, completed_cells, generate_report, read_metrics
 from .synthdata import make_dataset, split_dataset
 
@@ -42,6 +39,9 @@ EXIT_MISMATCH = 4
 EXIT_EMPTY_METRICS = 5
 
 OUT_ROOT_ENV = "FUTUREDISTILL_OUT_ROOT"
+
+# the order in which `ablate` runs a cell's protocol arms and appends their rows
+CELL_PROTOCOLS = (Protocol.LINEAR_PROBE, Protocol.FINE_TUNE, Protocol.FULL_SUPERVISED)
 
 
 def resolve_out_dir(cfg_out: str, flag_out: str | None) -> Path:
@@ -67,15 +67,8 @@ def _pretrain_one(cfg: ExperimentConfig, splits, seed: int, out_dir: Path) -> Pa
     result = pretrain(cfg.backbone, splits[0], cfg.distill, seed=seed)
     stem = cell_stem(cfg, seed)
     ckpt_path = out_dir / f"{stem}.ckpt"
-    sample_rng = np.random.default_rng([seed, 1])
     save_checkpoint(
-        ckpt_path,
-        result.pair.student,
-        cfg.backbone,
-        kind="pretrain",
-        step=result.pair.step,
-        config_hash=config_hash(cfg),
-        rng_state=sample_rng.bit_generator.state,
+        ckpt_path, result.pair.student, cfg.backbone, step=result.pair.step, config_hash=config_hash(cfg)
     )
     write_training_log(out_dir / f"{stem}_train_log.csv", result.log)
     final = result.log[-1] if result.log else None
@@ -86,6 +79,32 @@ def _pretrain_one(cfg: ExperimentConfig, splits, seed: int, out_dir: Path) -> Pa
         f"{final.loss:.5f}" if final else "n/a",
     )
     return ckpt_path
+
+
+def _run_protocols(
+    cfg: ExperimentConfig, splits, seed: int, protocols, student, out_dir: Path
+) -> list[MetricsRow]:
+    """Train, test and checkpoint each protocol arm of one (cell config, seed).
+
+    Each arm is written to `<stem>_<protocol>.ckpt`; returns one metrics row
+    per protocol, in order. `student` may be None only for FULL_SUPERVISED.
+    """
+    tune_cfg = cfg.finetune_config()
+    rows = []
+    for protocol in protocols:
+        row, model = run_single_protocol(
+            cfg.backbone, student, protocol, splits, tune_cfg, seed, cfg.distill.loss_variant
+        )
+        save_checkpoint(
+            out_dir / f"{cell_stem(cfg, seed)}_{protocol.value}.ckpt",
+            model,
+            cfg.backbone,
+            config_hash=config_hash(cfg),
+            head_cfg=tune_cfg,
+        )
+        log.info("%s seed %d: macro precision %.4f", protocol.value, seed, row.macro_precision)
+        rows.append(row)
+    return rows
 
 
 def cmd_pretrain(args) -> int:
@@ -99,14 +118,18 @@ def cmd_pretrain(args) -> int:
     return EXIT_OK
 
 
-def _load_student_for(cfg: ExperimentConfig, checkpoint: str | None):
-    if checkpoint is None:
-        return None
-    backbone, spec, _header = load_backbone_checkpoint(checkpoint)
+def _check_backbone(cfg: ExperimentConfig, spec: BackboneSpec) -> None:
     if spec != cfg.backbone:
         raise CheckpointError(
             f"checkpoint backbone {spec} does not match config backbone {cfg.backbone}"
         )
+
+
+def _load_student_for(cfg: ExperimentConfig, checkpoint: str | Path | None):
+    if checkpoint is None:
+        return None
+    backbone, spec, _header = load_backbone_checkpoint(checkpoint)
+    _check_backbone(cfg, spec)
     return backbone
 
 
@@ -119,60 +142,20 @@ def cmd_finetune(args) -> int:
         raise ConfigurationError(f"protocol {protocol.value} requires --checkpoint")
     student = _load_student_for(cfg, args.checkpoint)
     splits = build_splits(cfg)
-    tune_cfg = cfg.finetune_config()
     seeds = [args.seed] if args.seed is not None else list(cfg.run.seeds)
-    rows = []
     for seed in seeds:
-        row, model = run_single_protocol(
-            cfg.backbone, student, protocol, splits, tune_cfg, seed, cfg.distill.loss_variant
-        )
-        rows.append(row)
-        head_info = {
-            "task": tune_cfg.task,
-            "t_pred": tune_cfg.t_pred,
-            "n_classes": tune_cfg.n_classes,
-        }
-        if isinstance(model.head, StandardizedHead):
-            head_info["standardizer"] = {
-                "mu": model.head.mu.tolist(),
-                "sigma": model.head.sigma.tolist(),
-            }
-        save_checkpoint(
-            out_dir / f"{cell_stem(cfg, seed)}_{protocol.value}.ckpt",
-            model,
-            cfg.backbone,
-            kind="finetuned",
-            config_hash=config_hash(cfg),
-            head_info=head_info,
-        )
-        log.info("%s seed %d: macro precision %.4f", protocol.value, seed, row.macro_precision)
-    append_metrics(out_dir / "metrics.csv", rows)
+        rows = _run_protocols(cfg, splits, seed, [protocol], student, out_dir)
+        append_metrics(out_dir / "metrics.csv", rows)
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
-    header, params = read_checkpoint(args.checkpoint)
-    if header.get("kind") != "finetuned" or not header.get("head"):
-        raise CheckpointError(
-            f"{args.checkpoint}: evaluate needs a finetuned checkpoint with a head"
-        )
-    backbone, spec, _ = load_backbone_checkpoint(args.checkpoint)
-    if spec != cfg.backbone:
-        raise CheckpointError(
-            f"checkpoint backbone {spec} does not match config backbone {cfg.backbone}"
-        )
     tune_cfg = cfg.finetune_config()
-    head = make_head(tune_cfg, spec.embed_dim, np.random.default_rng(0))
-    std_info = header["head"].get("standardizer")
-    if std_info:
-        head = StandardizedHead(
-            head, np.asarray(std_info["mu"], dtype=np.float32), np.asarray(std_info["sigma"], dtype=np.float32)
-        )
-    head_params = {
-        name[len("head.") :]: arr for name, arr in params.items() if name.startswith("head.")
-    }
-    head.load_state_arrays(head_params)
+    header, params = read_checkpoint(args.checkpoint)
+    backbone, spec = restore_backbone(args.checkpoint, header, params)
+    _check_backbone(cfg, spec)
+    head = restore_head(args.checkpoint, header, params, tune_cfg)
     splits = build_splits(cfg)
     result = evaluate_model(backbone, head, splits[2], tune_cfg)
     print(f"macro_precision={result.macro_precision:.6f} n_frames={result.n_frames}")
@@ -192,36 +175,29 @@ def cmd_ablate(args) -> int:
     for cell in grid.cells(base):
         splits = None
         for seed in cell.run.seeds:
-            targets = [
-                (cell.backbone.family, cell.distill.t, p, cell.distill.loss_variant, seed)
-                for p in ("linear_probe", "fine_tune", "supervised")
+            stem = cell_stem(cell, seed)
+            d = cell.distill
+            missing = [
+                p for p in CELL_PROTOCOLS
+                if (cell.backbone.family, d.t, p.value, d.loss_variant, seed) not in done
             ]
-            if all(t in done for t in targets):
-                log.info("skipping completed cell %s", cell_stem(cell, seed))
+            if not missing:
+                log.info("skipping completed cell %s", stem)
                 continue
             any_ran = True
             try:
                 if splits is None:
                     splits = build_splits(cell)
-                ckpt_path = out_dir / f"{cell_stem(cell, seed)}.ckpt"
+                ckpt_path = out_dir / f"{stem}.ckpt"
                 if not ckpt_path.exists():
                     _pretrain_one(cell, splits, seed, out_dir)
-                student = load_backbone_checkpoint(ckpt_path)[0]
-                tune_cfg = cell.finetune_config()
-                rows = []
-                for name in ("linear_probe", "fine_tune", "supervised"):
-                    if (cell.backbone.family, cell.distill.t, name, cell.distill.loss_variant, seed) in done:
-                        continue
-                    row, _ = run_single_protocol(
-                        cell.backbone, student, Protocol.parse(name), splits, tune_cfg, seed,
-                        cell.distill.loss_variant,
-                    )
-                    rows.append(row)
+                student = _load_student_for(cell, ckpt_path)
+                rows = _run_protocols(cell, splits, seed, missing, student, out_dir)
                 append_metrics(metrics_path, rows)
-                done.update((r.backbone, r.interval, r.protocol, r.loss_variant, r.seed) for r in rows)
+                done |= completed_cells(rows)
             except (ConfigurationError, DivergenceError, CheckpointError) as exc:
-                log.error("cell %s failed: %s", cell_stem(cell, seed), exc)
-                failures.append({"cell": cell_stem(cell, seed), "error": str(exc)})
+                log.error("cell %s failed: %s", stem, exc)
+                failures.append({"cell": stem, "error": str(exc)})
     if failures:
         (out_dir / "failures.json").write_text(json.dumps(failures, indent=2))
         return EXIT_PARTIAL

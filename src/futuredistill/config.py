@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .distill import DistillConfig
-from .downstream import FinetuneConfig, Protocol
+from .downstream import FinetuneConfig
 from .errors import ConfigurationError
 from .models import BackboneSpec
 
@@ -42,11 +42,6 @@ class DownstreamConfig:
     learning_rate: float = 0.02
     sgd_momentum: float = 0.9
     batch_size: int = 32
-    protocols: tuple[str, ...] = ("linear_probe", "fine_tune", "supervised")
-
-    def validate(self) -> None:
-        for name in self.protocols:
-            Protocol.parse(name)
 
     def to_finetune(self, t: int, t_pred: int) -> FinetuneConfig:
         return FinetuneConfig(
@@ -96,7 +91,6 @@ class ExperimentConfig:
         self.backbone.frames = self.distill.t  # the student always sees t frames
         self.backbone.validate()
         self.distill.validate()
-        self.downstream.validate()
         if not self.run.seeds:
             raise ConfigurationError("run.seeds must list at least one seed")
 

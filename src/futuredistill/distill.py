@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -61,28 +61,19 @@ class DistillConfig:
                 raise ConfigurationError(f"EMA momentum endpoints must be in (0, 1], got {m}")
 
 
-@dataclass
-class MomentumSchedule:
-    m_start: float = 0.996
-    m_end: float = 1.0
-    total_steps: int = 1
-
-    def __post_init__(self):
-        if self.total_steps < 1:
-            raise ConfigurationError(f"total_steps must be >= 1, got {self.total_steps}")
-
-
-def momentum_at(schedule: MomentumSchedule, step: int) -> float:
+def momentum_at(step: int, total_steps: int, m_start: float, m_end: float) -> float:
     """Cosine ramp from m_start at step 0 to m_end at total_steps."""
-    if step < 0 or step > schedule.total_steps:
+    if total_steps < 1:
+        raise ConfigurationError(f"total_steps must be >= 1, got {total_steps}")
+    if step < 0 or step > total_steps:
         warnings.warn(
-            f"momentum_at: step {step} outside [0, {schedule.total_steps}], clamping",
+            f"momentum_at: step {step} outside [0, {total_steps}], clamping",
             RuntimeWarning,
             stacklevel=2,
         )
-        step = min(max(step, 0), schedule.total_steps)
-    phase = (math.cos(math.pi * step / schedule.total_steps) + 1.0) / 2.0
-    return schedule.m_end - (schedule.m_end - schedule.m_start) * phase
+        step = min(max(step, 0), total_steps)
+    phase = (math.cos(math.pi * step / total_steps) + 1.0) / 2.0
+    return m_end - (m_end - m_start) * phase
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +248,7 @@ def pretrain(
     backbone_spec: BackboneSpec,
     dataset: list[SyntheticVideo],
     cfg: DistillConfig,
-    schedule: MomentumSchedule | None = None,
     seed: int = 0,
-    log_hook=None,
 ) -> PretrainResult:
     """Run the full distillation loop; the teacher starts as a copy of the student."""
     cfg.validate()
@@ -279,8 +268,6 @@ def pretrain(
 
     per_epoch = steps_per_epoch(len(dataset), min(len(v) for v in dataset), cfg)
     total_steps = cfg.epochs * per_epoch
-    if schedule is None:
-        schedule = MomentumSchedule(cfg.momentum_start, cfg.momentum_end, max(1, total_steps))
 
     sample_rng = np.random.default_rng([seed, 1])
     params = pair.student.parameters()
@@ -304,20 +291,19 @@ def pretrain(
         pair.student.zero_grads()
         backward(loss, tape)
         sgd_step(params, [p.grad for p in params], opt)
-        m = momentum_at(schedule, pair.step)
+        m = momentum_at(pair.step, total_steps, cfg.momentum_start, cfg.momentum_end)
         ema_update(pair, m)
         pair.step += 1
         if cfg.loss_variant == "cross_entropy":
             center = update_center(center, tch.data, cfg.center_momentum)
-        row = PretrainLogRow(
-            step=step,
-            loss=loss_val,
-            momentum=m,
-            embed_std=float(s.data.std(axis=0).mean()),
+        log.append(
+            PretrainLogRow(
+                step=step,
+                loss=loss_val,
+                momentum=m,
+                embed_std=float(s.data.std(axis=0).mean()),
+            )
         )
-        log.append(row)
-        if log_hook is not None:
-            log_hook(row)
     return PretrainResult(pair=pair, log=log, config=cfg, seed=seed)
 
 

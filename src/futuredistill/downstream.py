@@ -9,7 +9,7 @@ is the headline metric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -192,22 +192,19 @@ def finetune(
     train_videos: list[SyntheticVideo],
     cfg: FinetuneConfig,
     seed: int = 0,
-    standardize: bool | None = None,
 ) -> tuple[ModelWithHead, list[FinetuneLogRow]]:
     """Cross-entropy training; LINEAR_PROBE leaves every backbone bit untouched.
 
-    standardize defaults to True only for LINEAR_PROBE: a frozen backbone needs
+    Only LINEAR_PROBE standardizes the head's input: a frozen backbone needs
     the fixed affine feature conditioning, while trainable backbones adapt on
     their own and the amplified 1/sigma backprop would destabilize them.
     """
     cfg.validate()
-    if standardize is None:
-        standardize = protocol is Protocol.LINEAR_PROBE
-    if standardize and not isinstance(head, StandardizedHead):
+    freeze_backbone = protocol is Protocol.LINEAR_PROBE
+    if freeze_backbone:
         mu, sigma = feature_stats(backbone, train_videos, cfg)
         head = StandardizedHead(head, mu, sigma)
     model = ModelWithHead(backbone, head)
-    freeze_backbone = protocol is Protocol.LINEAR_PROBE
     params = head.parameters() if freeze_backbone else model.parameters()
     opt = SgdState(learning_rate=cfg.learning_rate, momentum=cfg.sgd_momentum)
     rng = np.random.default_rng([seed, 3])
@@ -272,7 +269,7 @@ def evaluate_model(
 
 
 # ---------------------------------------------------------------------------
-# protocol suite
+# one protocol arm
 
 
 @dataclass
@@ -284,17 +281,6 @@ class MetricsRow:
     seed: int
     macro_precision: float
     n_frames: int
-
-
-@dataclass
-class SuiteResult:
-    rows: list[MetricsRow]
-    means: dict[str, float]
-    improvement: float  # mean fine_tune - mean supervised
-
-    def mean_of(self, protocol: Protocol) -> float:
-        vals = [r.macro_precision for r in self.rows if r.protocol == protocol.value]
-        return float(np.mean(vals))
 
 
 def run_single_protocol(
@@ -327,50 +313,3 @@ def run_single_protocol(
         n_frames=result_eval.n_frames,
     )
     return row, model
-
-
-def run_protocol_suite(
-    backbone_spec: BackboneSpec,
-    splits: tuple[list[SyntheticVideo], list[SyntheticVideo], list[SyntheticVideo]],
-    t: int,
-    t_pred: int,
-    seeds: list[int],
-    distill_cfg=None,
-    tune_cfg: FinetuneConfig | None = None,
-    pretrained: dict[int, object] | None = None,
-) -> SuiteResult:
-    """All three protocols on the test split for every seed.
-
-    `pretrained` maps seed -> pretrained student backbone; missing entries are
-    trained on the spot with `distill_cfg`.
-    """
-    from .distill import DistillConfig, pretrain  # local import to avoid a cycle
-
-    train_videos = splits[0]
-    tune_cfg = tune_cfg or FinetuneConfig(t=t, t_pred=t_pred)
-    if (tune_cfg.t, tune_cfg.t_pred) != (t, t_pred):
-        raise ConfigurationError("tune_cfg horizons must match the suite's (t, t_pred)")
-    rows: list[MetricsRow] = []
-    for seed in seeds:
-        if pretrained and seed in pretrained:
-            student = pretrained[seed]
-            loss_variant = distill_cfg.loss_variant if distill_cfg else "cosine"
-        else:
-            dcfg = distill_cfg or DistillConfig(t=t, t_pred=t_pred)
-            result = pretrain(backbone_spec, train_videos, dcfg, seed=seed)
-            student = result.student_backbone
-            loss_variant = dcfg.loss_variant
-        for protocol in (Protocol.LINEAR_PROBE, Protocol.FINE_TUNE, Protocol.FULL_SUPERVISED):
-            row, _ = run_single_protocol(
-                backbone_spec, student, protocol, splits, tune_cfg, seed, loss_variant
-            )
-            rows.append(row)
-    means = {
-        p.value: float(np.mean([r.macro_precision for r in rows if r.protocol == p.value]))
-        for p in Protocol
-    }
-    return SuiteResult(
-        rows=rows,
-        means=means,
-        improvement=means[Protocol.FINE_TUNE.value] - means[Protocol.FULL_SUPERVISED.value],
-    )

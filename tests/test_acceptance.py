@@ -258,7 +258,7 @@ def test_criterion_10_persistence(tmp_path):
     spec = BackboneSpec(family="Conv2dRecurrent", frames=3, embed_dim=16, recurrent_hidden=16)
     backbone = build_backbone(spec, seed=5)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, backbone, spec, step=7, config_hash="h", rng_state={"s": 2})
+    save_checkpoint(path, backbone, spec, step=7, config_hash="h")
     header, params = read_checkpoint(path)
     for name, p in backbone.named_parameters():
         assert params[name].tobytes() == p.data.tobytes()

@@ -17,7 +17,6 @@ from futuredistill.downstream import (
     finetune,
     majority_label,
     make_head,
-    run_protocol_suite,
 )
 from futuredistill.errors import ConfigurationError, DimensionError
 from futuredistill.models import BackboneSpec, build_backbone
@@ -168,26 +167,3 @@ class TestFinetune:
         assert Protocol.parse("FINE_TUNE") is Protocol.FINE_TUNE
         with pytest.raises(ConfigurationError):
             Protocol.parse("zero_shot")
-
-
-class TestSuite:
-    def test_row_schema_and_count(self, small_world):
-        from futuredistill.distill import DistillConfig
-
-        spec = BackboneSpec(family="Conv2dRecurrent", frames=6)
-        dcfg = DistillConfig(t=6, t_pred=6, epochs=1, batch_size=8)
-        suite = run_protocol_suite(
-            spec, small_world, t=6, t_pred=6, seeds=[0, 1],
-            distill_cfg=dcfg, tune_cfg=quick_cfg(),
-        )
-        assert len(suite.rows) == 3 * 2  # protocols x seeds
-        protocols = {r.protocol for r in suite.rows}
-        assert protocols == {"linear_probe", "fine_tune", "supervised"}
-        for row in suite.rows:
-            assert row.backbone == "Conv2dRecurrent"
-            assert row.interval == 6
-            assert row.loss_variant == "cosine"
-            assert 0.0 <= row.macro_precision <= 1.0
-        assert suite.improvement == pytest.approx(
-            suite.means["fine_tune"] - suite.means["supervised"], abs=1e-12
-        )

@@ -24,7 +24,7 @@ from futuredistill.config import (
     parse_config,
 )
 from futuredistill.downstream import MetricsRow
-from futuredistill.errors import CheckpointError, ConfigurationError
+from futuredistill.errors import CheckpointError, ConfigurationError, DivergenceError
 from futuredistill.models import BackboneSpec, build_backbone
 from futuredistill.reporting import (
     append_metrics,
@@ -130,8 +130,7 @@ class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         backbone, spec = self.make_backbone()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, backbone, spec, step=42, config_hash="abc",
-                        rng_state={"state": 1})
+        save_checkpoint(path, backbone, spec, step=42, config_hash="abc")
         loaded, loaded_spec, header = load_backbone_checkpoint(path)
         assert header["step"] == 42
         assert header["config_hash"] == "abc"
@@ -337,6 +336,84 @@ class TestCli:
         code = self.run_cli("evaluate", "--config", str(quick_config_file), "--checkpoint", str(tuned))
         assert code == cli.EXIT_OK
         assert "macro_precision=" in capsys.readouterr().out
+
+    def test_evaluate_head_mismatch_exits_4(self, quick_config_file, tmp_path, capsys):
+        assert self.run_cli("pretrain", "--config", str(quick_config_file)) == cli.EXIT_OK
+        out = tmp_path / "out"
+        ckpt = next(iter(out.glob("*.ckpt")))
+        assert self.run_cli(
+            "finetune", "--config", str(quick_config_file), "--protocol", "fine_tune",
+            "--checkpoint", str(ckpt),
+        ) == cli.EXIT_OK
+        tuned = next(iter(out.glob("*_fine_tune.ckpt")))
+        other = tmp_path / "recognition.ini"
+        other.write_text(
+            quick_config_file.read_text().replace("task = prediction", "task = recognition")
+        )
+        capsys.readouterr()
+        code = self.run_cli("evaluate", "--config", str(other), "--checkpoint", str(tuned))
+        assert code == cli.EXIT_MISMATCH
+        err = capsys.readouterr().err
+        assert "'task': 'prediction'" in err and "'task': 'recognition'" in err
+
+    def test_finetune_appends_each_seed_before_a_later_one_diverges(
+        self, quick_config_file, tmp_path, monkeypatch
+    ):
+        quick_config_file.write_text(quick_config_file.read_text().replace("seeds = 0", "seeds = 0,1"))
+        real = cli.run_single_protocol
+
+        def diverge_on_seed_1(*args):
+            if args[5] == 1:
+                raise DivergenceError("fine-tuning diverged (injected)")
+            return real(*args)
+
+        monkeypatch.setattr(cli, "run_single_protocol", diverge_on_seed_1)
+        code = self.run_cli("finetune", "--config", str(quick_config_file), "--protocol", "supervised")
+        assert code == cli.EXIT_DIVERGENCE
+        rows = read_metrics(tmp_path / "out" / "metrics.csv")
+        assert [(r.protocol, r.seed) for r in rows] == [("supervised", 0)]
+
+    def test_ablate_and_finetune_produce_the_same_cell(self, tmp_path):
+        def config(out_dir):
+            return QUICK_CONFIG.replace("out_dir = runs/quick", f"out_dir = {out_dir}")
+
+        grid_path = tmp_path / "grid.ini"
+        grid_path.write_text(
+            config(tmp_path / "grid")
+            + "\n[grid]\nbackbones = Conv2dRecurrent\nintervals = 6\nlosses = cosine\n"
+        )
+        assert self.run_cli("ablate", "--config", str(grid_path)) == cli.EXIT_OK
+        single_path = tmp_path / "single.ini"
+        single_path.write_text(config(tmp_path / "single"))
+        assert self.run_cli("pretrain", "--config", str(single_path)) == cli.EXIT_OK
+        stem = cli.cell_stem(load_config(single_path), 0)
+        for protocol in ("linear_probe", "fine_tune", "supervised"):
+            argv = ["finetune", "--config", str(single_path), "--protocol", protocol]
+            if protocol != "supervised":
+                argv += ["--checkpoint", str(tmp_path / "single" / f"{stem}.ckpt")]
+            assert self.run_cli(*argv) == cli.EXIT_OK
+
+        metrics = [(tmp_path / run / "metrics.csv").read_text() for run in ("grid", "single")]
+        assert metrics[0] == metrics[1]
+        rows = read_metrics(tmp_path / "grid" / "metrics.csv")
+        assert [r.protocol for r in rows] == ["linear_probe", "fine_tune", "supervised"]
+        for row in rows:
+            assert (row.backbone, row.interval, row.loss_variant, row.seed) == (
+                "Conv2dRecurrent", 6, "cosine", 0,
+            )
+            assert 0.0 <= row.macro_precision <= 1.0
+        for protocol in ("linear_probe", "fine_tune", "supervised"):
+            name = f"{stem}_{protocol}.ckpt"
+            grid_header, grid_params = read_checkpoint(tmp_path / "grid" / name)
+            single_header, single_params = read_checkpoint(tmp_path / "single" / name)
+            # the config hash covers run.out_dir, which differs between the two runs
+            del grid_header["config_hash"], single_header["config_hash"]
+            assert grid_header == single_header
+            assert grid_params.keys() == single_params.keys()
+            assert any(k.startswith("backbone.") for k in grid_params)
+            assert any(k.startswith("head.") for k in grid_params)
+            for key, arr in grid_params.items():
+                assert arr.tobytes() == single_params[key].tobytes(), (protocol, key)
 
     def test_report_empty_metrics_exits_5(self, tmp_path, capsys):
         code = self.run_cli("report", "--metrics", str(tmp_path / "none.csv"), "--out", str(tmp_path))
