@@ -86,8 +86,10 @@ def _run_protocols(
 ) -> list[MetricsRow]:
     """Train, test and checkpoint each protocol arm of one (cell config, seed).
 
-    Each arm is written to `<stem>_<protocol>.ckpt`; returns one metrics row
-    per protocol, in order. `student` may be None only for FULL_SUPERVISED.
+    Each arm is written to `<stem>_<protocol>.ckpt` and its row appended to
+    `metrics.csv` right after, so a later arm's failure keeps the finished
+    arms; returns one metrics row per protocol, in order. `student` may be
+    None only for FULL_SUPERVISED.
     """
     tune_cfg = cfg.finetune_config()
     rows = []
@@ -102,6 +104,7 @@ def _run_protocols(
             config_hash=config_hash(cfg),
             head_cfg=tune_cfg,
         )
+        append_metrics(out_dir / "metrics.csv", [row])
         log.info("%s seed %d: macro precision %.4f", protocol.value, seed, row.macro_precision)
         rows.append(row)
     return rows
@@ -144,8 +147,7 @@ def cmd_finetune(args) -> int:
     splits = build_splits(cfg)
     seeds = [args.seed] if args.seed is not None else list(cfg.run.seeds)
     for seed in seeds:
-        rows = _run_protocols(cfg, splits, seed, [protocol], student, out_dir)
-        append_metrics(out_dir / "metrics.csv", rows)
+        _run_protocols(cfg, splits, seed, [protocol], student, out_dir)
     return EXIT_OK
 
 
@@ -193,7 +195,6 @@ def cmd_ablate(args) -> int:
                     _pretrain_one(cell, splits, seed, out_dir)
                 student = _load_student_for(cell, ckpt_path)
                 rows = _run_protocols(cell, splits, seed, missing, student, out_dir)
-                append_metrics(metrics_path, rows)
                 done |= completed_cells(rows)
             except (ConfigurationError, DivergenceError, CheckpointError) as exc:
                 log.error("cell %s failed: %s", stem, exc)

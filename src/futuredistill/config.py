@@ -29,8 +29,11 @@ class DatasetConfig:
     split_seed: int = 0
 
     def validate(self) -> None:
-        if self.videos < 3:
-            raise ConfigurationError(f"dataset.videos must be >= 3 for a 60/20/20 split, got {self.videos}")
+        if self.videos < 5:
+            raise ConfigurationError(
+                f"dataset.videos must be >= 5 so the 60/20/20 split gives val and test a video each, "
+                f"got {self.videos}"
+            )
         if self.frames_per_video < 24:
             raise ConfigurationError(f"dataset.frames_per_video must be >= 24, got {self.frames_per_video}")
 

@@ -1,7 +1,9 @@
 """Metrics CSV handling and report generation.
 
 The metrics file is append-only: a version line, a header, then one row per
-(protocol, seed) evaluation. Reports aggregate seeds as mean and std and emit
+(protocol, seed) evaluation. A rerun appends a second row for the same cell
+and seed; reports count only the last one, which belongs to the checkpoint the
+rerun overwrote. Reports aggregate seeds as mean and std and emit
 two tables (backbone x interval, backbone x loss variant) plus loss-curve
 plot data as CSV and SVG. Reports are pure functions of their inputs.
 """
@@ -100,8 +102,12 @@ def read_metrics(path: str | Path) -> list[MetricsRow]:
     return rows
 
 
+def _cell_key(row: MetricsRow) -> tuple[str, int, str, str, int]:
+    return (row.backbone, row.interval, row.protocol, row.loss_variant, row.seed)
+
+
 def completed_cells(rows: list[MetricsRow]) -> set[tuple[str, int, str, str, int]]:
-    return {(r.backbone, r.interval, r.protocol, r.loss_variant, r.seed) for r in rows}
+    return {_cell_key(r) for r in rows}
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +125,8 @@ class TableRow:
 
 def _aggregate(rows: list[MetricsRow], key_fn) -> list[TableRow]:
     grouped: dict[tuple, dict[str, list[float]]] = defaultdict(lambda: defaultdict(list))
-    for row in rows:
+    latest = {_cell_key(row): row for row in rows}  # a rerun's row replaces the earlier one
+    for row in latest.values():
         grouped[key_fn(row)][row.protocol].append(row.macro_precision)
     out = []
     for key in sorted(grouped):

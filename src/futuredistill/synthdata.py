@@ -53,7 +53,7 @@ class WorldState:
     heading: float
     action: int
     until_change: int
-    pending: tuple[int, int] | None = None  # (upcoming action, countdown)
+    pending: int | None = None  # upcoming action while its cue is shown
 
 
 @dataclass
@@ -106,24 +106,31 @@ def _advance(state: WorldState) -> None:
     state.y = (state.y + step * dy) % FRAME_SIZE
 
 
-def _render(state: WorldState) -> np.ndarray:
-    img = np.full((CHANNELS, FRAME_SIZE, FRAME_SIZE), 0.08, dtype=np.float32)
-    # dashed lane lines
-    img[:, ::3, 8] = 0.25
-    img[:, ::3, 23] = 0.25
-    # agent body: 3x3 white block, torus wraparound
-    cx, cy = int(round(state.x)) % FRAME_SIZE, int(round(state.y)) % FRAME_SIZE
-    rows = [(cx + d) % FRAME_SIZE for d in (-1, 0, 1)]
-    cols = [(cy + d) % FRAME_SIZE for d in (-1, 0, 1)]
-    img[:, np.ix_(rows, cols)[0], np.ix_(rows, cols)[1]] = 1.0
-    # heading tick two cells ahead of the body center
-    tx = int(round(state.x + 2 * np.cos(state.heading))) % FRAME_SIZE
-    ty = int(round(state.y + 2 * np.sin(state.heading))) % FRAME_SIZE
-    img[:, tx, ty] = 0.7
+def _render_video(x: np.ndarray, y: np.ndarray, heading: np.ndarray, cue: np.ndarray) -> np.ndarray:
+    """Paint every frame at once from per-frame poses and cue ids (-1: no cue).
+
+    Layers, each over the last: background, dashed lane lines, the 3x3 agent
+    body on the torus, the heading tick two cells ahead, the cue block.
+    """
+    length = len(x)
+    frames = np.full((length, CHANNELS, FRAME_SIZE, FRAME_SIZE), 0.08, dtype=np.float32)
+    frames[:, :, ::3, 8] = 0.25
+    frames[:, :, ::3, 23] = 0.25
+    # a channels-last view, so one (frame, row, col) index paints all channels
+    pixels = frames.transpose(0, 2, 3, 1)
+    f = np.arange(length)
+    # np.rint rounds half to even, like Python's round
+    offsets = np.array([-1, 0, 1])
+    rows = (np.rint(x).astype(np.intp)[:, None] + offsets) % FRAME_SIZE
+    cols = (np.rint(y).astype(np.intp)[:, None] + offsets) % FRAME_SIZE
+    pixels[f[:, None, None], rows[:, :, None], cols[:, None, :]] = 1.0
+    tick_x = np.rint(x + 2 * np.cos(heading)).astype(np.intp) % FRAME_SIZE
+    tick_y = np.rint(y + 2 * np.sin(heading)).astype(np.intp) % FRAME_SIZE
+    pixels[f, tick_x, tick_y] = 0.7
     # cue block last so nothing can occlude it
-    if state.pending is not None:
-        img[:, _CUE_SLICE[0], _CUE_SLICE[1]] = CUE_PALETTE[state.pending[0]][:, None, None]
-    return img
+    shown = cue >= 0
+    frames[shown, :, _CUE_SLICE[0], _CUE_SLICE[1]] = CUE_PALETTE[cue[shown]][:, :, None, None]
+    return frames
 
 
 def cue_visible(frame: np.ndarray) -> int | None:
@@ -136,7 +143,10 @@ def cue_visible(frame: np.ndarray) -> int | None:
 
 
 def generate_video(seed: int, length: int) -> SyntheticVideo:
-    """Render one scripted video; identical (seed, length) gives identical bytes."""
+    """Simulate one scripted video frame by frame, then render all frames at once.
+
+    Identical (seed, length) gives identical bytes.
+    """
     if length < 24:
         raise ConfigurationError(f"video length must be >= 24 frames, got {length}")
     rng = np.random.default_rng(seed)
@@ -147,19 +157,22 @@ def generate_video(seed: int, length: int) -> SyntheticVideo:
         action=int(rng.integers(0, N_ACTIONS)),
         until_change=int(rng.integers(DWELL_RANGE[0], DWELL_RANGE[1] + 1)),
     )
-    frames = np.empty((length, CHANNELS, FRAME_SIZE, FRAME_SIZE), dtype=np.float32)
+    x, y, heading = np.empty(length), np.empty(length), np.empty(length)
+    cue = np.empty(length, dtype=np.intp)
     labels = np.empty(length, dtype=np.uint8)
     for f in range(length):
         if state.until_change == 0:
-            state.action = state.pending[0]
+            state.action = state.pending
             state.pending = None
             state.until_change = int(rng.integers(DWELL_RANGE[0], DWELL_RANGE[1] + 1))
         if state.until_change == CUE_LEAD:
-            state.pending = (_next_action(rng, state.action), CUE_LEAD)
-        frames[f] = _render(state)
+            state.pending = _next_action(rng, state.action)
+        x[f], y[f], heading[f] = state.x, state.y, state.heading
+        cue[f] = -1 if state.pending is None else state.pending
         labels[f] = state.action
         _advance(state)
         state.until_change -= 1
+    frames = _render_video(x, y, heading, cue)
     return SyntheticVideo(frames=frames, labels=labels, fps=FPS, seed=seed)
 
 

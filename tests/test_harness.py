@@ -1,5 +1,6 @@
 """Config round-trip, checkpoint persistence, metrics/report, CLI contracts."""
 
+import csv
 import json
 import os
 import subprocess
@@ -23,7 +24,7 @@ from futuredistill.config import (
     load_grid_config,
     parse_config,
 )
-from futuredistill.downstream import MetricsRow
+from futuredistill.downstream import MetricsRow, Protocol
 from futuredistill.errors import CheckpointError, ConfigurationError, DivergenceError
 from futuredistill.models import BackboneSpec, build_backbone
 from futuredistill.reporting import (
@@ -115,6 +116,18 @@ class TestConfig:
         assert ("Conv3dResidual", 3, "cosine") in combos
         for c in cells:
             assert c.distill.t == c.distill.t_pred  # grid intervals set both horizons
+
+    def test_four_videos_rejected_before_any_work(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        path = tmp_path / "four.ini"
+        path.write_text(
+            QUICK_CONFIG.replace("videos = 5", "videos = 4").replace("out_dir = runs/quick", f"out_dir = {out_dir}")
+        )
+        with pytest.raises(ConfigurationError, match=r"dataset.videos must be >= 5 .* got 4"):
+            load_config(path)
+        assert cli.main(["pretrain", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert "dataset.videos" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_hash_changes_with_content(self):
         a = parse_config(QUICK_CONFIG)
@@ -372,6 +385,47 @@ class TestCli:
         assert code == cli.EXIT_DIVERGENCE
         rows = read_metrics(tmp_path / "out" / "metrics.csv")
         assert [(r.protocol, r.seed) for r in rows] == [("supervised", 0)]
+
+    def test_report_counts_a_rerun_finetune_once(self, quick_config_file, tmp_path):
+        argv = ["finetune", "--config", str(quick_config_file), "--protocol", "supervised"]
+        assert self.run_cli(*argv) == cli.EXIT_OK
+        assert self.run_cli(*argv) == cli.EXIT_OK
+        metrics = tmp_path / "out" / "metrics.csv"
+        assert [(r.protocol, r.seed) for r in read_metrics(metrics)] == [("supervised", 0)] * 2
+        assert self.run_cli("report", "--metrics", str(metrics), "--out", str(tmp_path / "report")) == cli.EXIT_OK
+        with (tmp_path / "report" / "table_backbone_interval.csv").open(newline="") as fh:
+            (rec,) = list(csv.DictReader(fh))
+        assert rec["supervised_mean"] != "" and rec["supervised_std"] == ""
+
+    def test_ablate_keeps_a_finished_arm_when_a_later_one_diverges(self, tmp_path, monkeypatch):
+        path = tmp_path / "grid.ini"
+        path.write_text(
+            QUICK_CONFIG.replace("out_dir = runs/quick", f"out_dir = {tmp_path / 'grid'}")
+            + "\n[grid]\nbackbones = Conv2dRecurrent\nintervals = 6\nlosses = cosine\n"
+        )
+        real = cli.run_single_protocol
+
+        def diverge_on_fine_tune(*args):
+            if args[2] is Protocol.FINE_TUNE:
+                raise DivergenceError("fine-tuning diverged (injected)")
+            return real(*args)
+
+        monkeypatch.setattr(cli, "run_single_protocol", diverge_on_fine_tune)
+        assert self.run_cli("ablate", "--config", str(path)) == cli.EXIT_PARTIAL
+        rows = read_metrics(tmp_path / "grid" / "metrics.csv")
+        assert [r.protocol for r in rows] == ["linear_probe"]
+
+        calls = []
+
+        def record(*args):
+            calls.append(args[2].value)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "run_single_protocol", record)
+        assert self.run_cli("ablate", "--config", str(path)) == cli.EXIT_OK
+        assert calls == ["fine_tune", "supervised"]
+        rows = read_metrics(tmp_path / "grid" / "metrics.csv")
+        assert [r.protocol for r in rows] == ["linear_probe", "fine_tune", "supervised"]
 
     def test_ablate_and_finetune_produce_the_same_cell(self, tmp_path):
         def config(out_dir):

@@ -23,11 +23,74 @@ def transition_frames(labels):
     return set((np.nonzero(labels[1:] != labels[:-1])[0] + 1).tolist())
 
 
+def reference_render(state):
+    """The per-frame renderer `generate_video` used before it painted all frames at once."""
+    img = np.full((sd.CHANNELS, sd.FRAME_SIZE, sd.FRAME_SIZE), 0.08, dtype=np.float32)
+    img[:, ::3, 8] = 0.25
+    img[:, ::3, 23] = 0.25
+    cx, cy = int(round(state.x)) % sd.FRAME_SIZE, int(round(state.y)) % sd.FRAME_SIZE
+    rows = [(cx + d) % sd.FRAME_SIZE for d in (-1, 0, 1)]
+    cols = [(cy + d) % sd.FRAME_SIZE for d in (-1, 0, 1)]
+    img[:, np.ix_(rows, cols)[0], np.ix_(rows, cols)[1]] = 1.0
+    tx = int(round(state.x + 2 * np.cos(state.heading))) % sd.FRAME_SIZE
+    ty = int(round(state.y + 2 * np.sin(state.heading))) % sd.FRAME_SIZE
+    img[:, tx, ty] = 0.7
+    if state.pending is not None:
+        img[:, 1:4, 1:4] = sd.CUE_PALETTE[state.pending][:, None, None]
+    return img
+
+
+def reference_video(seed, length):
+    """Simulate and render one frame at a time; also name what wrapped across the canvas edge."""
+    rng = np.random.default_rng(seed)
+    state = sd.WorldState(
+        x=float(rng.uniform(4, sd.FRAME_SIZE - 4)),
+        y=float(rng.uniform(4, sd.FRAME_SIZE - 4)),
+        heading=float(rng.uniform(0, 2 * np.pi)),
+        action=int(rng.integers(0, sd.N_ACTIONS)),
+        until_change=int(rng.integers(sd.DWELL_RANGE[0], sd.DWELL_RANGE[1] + 1)),
+    )
+    frames = np.empty((length, sd.CHANNELS, sd.FRAME_SIZE, sd.FRAME_SIZE), dtype=np.float32)
+    labels = np.empty(length, dtype=np.uint8)
+    wrapped = set()
+    edge = (0, sd.FRAME_SIZE - 1)
+    for f in range(length):
+        if state.until_change == 0:
+            state.action = state.pending
+            state.pending = None
+            state.until_change = int(rng.integers(sd.DWELL_RANGE[0], sd.DWELL_RANGE[1] + 1))
+        if state.until_change == sd.CUE_LEAD:
+            state.pending = sd._next_action(rng, state.action)
+        frames[f] = reference_render(state)
+        labels[f] = state.action
+        if round(state.x) % sd.FRAME_SIZE in edge or round(state.y) % sd.FRAME_SIZE in edge:
+            wrapped.add("agent")
+        tick = (round(state.x + 2 * np.cos(state.heading)), round(state.y + 2 * np.sin(state.heading)))
+        if not all(0 <= c < sd.FRAME_SIZE for c in tick):
+            wrapped.add("tick")
+        sd._advance(state)
+        state.until_change -= 1
+    return frames, labels, wrapped
+
+
 class TestGeneration:
     def test_byte_determinism(self, video):
         again = sd.generate_video(seed=7, length=240)
         assert video.frames.tobytes() == again.frames.tobytes()
         assert video.labels.tobytes() == again.labels.tobytes()
+
+    def test_bytes_match_the_per_frame_reference(self):
+        wrapped_videos = 0
+        for length in (24, 25, 47, 100, 240):
+            for seed in range(30):
+                video = sd.generate_video(seed, length)
+                frames, labels, wrapped = reference_video(seed, length)
+                assert video.frames.shape == (length, sd.CHANNELS, sd.FRAME_SIZE, sd.FRAME_SIZE)
+                assert video.frames.dtype == np.float32 and video.frames.flags.c_contiguous
+                assert video.frames.tobytes() == frames.tobytes(), (seed, length)
+                assert video.labels.tobytes() == labels.tobytes(), (seed, length)
+                wrapped_videos += wrapped == {"agent", "tick"}
+        assert wrapped_videos > 0, "no compared video wrapped both the agent and its heading tick"
 
     def test_frames_are_finite_unit_range(self, video):
         assert video.frames.dtype == np.float32
