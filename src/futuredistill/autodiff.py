@@ -300,17 +300,6 @@ def div(a, b) -> Tensor:
     return out
 
 
-def powi(a, exponent: float) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(a.data**exponent)
-
-    def rule(g):
-        return (g * exponent * a.data ** (exponent - 1),)
-
-    _record(out, (a,), rule)
-    return out
-
-
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(np.exp(a.data))
@@ -387,10 +376,23 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 
 
 def gelu(a) -> Tensor:
-    """tanh-approximation GELU; composed from primitives so backward is free."""
+    """tanh-approximation GELU, 0.5 x (1 + tanh(c (x + 0.044715 x^3))), c = sqrt(2/pi).
+
+    One tape entry; the rule keeps only the tanh and applies the closed-form
+    derivative 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2).
+    """
     a = _as_tensor(a)
-    inner = mul(add(a, mul(mul(mul(a, a), a), 0.044715)), _GELU_C)
-    return mul(mul(a, add(tanh(inner), 1.0)), 0.5)
+    x = a.data
+    dt = x.dtype.type
+    t = np.tanh((x + x * x * x * dt(0.044715)) * dt(_GELU_C))
+    out = Tensor(x * (t + dt(1.0)) * dt(0.5))
+
+    def rule(g):
+        dinner = dt(_GELU_C) * (dt(1.0) + dt(3 * 0.044715) * x * x)
+        return (g * (dt(0.5) * (t + dt(1.0)) + dt(0.5) * x * (dt(1.0) - t * t) * dinner),)
+
+    _record(out, (a,), rule)
+    return out
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
@@ -448,13 +450,30 @@ def transpose(a, axes=None) -> Tensor:
     return out
 
 
+def _is_basic_index(idx) -> bool:
+    """True when idx is int/slice/Ellipsis (or a tuple of them): a view, no repeats."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(
+        i is Ellipsis or isinstance(i, slice) or (isinstance(i, int) and not isinstance(i, bool)) for i in parts
+    )
+
+
 def getitem(a, idx) -> Tensor:
+    """a[idx] for any numpy index.
+
+    Backward writes g into a zero buffer: by plain assignment for basic
+    indices, by np.add.at for advanced ones, whose positions may repeat.
+    """
     a = _as_tensor(a)
     out = Tensor(a.data[idx])
+    basic = _is_basic_index(idx)
 
     def rule(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
+        if basic:
+            full[idx] = g
+        else:
+            np.add.at(full, idx, g)
         return (full,)
 
     _record(out, (a,), rule)
@@ -689,13 +708,40 @@ def log_softmax(logits, temperature: float = 1.0, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
+    """Normalize over the last axis, then scale and shift (Ba et al. 2016).
+
+    One tape entry. The rule keeps only xhat = (x - mean) * inv and
+    inv = (var + eps)^-1/2, and applies the closed form
+    dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = g * gain.
+    """
     x = _as_tensor(x)
-    mu = mean(x, axis=-1, keepdims=True)
-    centered = add(x, mul(mu, -1.0))
-    var = mean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = powi(add(var, eps), -0.5)
-    return add(mul(mul(centered, inv), gain), bias)
+    gain = _as_tensor(gain, like=x)
+    bias = _as_tensor(bias, like=x)
+    xd = x.data
+    scale = xd.dtype.type(1.0 / xd.shape[-1])
+    centered = xd - xd.sum(axis=-1, keepdims=True) * scale
+    var = (centered * centered).sum(axis=-1, keepdims=True) * scale
+    inv = (var + xd.dtype.type(eps)) ** -0.5
+    xhat = centered * inv
+    out = Tensor(xhat * gain.data + bias.data)
+
+    def rule(g):
+        gx = ggain = gbias = None
+        if x.requires_grad:
+            dxhat = g * gain.data
+            gx = inv * (
+                dxhat
+                - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            )
+        if gain.requires_grad:
+            ggain = _unbroadcast(g * xhat, gain.data.shape)
+        if bias.requires_grad:
+            gbias = _unbroadcast(g, bias.data.shape)
+        return gx, ggain, gbias
+
+    _record(out, (x, gain, bias), rule)
+    return out
 
 
 def cross_entropy(logits, labels) -> Tensor:

@@ -40,6 +40,8 @@ EXIT_EMPTY_METRICS = 5
 
 OUT_ROOT_ENV = "FUTUREDISTILL_OUT_ROOT"
 
+SPLIT_NAMES = ("train", "val", "test")
+
 # the order in which `ablate` runs a cell's protocol arms and appends their rows
 CELL_PROTOCOLS = (Protocol.LINEAR_PROBE, Protocol.FINE_TUNE, Protocol.FULL_SUPERVISED)
 
@@ -52,9 +54,19 @@ def resolve_out_dir(cfg_out: str, flag_out: str | None) -> Path:
     return chosen
 
 
-def build_splits(cfg: ExperimentConfig):
-    videos = make_dataset(cfg.dataset.seed, cfg.dataset.videos, cfg.dataset.frames_per_video)
-    return split_dataset(videos, seed=cfg.dataset.split_seed)
+def build_splits(cfg: ExperimentConfig, *needed: str):
+    """The (train, val, test) video lists of the config's dataset.
+
+    The video ids are split first; only the videos of the `needed` splits
+    (named as in SPLIT_NAMES) are generated, and the other splits are None.
+    Each video is the same whichever splits are built with it.
+    """
+    d = cfg.dataset
+    id_splits = split_dataset(list(range(d.videos)), seed=d.split_seed)
+    kept = [ids if name in needed else None for name, ids in zip(SPLIT_NAMES, id_splits)]
+    videos = make_dataset(d.seed, d.videos, d.frames_per_video, ids=[i for ids in kept if ids for i in ids])
+    by_id = {v.video_id: v for v in videos}
+    return tuple(None if ids is None else [by_id[i] for i in ids] for ids in kept)
 
 
 def cell_stem(cfg: ExperimentConfig, seed: int) -> str:
@@ -114,7 +126,7 @@ def cmd_pretrain(args) -> int:
     cfg = load_config(args.config)
     out_dir = resolve_out_dir(cfg.run.out_dir, args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    splits = build_splits(cfg)
+    splits = build_splits(cfg, "train")
     seeds = [args.seed] if args.seed is not None else list(cfg.run.seeds)
     for seed in seeds:
         _pretrain_one(cfg, splits, seed, out_dir)
@@ -144,7 +156,7 @@ def cmd_finetune(args) -> int:
     if protocol is not Protocol.FULL_SUPERVISED and not args.checkpoint:
         raise ConfigurationError(f"protocol {protocol.value} requires --checkpoint")
     student = _load_student_for(cfg, args.checkpoint)
-    splits = build_splits(cfg)
+    splits = build_splits(cfg, "train", "test")
     seeds = [args.seed] if args.seed is not None else list(cfg.run.seeds)
     for seed in seeds:
         _run_protocols(cfg, splits, seed, [protocol], student, out_dir)
@@ -158,8 +170,8 @@ def cmd_evaluate(args) -> int:
     backbone, spec = restore_backbone(args.checkpoint, header, params)
     _check_backbone(cfg, spec)
     head = restore_head(args.checkpoint, header, params, tune_cfg)
-    splits = build_splits(cfg)
-    result = evaluate_model(backbone, head, splits[2], tune_cfg)
+    test_videos = build_splits(cfg, "test")[2]
+    result = evaluate_model(backbone, head, test_videos, tune_cfg)
     print(f"macro_precision={result.macro_precision:.6f} n_frames={result.n_frames}")
     for cls, p in enumerate(result.per_class):
         print(f"  class {cls}: precision {p:.4f}")
@@ -189,7 +201,7 @@ def cmd_ablate(args) -> int:
             any_ran = True
             try:
                 if splits is None:
-                    splits = build_splits(cell)
+                    splits = build_splits(cell, "train", "test")
                 ckpt_path = out_dir / f"{stem}.ckpt"
                 if not ckpt_path.exists():
                     _pretrain_one(cell, splits, seed, out_dir)

@@ -12,6 +12,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -77,10 +78,21 @@ class ClipSample:
     source: tuple[int, int] = field(default=(-1, 0))  # (video_id, start frame)
 
 
-def _next_action(rng: np.random.Generator, current: int) -> int:
+def _switch_cdf(current: int) -> np.ndarray:
+    """CDF of the next action given `current`, built the way `Generator.choice` builds it from p."""
     w = _ACTION_WEIGHTS.copy()
     w[current] = 0.0
-    return int(rng.choice(N_ACTIONS, p=w / w.sum()))
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+_SWITCH_CDFS = tuple(_switch_cdf(a) for a in range(N_ACTIONS))
+
+
+def _next_action(rng: np.random.Generator, current: int) -> int:
+    """Draw the next action (never `current`); the same draw as rng.choice(N_ACTIONS, p=...)."""
+    return int(np.searchsorted(_SWITCH_CDFS[current], rng.random(), side="right"))
 
 
 def _advance(state: WorldState) -> None:
@@ -180,10 +192,16 @@ def derive_video_seed(master_seed: int, video_id: int) -> int:
     return int(np.random.SeedSequence([master_seed, video_id]).generate_state(1)[0])
 
 
-def make_dataset(master_seed: int, n_videos: int, frames_per_video: int) -> list[SyntheticVideo]:
-    """Generate n_videos independent videos; per-video seeds derive from (master, id)."""
+def make_dataset(
+    master_seed: int, n_videos: int, frames_per_video: int, ids: Sequence[int] | None = None
+) -> list[SyntheticVideo]:
+    """Generate n_videos independent videos; per-video seeds derive from (master, id).
+
+    `ids` picks which of the n_videos to generate, in that order (all by
+    default); a video is the same whichever others are generated with it.
+    """
     videos = []
-    for vid in range(n_videos):
+    for vid in range(n_videos) if ids is None else ids:
         video = generate_video(derive_video_seed(master_seed, vid), frames_per_video)
         video.video_id = vid
         videos.append(video)

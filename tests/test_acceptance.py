@@ -151,6 +151,21 @@ def test_criterion_1_gradient_suite():
             kern2,
         ))
 
+        # likewise drawn after everything above
+        record("gelu", _grad_check(
+            lambda t: ad.sum_(ad.mul(ad.gelu(t), ad.gelu(t))),
+            Tensor(rng.normal(size=(3, 5)) * 3.0),
+        ))
+        rows = rng.integers(0, 4, size=6)
+        w_rows = Tensor(rng.normal(size=(6, 5)))
+        record("getitem", _grad_check(
+            lambda t, rows=rows, w_rows=w_rows: ad.add(
+                ad.sum_(ad.mul(t[1:, ::2], t[1:, ::2])),
+                ad.sum_(ad.mul(ad.mul(t[rows], t[rows]), w_rows)),
+            ),
+            Tensor(rng.normal(size=(4, 5))),
+        ))
+
     elapsed = time.time() - start
     assert elapsed < 120, f"gradient suite took {elapsed:.0f}s >= 2 min"
     summary = ", ".join(f"{k}={v:.1e}" for k, v in sorted(worst.items()))

@@ -461,3 +461,180 @@ class TestStructuralOps:
             ad.relu(x),
         ):
             assert np.all(np.isfinite(out.data))
+
+
+class TestFusedOpOracles:
+    """Finite-difference oracles for the single-entry layer_norm and gelu, and for getitem."""
+
+    def test_layer_norm_gain_and_bias_gradients(self):
+        rng = np.random.default_rng(53)
+        x = Tensor(rng.normal(size=(2, 3, 5)))
+        gain = Tensor(rng.normal(size=5))
+        bias = Tensor(rng.normal(size=5))
+        w = Tensor(rng.normal(size=(2, 3, 5)))
+
+        fd_check(lambda t: ad.sum_(ad.mul(ad.gelu(ad.layer_norm(x, t, bias)), w)), gain, tol=1e-5)
+        fd_check(lambda t: ad.sum_(ad.mul(ad.gelu(ad.layer_norm(x, gain, t)), w)), bias, tol=1e-5)
+
+    def test_layer_norm_input_without_grad(self):
+        rng = np.random.default_rng(59)
+        x = Tensor(rng.normal(size=(4, 6)))
+        gain = Tensor(rng.normal(size=6), requires_grad=True, dtype=np.float64)
+        bias = Tensor(rng.normal(size=6), requires_grad=True, dtype=np.float64)
+        tape = Tape()
+        with tape:
+            y = ad.layer_norm(x, gain, bias)
+            loss = ad.sum_(ad.mul(y, y))
+        (rule_out,) = [e.backward_rule(np.ones_like(y.data)) for e in tape.entries if e.output is y]
+        assert rule_out[0] is None
+        backward(loss, tape)
+        assert x.grad is None
+        for p in (gain, bias):
+            def f(t, p=p):
+                saved = p.data
+                p.data = t.data
+                try:
+                    return ad.sum_(ad.mul(ad.layer_norm(x, gain, bias), ad.layer_norm(x, gain, bias)))
+                finally:
+                    p.data = saved
+
+            assert max_relative_error(finite_difference_gradient(f, p).data, p.grad) < 1e-6
+
+    @pytest.mark.parametrize("center", [-8.0, 8.0])
+    def test_gelu_gradient_at_tails(self, center):
+        rng = np.random.default_rng(61)
+        x = Tensor(center + rng.uniform(-0.5, 0.5, size=(2, 4)))
+        fd_check(lambda t: ad.sum_(ad.mul(ad.gelu(t), 1.3)), x, tol=1e-6)
+
+    def test_gelu_keeps_float32(self):
+        x = Tensor(np.linspace(-9, 9, 12, dtype=np.float32), requires_grad=True)
+        tape = Tape()
+        with tape:
+            y = ad.gelu(x)
+            loss = ad.sum_(y)
+        backward(loss, tape)
+        assert y.dtype == np.float32 and x.grad.dtype == np.float32
+        assert np.all(np.isfinite(x.grad))
+
+    @pytest.mark.parametrize(
+        "idx",
+        [1, -1, slice(None, None, 2), slice(3, 0, -2), Ellipsis, (Ellipsis, 1), (slice(1, None), -2, slice(None, None, 3))],
+        ids=["int", "negative_int", "stepped_slice", "reversed_slice", "ellipsis", "ellipsis_int", "mixed_tuple"],
+    )
+    def test_getitem_basic_index_gradient(self, idx):
+        rng = np.random.default_rng(67)
+        x = Tensor(rng.normal(size=(4, 3, 5)))
+        assert ad._is_basic_index(idx)
+        fd_check(lambda t: ad.sum_(ad.mul(t[idx], t[idx])), x, tol=1e-6)
+
+    def test_getitem_repeated_advanced_index_accumulates(self):
+        rng = np.random.default_rng(71)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True, dtype=np.float64)
+        tape = Tape()
+        with tape:
+            loss = ad.sum_(x[[0, 0, 2]])
+        backward(loss, tape)
+        assert np.array_equal(x.grad, np.array([[2.0] * 3, [0.0] * 3, [1.0] * 3, [0.0] * 3]))
+        fd_check(lambda t: ad.sum_(ad.mul(t[[0, 0, 2]], t[[0, 0, 2]])), x, tol=1e-6)
+        rows = (np.array([1, 3, 1]), np.array([2, 0, 2]))
+        fd_check(lambda t: ad.sum_(ad.mul(t[rows], t[rows])), x, tol=1e-6)
+
+    @pytest.mark.parametrize(
+        "idx", [True, [0, 1], np.array([0, 1]), (slice(None), [1, 2]), (0, np.array([1])), np.array([True, False, True, True])]
+    )
+    def test_bool_and_array_indices_are_not_basic(self, idx):
+        assert not ad._is_basic_index(idx)
+
+
+# The layer_norm and gelu that autodiff composed from primitives before each
+# became one tape entry; kept as the reference for outputs and gradients.
+
+
+def _reference_powi(a, exponent):
+    out = Tensor(a.data**exponent)
+
+    def rule(g):
+        return (g * exponent * a.data ** (exponent - 1),)
+
+    ad._record(out, (a,), rule)
+    return out
+
+
+def reference_layer_norm(x, gain, bias, eps=1e-5):
+    x = ad._as_tensor(x)
+    mu = ad.mean(x, axis=-1, keepdims=True)
+    centered = ad.add(x, ad.mul(mu, -1.0))
+    var = ad.mean(ad.mul(centered, centered), axis=-1, keepdims=True)
+    inv = _reference_powi(ad.add(var, eps), -0.5)
+    return ad.add(ad.mul(ad.mul(centered, inv), gain), bias)
+
+
+def reference_gelu(a):
+    a = ad._as_tensor(a)
+    inner = ad.mul(ad.add(a, ad.mul(ad.mul(ad.mul(a, a), a), 0.044715)), ad._GELU_C)
+    return ad.mul(ad.mul(a, ad.add(ad.tanh(inner), 1.0)), 0.5)
+
+
+class TestFusedOpsMatchComposite:
+    # max relative error of the gradients, with a 1e-3 floor for values near zero
+    GRAD_TOL = {np.float32: 1e-3, np.float64: 1e-11}
+
+    def _run(self, layer_norm, gelu, dtype):
+        rng = np.random.default_rng(73)
+        x = Tensor(rng.normal(size=(16, 96, 64)).astype(dtype), requires_grad=True)
+        gain = Tensor((1.0 + 0.2 * rng.normal(size=64)).astype(dtype), requires_grad=True)
+        bias = Tensor((0.2 * rng.normal(size=64)).astype(dtype), requires_grad=True)
+        w = Tensor(rng.normal(size=(16, 96, 64)).astype(dtype))
+        tape = Tape()
+        with tape:
+            y = layer_norm(x, gain, bias)
+            z = gelu(ad.mul(y, 2.0))
+            loss = ad.sum_(ad.mul(z, w))
+        backward(loss, tape)
+        return y.data, z.data, (x.grad, gain.grad, bias.grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_bitwise_and_gradients_close(self, dtype):
+        y_ref, z_ref, grads_ref = self._run(reference_layer_norm, reference_gelu, dtype)
+        y, z, grads = self._run(ad.layer_norm, ad.gelu, dtype)
+        assert y.dtype == dtype and z.dtype == dtype
+        assert y.tobytes() == y_ref.tobytes()
+        assert z.tobytes() == z_ref.tobytes()
+        for name, g, g_ref in zip(("x", "gain", "bias"), grads, grads_ref):
+            assert g.dtype == dtype
+            err = max_relative_error(g, g_ref, floor=1e-3)
+            assert err < self.GRAD_TOL[dtype], f"d/d{name}: {err:.2e}"
+
+    def test_each_op_records_one_entry(self):
+        x = Tensor(np.ones((2, 4), dtype=np.float32), requires_grad=True)
+        gain, bias = Tensor(np.ones(4, dtype=np.float32)), Tensor(np.zeros(4, dtype=np.float32))
+        for op in (lambda: ad.layer_norm(x, gain, bias), lambda: ad.gelu(x)):
+            tape = Tape()
+            with tape:
+                op()
+            assert len(tape) == 1
+
+    @pytest.mark.parametrize(
+        "family,t,loss,entries",
+        [
+            ("TemporalTransformer", 6, "cross_entropy", 69),
+            ("Conv3dResidual", 6, "cosine", 55),
+            ("Conv2dRecurrent", 12, "cosine", 251),
+        ],
+    )
+    def test_pretrain_step_tape_length(self, family, t, loss, entries):
+        # student forward with projection head plus the distillation loss, at
+        # each benchmark workload's clip length; a re-composed op shows up here
+        from futuredistill import nn
+        from futuredistill.distill import DistillConfig, DistillModel, fpd_loss
+        from futuredistill.models import BackboneSpec, build_backbone
+
+        spec = BackboneSpec(family=family, frames=t, embed_dim=16, frame_size=16, recurrent_hidden=16)
+        student = DistillModel(build_backbone(spec, 0), nn.Mlp(16, 16, 16, np.random.default_rng(0)))
+        rng = np.random.default_rng(79)
+        clips = Tensor(rng.normal(size=(2, t, 3, 16, 16)).astype(np.float32))
+        teacher = rng.normal(size=(2, 16)).astype(np.float32)
+        tape = Tape()
+        with tape:
+            fpd_loss(student.forward(clips), teacher, DistillConfig(t=t, t_pred=t, loss_variant=loss))
+        assert len(tape) == entries

@@ -35,6 +35,7 @@ from futuredistill.reporting import (
     table_by_interval,
     table_by_loss,
 )
+from futuredistill.synthdata import make_dataset, split_dataset
 
 QUICK_CONFIG = """
 [dataset]
@@ -291,6 +292,22 @@ def quick_config_file(tmp_path):
 class TestCli:
     def run_cli(self, *argv):
         return cli.main(list(argv))
+
+    def test_build_splits_generates_only_the_named_splits(self):
+        cfg = parse_config(QUICK_CONFIG)
+        d = cfg.dataset
+        full = split_dataset(make_dataset(d.seed, d.videos, d.frames_per_video), seed=d.split_seed)
+        assert [len(s) for s in full] == [3, 1, 1]
+        for needed in (("train",), ("test",), ("train", "test"), cli.SPLIT_NAMES):
+            part = cli.build_splits(cfg, *needed)
+            for name, videos, ref in zip(cli.SPLIT_NAMES, part, full):
+                if name not in needed:
+                    assert videos is None
+                    continue
+                assert [v.video_id for v in videos] == [v.video_id for v in ref]
+                for a, b in zip(videos, ref):
+                    assert a.frames.tobytes() == b.frames.tobytes()
+                    assert a.labels.tobytes() == b.labels.tobytes()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = self.run_cli("pretrain", "--config", str(tmp_path / "absent.ini"))

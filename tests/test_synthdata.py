@@ -134,6 +134,21 @@ class TestGeneration:
         solo = sd.generate_video(sd.derive_video_seed(3, 2), 48)
         assert batch[2].frames.tobytes() == solo.frames.tobytes()
 
+    def test_next_action_draws_as_weighted_choice(self):
+        # the precomputed CDFs give the same draw, and consume the same
+        # generator state, as choice() with the renormalized weights
+        def choice_draw(rng, current):
+            w = sd._ACTION_WEIGHTS.copy()
+            w[current] = 0.0
+            return int(rng.choice(sd.N_ACTIONS, p=w / w.sum()))
+
+        currents = np.random.default_rng(0).integers(0, sd.N_ACTIONS, size=3000)
+        fast, ref = np.random.default_rng(11), np.random.default_rng(11)
+        drawn = [sd._next_action(fast, int(c)) for c in currents]
+        assert drawn == [choice_draw(ref, int(c)) for c in currents]
+        assert fast.bit_generator.state == ref.bit_generator.state
+        assert all(d != c for d, c in zip(drawn, currents))
+
 
 class TestSplits:
     def test_ten_videos_six_two_two(self, dataset):
