@@ -40,12 +40,8 @@ __all__ = [
     "gelu",
     "tanh",
     "sigmoid",
-    "exp",
-    "log",
     "sqrt",
     "clip",
-    "concat",
-    "stack",
     "SgdState",
     "sgd_step",
     "finite_difference_gradient",
@@ -106,50 +102,8 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
 
-    # operator sugar; all routed through the module-level primitives
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes or None)
 
 
 @dataclass
@@ -297,28 +251,6 @@ def div(a, b) -> Tensor:
         return ga, gb
 
     _record(out, (a, b), rule)
-    return out
-
-
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(np.exp(a.data))
-
-    def rule(g):
-        return (g * out.data,)
-
-    _record(out, (a,), rule)
-    return out
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(np.log(a.data))
-
-    def rule(g):
-        return (g / a.data,)
-
-    _record(out, (a,), rule)
     return out
 
 
@@ -477,30 +409,6 @@ def getitem(a, idx) -> Tensor:
         return (full,)
 
     _record(out, (a,), rule)
-    return out
-
-
-def concat(tensors: Sequence, axis: int = 0) -> Tensor:
-    ts = [_as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in ts], axis=axis))
-    sizes = [t.data.shape[axis] for t in ts]
-
-    def rule(g):
-        return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
-
-    _record(out, tuple(ts), rule)
-    return out
-
-
-def stack(tensors: Sequence, axis: int = 0) -> Tensor:
-    ts = [_as_tensor(t) for t in tensors]
-    out = Tensor(np.stack([t.data for t in ts], axis=axis))
-
-    def rule(g):
-        moved = np.moveaxis(g, axis, 0)
-        return tuple(moved[i] for i in range(len(ts)))
-
-    _record(out, tuple(ts), rule)
     return out
 
 

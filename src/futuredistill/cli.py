@@ -103,18 +103,17 @@ def _run_protocols(
     arms; returns one metrics row per protocol, in order. `student` may be
     None only for FULL_SUPERVISED.
     """
-    tune_cfg = cfg.finetune_config()
     rows = []
     for protocol in protocols:
         row, model = run_single_protocol(
-            cfg.backbone, student, protocol, splits, tune_cfg, seed, cfg.distill.loss_variant
+            cfg.backbone, student, protocol, splits, cfg.downstream, seed, cfg.distill.loss_variant
         )
         save_checkpoint(
             out_dir / f"{cell_stem(cfg, seed)}_{protocol.value}.ckpt",
             model,
             cfg.backbone,
             config_hash=config_hash(cfg),
-            head_cfg=tune_cfg,
+            head_cfg=cfg.downstream,
         )
         append_metrics(out_dir / "metrics.csv", [row])
         log.info("%s seed %d: macro precision %.4f", protocol.value, seed, row.macro_precision)
@@ -165,13 +164,12 @@ def cmd_finetune(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
-    tune_cfg = cfg.finetune_config()
     header, params = read_checkpoint(args.checkpoint)
     backbone, spec = restore_backbone(args.checkpoint, header, params)
     _check_backbone(cfg, spec)
-    head = restore_head(args.checkpoint, header, params, tune_cfg)
+    head = restore_head(args.checkpoint, header, params, cfg.downstream)
     test_videos = build_splits(cfg, "test")[2]
-    result = evaluate_model(backbone, head, test_videos, tune_cfg)
+    result = evaluate_model(backbone, head, test_videos, cfg.downstream)
     print(f"macro_precision={result.macro_precision:.6f} n_frames={result.n_frames}")
     for cls, p in enumerate(result.per_class):
         print(f"  class {cls}: precision {p:.4f}")

@@ -39,26 +39,6 @@ class DatasetConfig:
 
 
 @dataclass
-class DownstreamConfig:
-    task: str = "prediction"
-    epochs: int = 10
-    learning_rate: float = 0.02
-    sgd_momentum: float = 0.9
-    batch_size: int = 32
-
-    def to_finetune(self, t: int, t_pred: int) -> FinetuneConfig:
-        return FinetuneConfig(
-            task=self.task,
-            t=t,
-            t_pred=t_pred,
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            sgd_momentum=self.sgd_momentum,
-            batch_size=self.batch_size,
-        )
-
-
-@dataclass
 class RunConfig:
     seeds: tuple[int, ...] = (0,)
     out_dir: str = "runs/default"
@@ -86,7 +66,7 @@ class ExperimentConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     backbone: BackboneSpec = field(default_factory=BackboneSpec)
     distill: DistillConfig = field(default_factory=DistillConfig)
-    downstream: DownstreamConfig = field(default_factory=DownstreamConfig)
+    downstream: FinetuneConfig = field(default_factory=FinetuneConfig)
     run: RunConfig = field(default_factory=RunConfig)
 
     def validate(self) -> None:
@@ -94,11 +74,12 @@ class ExperimentConfig:
         self.backbone.frames = self.distill.t  # the student always sees t frames
         self.backbone.validate()
         self.distill.validate()
+        # the downstream heads read the pretraining horizons
+        self.downstream.t = self.distill.t
+        self.downstream.t_pred = self.distill.t_pred
+        self.downstream.validate()
         if not self.run.seeds:
             raise ConfigurationError("run.seeds must list at least one seed")
-
-    def finetune_config(self) -> FinetuneConfig:
-        return self.downstream.to_finetune(self.distill.t, self.distill.t_pred)
 
 
 def derive_cell(base: ExperimentConfig, family: str, interval: int, loss: str) -> ExperimentConfig:
@@ -115,11 +96,12 @@ _SECTION_TYPES = {
     "dataset": DatasetConfig,
     "backbone": BackboneSpec,
     "distill": DistillConfig,
-    "downstream": DownstreamConfig,
+    "downstream": FinetuneConfig,
     "run": RunConfig,
 }
-# backbone.frames is derived from distill.t, never written or read
-_HIDDEN_KEYS = {"backbone": {"frames"}}
+# keys a config file never holds: ExperimentConfig.validate sets backbone.frames
+# and downstream.t/t_pred from [distill]; downstream.n_classes is fixed
+_HIDDEN_KEYS = {"backbone": {"frames"}, "downstream": {"t", "t_pred", "n_classes"}}
 
 
 def _coerce(section: str, key: str, raw: str, target_type):

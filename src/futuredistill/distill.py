@@ -52,6 +52,16 @@ class DistillConfig:
             raise ConfigurationError(
                 f"unknown loss variant {self.loss_variant!r}; pick one of {LOSS_VARIANTS}"
             )
+        if self.batch_size < 1 or self.epochs < 0:
+            raise ConfigurationError(
+                f"distill.batch_size must be >= 1 and distill.epochs >= 0, "
+                f"got {self.batch_size}, {self.epochs}"
+            )
+        if self.learning_rate <= 0 or not 0.0 <= self.sgd_momentum < 1.0:
+            raise ConfigurationError(
+                f"distill.learning_rate must be > 0 and distill.sgd_momentum in [0, 1), "
+                f"got {self.learning_rate}, {self.sgd_momentum}"
+            )
         if self.temperature_student <= 0 or self.temperature_teacher <= 0:
             raise ConfigurationError("softmax temperatures must be positive")
         if not 0.0 <= self.center_momentum < 1.0:
@@ -91,17 +101,6 @@ def downsample_indices(t: int, t_pred: int) -> np.ndarray:
     freq = (t + t_pred) / t
     idx = np.floor(np.arange(t) * freq + 0.5).astype(np.int64)
     return np.minimum(idx, t + t_pred - 1)
-
-
-def downsample_teacher_sequence(frames, t: int, t_pred: int):
-    """Select t frames out of a [(t+t_pred), ...] block along axis 0."""
-    data = frames.data if isinstance(frames, Tensor) else np.asarray(frames)
-    if data.shape[0] != t + t_pred:
-        raise DimensionError(
-            f"expected {t + t_pred} frames along axis 0, got {data.shape[0]}"
-        )
-    picked = data[downsample_indices(t, t_pred)]
-    return Tensor(picked) if isinstance(frames, Tensor) else picked
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +154,6 @@ def fpd_loss(student_emb, teacher_emb, cfg: DistillConfig, center: np.ndarray | 
         stacklevel=2,
     )
     n_zero = int((~ok).sum())
-    if n_zero == batch:
-        return Tensor(np.asarray(1.0, dtype=s.dtype))
     cos = _cosine_rows(s, tch.data, np.nonzero(ok)[0])
     live = ad.sum_(ad.add(ad.mul(cos, -1.0), 1.0))
     return ad.mul(ad.add(live, float(n_zero)), 1.0 / batch)
@@ -230,13 +227,6 @@ class PretrainLogRow:
 class PretrainResult:
     pair: StudentTeacherPair
     log: list[PretrainLogRow]
-    config: DistillConfig
-    seed: int
-
-    @property
-    def student_backbone(self):
-        student = self.pair.student
-        return student.backbone if isinstance(student, DistillModel) else student
 
 
 def steps_per_epoch(n_videos: int, frames_per_video: int, cfg: DistillConfig) -> int:
@@ -304,7 +294,7 @@ def pretrain(
                 embed_std=float(s.data.std(axis=0).mean()),
             )
         )
-    return PretrainResult(pair=pair, log=log, config=cfg, seed=seed)
+    return PretrainResult(pair=pair, log=log)
 
 
 def _sample_batch(dataset, cfg: DistillConfig, rng) -> tuple[np.ndarray, np.ndarray]:

@@ -40,7 +40,11 @@ TASKS = ("prediction", "recognition")
 
 @dataclass
 class FinetuneConfig:
-    """Supervised-stage hyperparameters (shared by all three protocols)."""
+    """Supervised-stage hyperparameters shared by all three protocols: the [downstream] section.
+
+    t and t_pred are not keys of that section; ExperimentConfig.validate copies
+    them from [distill].
+    """
 
     task: str = "prediction"
     t: int = 12
@@ -53,9 +57,19 @@ class FinetuneConfig:
 
     def validate(self) -> None:
         if self.task not in TASKS:
-            raise ConfigurationError(f"unknown task {self.task!r}; pick one of {TASKS}")
+            raise ConfigurationError(f"unknown downstream.task {self.task!r}; pick one of {TASKS}")
         if self.t < 1 or (self.task == "prediction" and self.t_pred < 1):
             raise ConfigurationError(f"bad horizon: t={self.t}, t_pred={self.t_pred}")
+        if self.batch_size < 1 or self.epochs < 0:
+            raise ConfigurationError(
+                f"downstream.batch_size must be >= 1 and downstream.epochs >= 0, "
+                f"got {self.batch_size}, {self.epochs}"
+            )
+        if self.learning_rate <= 0 or not 0.0 <= self.sgd_momentum < 1.0:
+            raise ConfigurationError(
+                f"downstream.learning_rate must be > 0 and downstream.sgd_momentum in [0, 1), "
+                f"got {self.learning_rate}, {self.sgd_momentum}"
+            )
 
     @property
     def span(self) -> int:
@@ -156,9 +170,9 @@ class StandardizedHead(nn.Module):
         return self.inner(shifted)
 
 
-def feature_stats(backbone, videos: list[SyntheticVideo], cfg: FinetuneConfig, max_windows: int = 512):
-    """Per-dimension embedding mean/std over train windows, label-free."""
-    windows = _windows(videos, cfg)[:max_windows]
+def feature_stats(backbone, videos: list[SyntheticVideo], cfg: FinetuneConfig):
+    """Per-dimension embedding mean/std over the first 512 train windows, label-free."""
+    windows = _windows(videos, cfg)[:512]
     feats = []
     for lo in range(0, len(windows), 64):
         clips, _ = _batch_arrays(windows[lo : lo + 64], cfg)
@@ -246,19 +260,13 @@ def _task_loss(logits: Tensor, labels: np.ndarray, cfg: FinetuneConfig) -> Tenso
     return ad.cross_entropy(logits, labels)
 
 
-def evaluate_model(
-    backbone,
-    head,
-    videos: list[SyntheticVideo],
-    cfg: FinetuneConfig,
-    batch_size: int = 64,
-) -> EvalResult:
+def evaluate_model(backbone, head, videos: list[SyntheticVideo], cfg: FinetuneConfig) -> EvalResult:
     """Argmax predictions over deterministic strided windows of the given videos."""
     cfg.validate()
     windows = _windows(videos, cfg)
     preds, golds = [], []
-    for lo in range(0, len(windows), batch_size):
-        batch = windows[lo : lo + batch_size]
+    for lo in range(0, len(windows), 64):
+        batch = windows[lo : lo + 64]
         clips, labels = _batch_arrays(batch, cfg)
         with no_grad():
             logits = head(backbone.forward(Tensor(clips)))

@@ -60,7 +60,6 @@ class Backbone(nn.Module):
     """Common clip-shape validation; subclasses implement _forward on [B,T,C,H,W]."""
 
     def __init__(self, spec: BackboneSpec):
-        self.spec = spec
         self.spec_frames = spec.frames
         self.spec_channels = spec.channels
         self.spec_size = spec.frame_size
@@ -239,14 +238,6 @@ def build_backbone(spec: BackboneSpec, seed: int) -> Backbone:
     return backbone
 
 
-def embed(backbone: Backbone, clip) -> Tensor:
-    """Map one [T, C, H, W] clip to its embed_dim vector."""
-    clip = clip if isinstance(clip, Tensor) else Tensor(clip)
-    if clip.ndim != 4:
-        raise DimensionError(f"expected a [T, C, H, W] clip, got shape {clip.shape}")
-    return backbone.forward(ad.reshape(clip, (1, *clip.shape)))[0]
-
-
 class PredictionHead(nn.Module):
     """Affine map from one embedding to per-future-frame class logits."""
 
@@ -270,8 +261,3 @@ class RecognitionHead(nn.Module):
 
     def __call__(self, z) -> Tensor:
         return self.linear(z)
-
-
-def predict_actions(head: PredictionHead, z) -> Tensor:
-    """Raw logits [horizon, C] for one embedding; argmax/loss is the caller's job."""
-    return head(z if isinstance(z, Tensor) else Tensor(z))

@@ -57,9 +57,6 @@ class Module:
             p.data = p.data.astype(dtype)
         return self
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data for name, p in self.named_parameters()}
-
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
         for name, p in self.named_parameters():
             src = state[name]

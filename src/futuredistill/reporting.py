@@ -208,13 +208,9 @@ def svg_line_plot(
     series: dict[str, tuple[list[float], list[float]]],
     path: str | Path,
     title: str = "",
-    x_label: str = "step",
-    y_label: str = "loss",
-    width: int = 640,
-    height: int = 400,
 ) -> None:
-    """Minimal dependency-free SVG polyline chart."""
-    margin = 56
+    """Minimal dependency-free SVG polyline chart of loss over step, 640x400 pixels."""
+    width, height, margin = 640, 400, 56
     xs_all = [x for xs, _ in series.values() for x in xs]
     ys_all = [y for _, ys in series.values() for y in ys]
     if not xs_all:
@@ -237,8 +233,8 @@ def svg_line_plot(
         f'<text x="{width // 2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" y2="{height - margin}" stroke="black"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="black"/>',
-        f'<text x="{width // 2}" y="{height - 12}" text-anchor="middle" font-size="12">{x_label}</text>',
-        f'<text x="16" y="{height // 2}" font-size="12" transform="rotate(-90 16 {height // 2})" text-anchor="middle">{y_label}</text>',
+        f'<text x="{width // 2}" y="{height - 12}" text-anchor="middle" font-size="12">step</text>',
+        f'<text x="16" y="{height // 2}" font-size="12" transform="rotate(-90 16 {height // 2})" text-anchor="middle">loss</text>',
         f'<text x="{margin}" y="{height - margin + 16}" font-size="10" text-anchor="middle">{x_lo:g}</text>',
         f'<text x="{width - margin}" y="{height - margin + 16}" font-size="10" text-anchor="middle">{x_hi:g}</text>',
         f'<text x="{margin - 4}" y="{height - margin}" font-size="10" text-anchor="end">{y_lo:.4g}</text>',

@@ -8,10 +8,7 @@ near-future actions are genuinely predictable from past frames.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +19,6 @@ ACTION_NAMES = ("Move", "Stop", "TurnLeft", "TurnRight", "Overtake", "MoveLeft",
 N_ACTIONS = len(ACTION_NAMES)
 CUE_LEAD = 4  # frames of warning before a transition
 DWELL_RANGE = (6, 18)  # inclusive frames an action persists (min > CUE_LEAD)
-FPS = 12
 FRAME_SIZE = 32
 CHANNELS = 3
 
@@ -61,8 +57,6 @@ class WorldState:
 class SyntheticVideo:
     frames: np.ndarray  # [L, 3, 32, 32] float32 in [0, 1]
     labels: np.ndarray  # [L] uint8 action ids
-    fps: int
-    seed: int
     video_id: int = -1
 
     def __len__(self) -> int:
@@ -185,7 +179,7 @@ def generate_video(seed: int, length: int) -> SyntheticVideo:
         _advance(state)
         state.until_change -= 1
     frames = _render_video(x, y, heading, cue)
-    return SyntheticVideo(frames=frames, labels=labels, fps=FPS, seed=seed)
+    return SyntheticVideo(frames=frames, labels=labels)
 
 
 def derive_video_seed(master_seed: int, video_id: int) -> int:
@@ -261,74 +255,3 @@ def eval_clip_starts(video_length: int, t: int, t_pred: int, stride: int | None 
     stride = stride or max(1, t_pred)
     return list(range(0, video_length - span + 1, stride))
 
-
-# ---------------------------------------------------------------------------
-# persistence: one binary file per video plus a JSON manifest
-
-_MAGIC = b"FDVD"
-_VERSION = 1
-_HEADER = struct.Struct("<4sIIIIIIQ")  # magic, version, length, C, H, W, fps, seed
-
-
-def save_video(path: str | Path, video: SyntheticVideo) -> None:
-    path = Path(path)
-    header = _HEADER.pack(
-        _MAGIC,
-        _VERSION,
-        len(video),
-        *video.frames.shape[1:],
-        video.fps,
-        video.seed & 0xFFFFFFFFFFFFFFFF,
-    )
-    payload = header + video.frames.astype("<f4").tobytes() + video.labels.astype(np.uint8).tobytes()
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(payload)
-    tmp.replace(path)
-
-
-def load_video(path: str | Path, video_id: int = -1) -> SyntheticVideo:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated video file")
-    magic, version, length, c, h, w, fps, seed = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise ValueError(f"{path}: not a video file (bad magic {magic!r})")
-    if version != _VERSION:
-        raise ValueError(f"{path}: unsupported video format version {version}")
-    frame_bytes = length * c * h * w * 4
-    if len(raw) != _HEADER.size + frame_bytes + length:
-        raise ValueError(f"{path}: size mismatch, file is corrupt or truncated")
-    frames = np.frombuffer(raw, dtype="<f4", count=length * c * h * w, offset=_HEADER.size)
-    labels = np.frombuffer(raw, dtype=np.uint8, count=length, offset=_HEADER.size + frame_bytes)
-    return SyntheticVideo(
-        frames=frames.reshape(length, c, h, w).copy(),
-        labels=labels.copy(),
-        fps=fps,
-        seed=seed,
-        video_id=video_id,
-    )
-
-
-def write_dataset(directory: str | Path, videos: list[SyntheticVideo], splits: dict[str, list[int]]) -> None:
-    """Persist one file per video plus a manifest listing video ids per split."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for video in videos:
-        save_video(directory / f"video_{video.video_id:04d}.fdv", video)
-    manifest = {
-        "version": _VERSION,
-        "n_videos": len(videos),
-        "frames_per_video": len(videos[0]) if videos else 0,
-        "splits": {name: sorted(ids) for name, ids in splits.items()},
-    }
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-
-
-def load_dataset(directory: str | Path) -> tuple[list[SyntheticVideo], dict[str, list[int]]]:
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    videos = [
-        load_video(directory / f"video_{vid:04d}.fdv", video_id=vid)
-        for vid in range(manifest["n_videos"])
-    ]
-    return videos, manifest["splits"]

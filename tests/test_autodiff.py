@@ -386,7 +386,7 @@ class TestFiniteDifferences:
 
     def test_non_finite_objective_raises(self):
         def f(t):
-            return ad.log(t)  # log of negative -> nan
+            return ad.sqrt(t)  # sqrt of negative -> nan
 
         with pytest.raises(OracleError):
             finite_difference_gradient(f, Tensor(np.array([-1.0])))
@@ -413,16 +413,6 @@ class TestStructuralOps:
         rng = np.random.default_rng(31)
         labels = np.array([0, 2, 1, 2])
         fd_check(lambda t: ad.cross_entropy(t, labels), Tensor(rng.normal(size=(4, 3))), tol=1e-5)
-
-    def test_getitem_concat_stack_gradients(self):
-        rng = np.random.default_rng(37)
-
-        def f(t):
-            parts = ad.concat([t[0:1], ad.mul(t[1:3], 2.0)], axis=0)
-            stacked = ad.stack([ad.sum_(parts), ad.sum_(ad.mul(t, t))])
-            return ad.sum_(ad.mul(stacked, stacked))
-
-        fd_check(f, Tensor(rng.normal(size=(3, 4))), tol=1e-5)
 
     def test_gelu_gradient(self):
         rng = np.random.default_rng(41)
@@ -638,3 +628,10 @@ class TestFusedOpsMatchComposite:
         with tape:
             fpd_loss(student.forward(clips), teacher, DistillConfig(t=t, t_pred=t, loss_variant=loss))
         assert len(tape) == entries
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from futuredistill.autodiff import *", namespace)  # AttributeError on a stale __all__ entry
+    for name in ad.__all__:
+        assert namespace[name] is getattr(ad, name)

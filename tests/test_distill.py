@@ -18,7 +18,6 @@ from futuredistill.distill import (
     DistillConfig,
     StudentTeacherPair,
     downsample_indices,
-    downsample_teacher_sequence,
     ema_update,
     fpd_loss,
     momentum_at,
@@ -51,14 +50,27 @@ class TestDownsampling:
         assert np.all(np.diff(idx) > 0)
         assert idx[0] == 0 and idx[-1] <= t + t_pred - 1
 
-    def test_sequence_selection(self):
-        frames = np.arange(24, dtype=np.float32).reshape(24, 1, 1, 1)
-        out = downsample_teacher_sequence(frames, t=12, t_pred=12)
-        assert out[:, 0, 0, 0].tolist() == list(range(0, 24, 2))
-
-    def test_wrong_frame_count_rejected(self):
-        with pytest.raises(DimensionError):
-            downsample_teacher_sequence(np.zeros((10, 1, 1, 1)), t=12, t_pred=12)
+    @pytest.mark.parametrize("t, t_pred", [(6, 6), (6, 2)])
+    def test_sample_batch_gives_past_to_student_and_downsampled_window_to_teacher(self, t, t_pred):
+        # every pixel of frame f of video v holds 1000 v + f, so a batch reveals which frames it got
+        videos = make_dataset(master_seed=0, n_videos=3, frames_per_video=24)
+        for v, video in enumerate(videos):
+            video.frames = np.broadcast_to(
+                (1000.0 * v + np.arange(24, dtype=np.float32))[:, None, None, None], video.frames.shape
+            )
+        cfg = DistillConfig(t=t, t_pred=t_pred, batch_size=8)
+        past, teacher = ds._sample_batch(videos, cfg, np.random.default_rng(4))
+        assert past.shape == teacher.shape == (8, t, 3, 32, 32)
+        # the frame ids of each clip, read off one pixel
+        student_ids = past[:, :, 0, 0, 0].astype(np.int64)
+        teacher_ids = teacher[:, :, 0, 0, 0].astype(np.int64)
+        starts = set()
+        for s_ids, t_ids in zip(student_ids, teacher_ids):
+            v, s = divmod(int(s_ids[0]), 1000)
+            starts.add(s)
+            assert s_ids.tolist() == [1000 * v + f for f in range(s, s + t)]
+            assert t_ids.tolist() == [1000 * v + s + i for i in downsample_indices(t, t_pred)]
+        assert len(starts) > 1  # starts are sampled, not fixed
 
 
 class TestFpdLoss:
@@ -95,6 +107,18 @@ class TestFpdLoss:
         with pytest.warns(RuntimeWarning, match="zero-norm"):
             loss = fpd_loss(s, tch, self.cfg())
         assert loss.item() == pytest.approx(0.5, abs=1e-12)  # (1 + 0) / 2
+
+    def test_all_zero_student_rows_give_loss_one_on_the_tape(self):
+        x = Tensor(np.zeros((3, 4), dtype=np.float64), requires_grad=True)
+        tch = Tensor(np.ones((3, 4), dtype=np.float64))
+        tape = Tape()
+        with tape:
+            s = ad.mul(x, 2.0)  # a student output recorded on the tape, as in pretraining
+            with pytest.warns(RuntimeWarning, match="3 zero-norm"):
+                loss = fpd_loss(s, tch, self.cfg())
+        backward(loss, tape)
+        assert loss.item() == 1.0
+        assert np.array_equal(x.grad, np.zeros((3, 4)))
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
@@ -247,7 +271,7 @@ class TestPretrain:
         spec = BackboneSpec(family="Conv2dRecurrent", frames=6)
         result = pretrain(spec, tiny_dataset, self.cfg(epochs=0), seed=3)
         fresh = build_backbone(spec, seed=3)
-        for (n1, p1), (n2, p2) in zip(result.student_backbone.named_parameters(), fresh.named_parameters()):
+        for (n1, p1), (n2, p2) in zip(result.pair.student.backbone.named_parameters(), fresh.named_parameters()):
             assert n1 == n2 and np.array_equal(p1.data, p2.data)
         for sp, tp in zip(result.pair.student.parameters(), result.pair.teacher.parameters()):
             assert np.array_equal(sp.data, tp.data)
@@ -300,7 +324,8 @@ class TestPretrain:
         spec = BackboneSpec(family="Conv2dRecurrent", frames=6)
         result = pretrain(spec, tiny_dataset, self.cfg(projection_head=True), seed=0)
         assert result.pair.student.projector is not None
-        assert result.student_backbone is result.pair.student.backbone
+        names = [name for name, _ in result.pair.student.named_parameters()]
+        assert any(n.startswith("backbone.") for n in names) and any(n.startswith("projector.") for n in names)
 
     def test_training_log_csv(self, tiny_dataset, tmp_path):
         spec = BackboneSpec(family="Conv2dRecurrent", frames=6)

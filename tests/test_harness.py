@@ -1,5 +1,6 @@
 """Config round-trip, checkpoint persistence, metrics/report, CLI contracts."""
 
+import configparser
 import csv
 import json
 import os
@@ -128,6 +129,35 @@ class TestConfig:
             load_config(path)
         assert cli.main(["pretrain", "--config", str(path)]) == cli.EXIT_CONFIG
         assert "dataset.videos" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("downstream", "task", "foo"),
+            ("downstream", "batch_size", "0"),
+            ("downstream", "epochs", "-1"),
+            ("downstream", "learning_rate", "0"),
+            ("downstream", "sgd_momentum", "1"),
+            ("distill", "batch_size", "0"),
+            ("distill", "epochs", "-1"),
+            ("distill", "learning_rate", "0"),
+            ("distill", "sgd_momentum", "-0.1"),
+        ],
+    )
+    def test_bad_stage_value_exits_2_before_any_work(self, tmp_path, capsys, section, key, value):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(QUICK_CONFIG)
+        parser.set(section, key, value)
+        out_dir = tmp_path / "out"
+        parser.set("run", "out_dir", str(out_dir))
+        path = tmp_path / "bad.ini"
+        with path.open("w") as fh:
+            parser.write(fh)
+        with pytest.raises(ConfigurationError, match=f"{section}.{key}"):
+            load_config(path)
+        assert cli.main(["ablate", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert f"{section}.{key}" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_hash_changes_with_content(self):

@@ -20,13 +20,12 @@ from futuredistill.models import (
     PredictionHead,
     RecognitionHead,
     build_backbone,
-    embed,
-    predict_actions,
 )
 
 
 def random_clip(rng, t, size=32):
-    return rng.random((t, 3, size, size)).astype(np.float32)
+    """A batch of one [T, C, H, W] clip."""
+    return rng.random((1, t, 3, size, size)).astype(np.float32)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -34,8 +33,8 @@ def random_clip(rng, t, size=32):
 def test_shape_contract(family, t):
     spec = BackboneSpec(family=family, frames=t)
     backbone = build_backbone(spec, seed=0)
-    z = embed(backbone, random_clip(np.random.default_rng(1), t))
-    assert z.shape == (spec.embed_dim,)
+    z = backbone.forward(random_clip(np.random.default_rng(1), t))
+    assert z.shape == (1, spec.embed_dim)
     assert np.all(np.isfinite(z.data))
 
 
@@ -48,7 +47,7 @@ def test_deterministic_build_and_embed(family):
         assert n1 == n2
         assert p1.data.tobytes() == p2.data.tobytes()
     clip = random_clip(np.random.default_rng(0), 6)
-    assert embed(b1, clip).data.tobytes() == embed(b2, clip).data.tobytes()
+    assert b1.forward(clip).data.tobytes() == b2.forward(clip).data.tobytes()
 
 
 def test_different_seeds_differ():
@@ -63,7 +62,7 @@ def test_zero_final_projection_gives_zero_embedding(family):
     backbone = build_backbone(BackboneSpec(family=family, frames=3), seed=0)
     backbone.proj.weight.data[:] = 0.0
     backbone.proj.bias.data[:] = 0.0
-    z = embed(backbone, random_clip(np.random.default_rng(2), 3))
+    z = backbone.forward(random_clip(np.random.default_rng(2), 3))
     assert np.array_equal(z.data, np.zeros_like(z.data))
 
 
@@ -72,15 +71,15 @@ def test_conv3d_family_is_temporally_sensitive():
     rng = np.random.default_rng(3)
     for _ in range(3):
         clip = random_clip(rng, 6)
-        z_fwd = embed(backbone, clip).data
-        z_rev = embed(backbone, clip[::-1].copy()).data
+        z_fwd = backbone.forward(clip).data
+        z_rev = backbone.forward(clip[:, ::-1].copy()).data
         assert np.linalg.norm(z_fwd - z_rev) > 1e-6
 
 
 def test_frame_count_mismatch_raises():
     backbone = build_backbone(BackboneSpec(family="Conv2dRecurrent", frames=6), seed=0)
     with pytest.raises(DimensionError):
-        embed(backbone, random_clip(np.random.default_rng(0), 12))
+        backbone.forward(random_clip(np.random.default_rng(0), 12))
 
 
 def test_unknown_family_rejected():
@@ -133,7 +132,7 @@ class TestHeads:
         head = PredictionHead(4, horizon=3, n_classes=7, rng=np.random.default_rng(0))
         head.linear.weight.data[:] = 0.0
         head.linear.bias.data[:] = 0.0
-        logits = predict_actions(head, np.ones(4, dtype=np.float32))
+        logits = head(Tensor(np.ones(4, dtype=np.float32)))
         assert logits.shape == (3, 7)
         assert np.array_equal(logits.data, np.zeros((3, 7), dtype=np.float32))
         assert np.all(np.argmax(logits.data, axis=1) == 0)
@@ -142,7 +141,7 @@ class TestHeads:
         head = PredictionHead(1, horizon=2, n_classes=2, rng=np.random.default_rng(0))
         head.linear.weight.data = np.array([[1.0, 2.0, 3.0, 4.0]], dtype=np.float32)
         head.linear.bias.data = np.array([0.5, 0.0, -0.5, 1.0], dtype=np.float32)
-        logits = predict_actions(head, np.array([2.0], dtype=np.float32))
+        logits = head(Tensor(np.array([2.0], dtype=np.float32)))
         assert np.allclose(logits.data, [[2.5, 4.0], [5.5, 9.0]])
 
     def test_recognition_head_single_row(self):

@@ -206,37 +206,3 @@ class TestClips:
         assert all(0 <= s <= length - (t + t_pred) for s in starts)
         assert starts == sorted(starts)
 
-
-class TestPersistence:
-    def test_video_round_trip(self, tmp_path, video):
-        sd.save_video(tmp_path / "v.fdv", video)
-        back = sd.load_video(tmp_path / "v.fdv", video_id=video.video_id)
-        assert back.frames.tobytes() == video.frames.tobytes()
-        assert back.labels.tobytes() == video.labels.tobytes()
-        assert back.fps == video.fps and back.seed == video.seed
-
-    def test_truncated_file_detected(self, tmp_path, video):
-        sd.save_video(tmp_path / "v.fdv", video)
-        raw = (tmp_path / "v.fdv").read_bytes()
-        (tmp_path / "broken.fdv").write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(ValueError, match="corrupt|truncated"):
-            sd.load_video(tmp_path / "broken.fdv")
-
-    def test_dataset_manifest_round_trip(self, tmp_path):
-        videos = sd.make_dataset(master_seed=5, n_videos=5, frames_per_video=48)
-        train, val, test = sd.split_dataset(videos, seed=0)
-        splits = {
-            "train": [v.video_id for v in train],
-            "val": [v.video_id for v in val],
-            "test": [v.video_id for v in test],
-        }
-        sd.write_dataset(tmp_path / "data", videos, splits)
-        back_videos, back_splits = sd.load_dataset(tmp_path / "data")
-        assert len(back_videos) == 5
-        assert back_videos[3].frames.tobytes() == videos[3].frames.tobytes()
-        assert {k: sorted(v) for k, v in back_splits.items()} == {
-            k: sorted(v) for k, v in splits.items()
-        }
-        # no video id may appear in two splits
-        all_ids = back_splits["train"] + back_splits["val"] + back_splits["test"]
-        assert len(all_ids) == len(set(all_ids))
