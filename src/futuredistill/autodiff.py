@@ -456,28 +456,53 @@ def matmul(a, b) -> Tensor:
 # convolution
 
 
-def _im2col(xd: np.ndarray, ksize, strides, pads) -> np.ndarray:
-    """Column matrix [C * prod(ksize), B * prod(out)] of xd [B, C, *spatial].
+# Columns per chunk of the tap-wise GEMMs: the [C_out, chunk] accumulator of
+# every backbone conv stays in L2 while all taps add into it.
+_CONV_CHUNK = 4096
 
-    Row (c, *offset) holds the padded input that kernel tap `offset` of channel
-    c reads at every (batch item, output position); one copy of the window view.
+
+def _phase_slices(spatial, strides, pads):
+    """Yield (phase, grid slices, input slices) for each phase of a polyphase buffer.
+
+    Phase r of an axis with stride s and padding p holds padded position
+    g * s + r at grid index g; the slices say which input positions land on
+    which grid indices. Phases come in np.ndindex(*strides) order, which is
+    the flat phase index.
     """
-    n = len(ksize)
-    xp = np.pad(xd, ((0, 0), (0, 0), *((p, p) for p in pads)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, ksize, axis=tuple(range(2, 2 + n)))
-    win = win[(slice(None), slice(None), *(slice(None, None, s) for s in strides))]
-    # [B, C, *out, *K] -> [C, *K, B, *out]
-    win = win.transpose(1, *range(2 + n, 2 + 2 * n), 0, *range(2, 2 + n))
-    return win.reshape(xd.shape[1] * math.prod(ksize), -1)
+    for phase, rs in enumerate(np.ndindex(*strides)):
+        grid_idx, x_idx = [], []
+        for r, s, p, d in zip(rs, strides, pads, spatial):
+            g0 = -((r - p) // s)  # first grid index whose position g0 * s + r - p is >= 0
+            x0 = g0 * s + r - p
+            grid_idx.append(slice(g0, g0 + len(range(x0, d, s))))
+            x_idx.append(slice(x0, d, s))
+        yield phase, tuple(grid_idx), tuple(x_idx)
+
+
+def _polyphase(xd: np.ndarray, strides, pads, grid) -> np.ndarray:
+    """Phase buffer [C, prod(strides), B * prod(grid)] of xd [B, C, *spatial], zero-padded."""
+    batch, c = xd.shape[:2]
+    buf = np.zeros((c, math.prod(strides), batch, *grid), dtype=xd.dtype)
+    xt = xd.swapaxes(0, 1)
+    for phase, grid_idx, x_idx in _phase_slices(xd.shape[2:], strides, pads):
+        buf[(slice(None), phase, slice(None), *grid_idx)] = xt[(slice(None), slice(None), *x_idx)]
+    return buf.reshape(c, math.prod(strides), -1)
 
 
 def _conv_nd(name: str, x: Tensor, k: Tensor, stride, padding) -> Tensor:
-    """Cross-correlation over the trailing n = k.ndim - 2 axes, as one GEMM.
+    """Cross-correlation over the trailing n = k.ndim - 2 axes, one GEMM per kernel tap.
 
     x is [C_in, *spatial] or [B, C_in, *spatial]; k is [C_out, C_in, *ksize].
-    The backward rule rebuilds the column matrix from x instead of keeping it
-    from forward, and scatters the column gradient back one kernel tap at a
-    time (col2im).
+    x is padded once into a polyphase buffer [C_in, prod(stride), B * prod(grid)]
+    with grid = ceil(padded / stride) per axis (see `_phase_slices`). Tap o then
+    reads phase o % stride at the constant flat column shift
+    sum((o // stride) * grid_stride), so every tap's operand is a 2-D slice BLAS
+    reads in place, and the output is accumulated as sum_o K[:, :, o] @ slice
+    over column chunks of the grid, from which the valid outputs are cropped.
+    This builds no im2col column matrix (the kn2row family of Anderson et al.
+    2017, arXiv 1709.03395). The backward rule rebuilds the buffer from x
+    rather than keeping it from forward, and folds the phase gradient back into
+    x's layout.
     """
     n = k.ndim - 2
     squeeze = x.ndim == n + 1
@@ -490,32 +515,78 @@ def _conv_nd(name: str, x: Tensor, k: Tensor, stride, padding) -> Tensor:
         raise ConfigurationError(f"{name}: stride {stride} and padding {padding} need {n} entries each")
     batch, c_in, c_out = xd.shape[0], xd.shape[1], k.shape[0]
     ksize = k.shape[2:]
-    padded = tuple(d + 2 * p for d, p in zip(xd.shape[2:], pads))
+    spatial = xd.shape[2:]
+    padded = tuple(d + 2 * p for d, p in zip(spatial, pads))
     out_dims = tuple((d - kd) // s + 1 for d, kd, s in zip(padded, ksize, strides))
     if min(out_dims) < 1:
         raise ConfigurationError(
             f"{name}: non-positive output dims ({','.join(map(str, out_dims))}) for input {x.shape}, "
             f"kernel {k.shape}, stride {strides}, padding {pads}"
         )
-    k_mat = k.data.reshape(c_out, -1)
-    y = (k_mat @ _im2col(xd, ksize, strides, pads)).reshape(c_out, batch, *out_dims)
-    y = np.moveaxis(y, 0, 1)
+    grid = tuple(-(-d // s) for d, s in zip(padded, strides))
+    grid_strides = [math.prod(grid[i + 1 :]) for i in range(n)]
+    taps = [
+        (
+            int(np.ravel_multi_index(tuple(o % s for o, s in zip(offset, strides)), strides)),
+            sum((o // s) * gs for o, s, gs in zip(offset, strides, grid_strides)),
+        )
+        for offset in np.ndindex(*ksize)
+    ]
+    n_cols = batch * math.prod(grid)
+    # A valid output reads every tap inside its own batch item's grid, so the
+    # columns past n_valid are never valid outputs and are not computed.
+    n_valid = n_cols - taps[-1][1]
+    dtype = np.result_type(xd, k.data)
+    k_taps = np.ascontiguousarray(k.data.reshape(c_out, c_in, -1).transpose(2, 0, 1))
+    crop = (slice(None), slice(None), *(slice(0, m) for m in out_dims))
+
+    buf = _polyphase(xd, strides, pads, grid)
+    y = np.empty((c_out, n_cols), dtype=dtype)
+    part = np.empty((c_out, _CONV_CHUNK), dtype=dtype)
+    for lo in range(0, n_valid, _CONV_CHUNK):
+        hi = min(lo + _CONV_CHUNK, n_valid)
+        acc, tmp = y[:, lo:hi], part[:, : hi - lo]
+        for i, (phase, shift) in enumerate(taps):
+            cols = buf[:, phase, lo + shift : hi + shift]
+            if i == 0:
+                np.matmul(k_taps[i], cols, out=acc)
+            else:
+                np.matmul(k_taps[i], cols, out=tmp)
+                acc += tmp
+    y = np.moveaxis(y.reshape(c_out, batch, *grid)[crop], 0, 1)
     out = Tensor(y[0] if squeeze else y)
 
     def rule(g):
         gb = g[None] if squeeze else g
-        g_mat = np.moveaxis(gb, 1, 0).reshape(c_out, -1)
-        gx = gk = None
+        g_grid = np.zeros((c_out, batch, *grid), dtype=dtype)
+        g_grid[crop] = np.moveaxis(gb, 1, 0)
+        g_grid = g_grid.reshape(c_out, -1)
+        gk_taps = gbuf = None
         if k.requires_grad:
-            gk = (g_mat @ _im2col(xd, ksize, strides, pads).T).reshape(k.shape)
+            buf = _polyphase(xd, strides, pads, grid)
+            gk_taps = np.zeros((len(taps), c_out, c_in), dtype=dtype)
         if x.requires_grad:
-            gcols = (k_mat.T @ g_mat).reshape(c_in, *ksize, batch, *out_dims)
-            gxp = np.zeros((c_in, batch, *padded), dtype=xd.dtype)
-            for offset in np.ndindex(*ksize):
-                taps = (slice(o, o + m * s, s) for o, m, s in zip(offset, out_dims, strides))
-                gxp[(slice(None), slice(None), *taps)] += gcols[(slice(None), *offset)]
-            crop = (slice(p, d - p) for p, d in zip(pads, padded))
-            gx = np.moveaxis(gxp[(slice(None), slice(None), *crop)], 0, 1)
+            gbuf = np.zeros((c_in, math.prod(strides), n_cols), dtype=dtype)
+        part = np.empty((c_in, _CONV_CHUNK), dtype=dtype)
+        for lo in range(0, n_valid, _CONV_CHUNK):
+            hi = min(lo + _CONV_CHUNK, n_valid)
+            g_chunk, tmp = g_grid[:, lo:hi], part[:, : hi - lo]
+            for i, (phase, shift) in enumerate(taps):
+                cols = slice(lo + shift, hi + shift)
+                if gk_taps is not None:
+                    gk_taps[i] += g_chunk @ buf[:, phase, cols].T
+                if gbuf is not None:
+                    np.matmul(k_taps[i].T, g_chunk, out=tmp)
+                    gbuf[:, phase, cols] += tmp
+        gx = gk = None
+        if gk_taps is not None:
+            gk = gk_taps.transpose(1, 2, 0).reshape(k.shape)
+        if gbuf is not None:
+            gbuf = gbuf.reshape(c_in, -1, batch, *grid)
+            gx = np.empty(xd.shape, dtype=xd.dtype)
+            gxt = gx.swapaxes(0, 1)
+            for phase, grid_idx, x_idx in _phase_slices(spatial, strides, pads):
+                gxt[(slice(None), slice(None), *x_idx)] = gbuf[(slice(None), phase, slice(None), *grid_idx)]
             if squeeze:
                 gx = gx[0]
         return gx, gk

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 import tempfile
@@ -96,6 +97,7 @@ def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(raw[_PREFIX.size : body_start])
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{path}: corrupt header ({exc})") from None
+    _check_header(path, header)
     expected = body_start + header["total_floats"] * 4
     if len(raw) != expected:
         raise CheckpointError(
@@ -105,10 +107,38 @@ def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     flat = np.frombuffer(raw, dtype="<f4", offset=body_start)
     params = {}
     for entry in header["params"]:
-        size = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        arr = flat[entry["offset"] : entry["offset"] + size]
+        arr = flat[entry["offset"] : entry["offset"] + math.prod(entry["shape"])]
         params[entry["name"]] = arr.reshape(entry["shape"]).copy()
     return header, params
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_header(path: Path, header) -> None:
+    """Raise CheckpointError unless the header has a backbone spec and params that fit in its blob."""
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is a {type(header).__name__}, not an object")
+    if not isinstance(header.get("backbone_spec"), dict):
+        raise CheckpointError(f"{path}: header has no backbone_spec object")
+    total = header.get("total_floats")
+    if not _is_count(total):
+        raise CheckpointError(f"{path}: header total_floats {total!r} is not a non-negative integer")
+    if not isinstance(header.get("params"), list):
+        raise CheckpointError(f"{path}: header has no params list")
+    for entry in header["params"]:
+        ok = (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(_is_count(d) for d in entry["shape"])
+            and _is_count(entry.get("offset"))
+        )
+        if not ok or entry["offset"] + math.prod(entry["shape"]) > total:
+            raise CheckpointError(
+                f"{path}: param entry {entry!r} is malformed or runs past the {total}-float blob"
+            )
 
 
 def load_backbone_checkpoint(path: str | Path, expect_config_hash: str | None = None):
@@ -131,7 +161,10 @@ def restore_backbone(path: str | Path, header: dict, params: dict[str, np.ndarra
 
     Only 'backbone.*' parameters (or unprefixed ones) are restored.
     """
-    spec = BackboneSpec(**header["backbone_spec"])
+    try:
+        spec = BackboneSpec(**header["backbone_spec"])
+    except TypeError as exc:
+        raise CheckpointError(f"{path}: header backbone_spec does not fit BackboneSpec ({exc})") from None
     spec.conv_widths = tuple(spec.conv_widths)
     backbone = build_backbone(spec, seed=0)
     prefix = "backbone."

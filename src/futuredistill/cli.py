@@ -23,7 +23,7 @@ from .checkpoint import (
 )
 from .config import ExperimentConfig, config_hash, load_config, load_grid_config
 from .distill import pretrain, write_training_log
-from .downstream import MetricsRow, Protocol, evaluate_model, run_single_protocol
+from .downstream import MetricsRow, Protocol, evaluate_model, run_single_protocol, write_finetune_log
 from .errors import CheckpointError, ConfigurationError, DivergenceError
 from .models import BackboneSpec
 from .reporting import append_metrics, completed_cells, generate_report, read_metrics
@@ -98,18 +98,21 @@ def _run_protocols(
 ) -> list[MetricsRow]:
     """Train, test and checkpoint each protocol arm of one (cell config, seed).
 
-    Each arm is written to `<stem>_<protocol>.ckpt` and its row appended to
+    Each arm is written to `<stem>_<protocol>.ckpt`, with its per-epoch loss
+    curve in `<stem>_<protocol>_finetune_log.csv`, and its row appended to
     `metrics.csv` right after, so a later arm's failure keeps the finished
     arms; returns one metrics row per protocol, in order. `student` may be
     None only for FULL_SUPERVISED.
     """
     rows = []
     for protocol in protocols:
-        row, model = run_single_protocol(
+        row, model, tune_log = run_single_protocol(
             cfg.backbone, student, protocol, splits, cfg.downstream, seed, cfg.distill.loss_variant
         )
+        arm = f"{cell_stem(cfg, seed)}_{protocol.value}"
+        write_finetune_log(out_dir / f"{arm}_finetune_log.csv", tune_log)
         save_checkpoint(
-            out_dir / f"{cell_stem(cfg, seed)}_{protocol.value}.ckpt",
+            out_dir / f"{arm}.ckpt",
             model,
             cfg.backbone,
             config_hash=config_hash(cfg),

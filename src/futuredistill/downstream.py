@@ -8,9 +8,11 @@ is the headline metric.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -199,6 +201,15 @@ class FinetuneLogRow:
     loss: float
 
 
+def write_finetune_log(path: str | Path, log: list[FinetuneLogRow]) -> None:
+    """CSV with one row per epoch: epoch,loss (the mean train loss, at full float precision)."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["epoch", "loss"])
+        for row in log:
+            writer.writerow([row.epoch, repr(row.loss)])
+
+
 def finetune(
     backbone,
     head,
@@ -299,8 +310,12 @@ def run_single_protocol(
     tune_cfg: FinetuneConfig,
     seed: int,
     loss_variant: str = "cosine",
-) -> tuple[MetricsRow, ModelWithHead]:
-    """Train one protocol arm from `student` (ignored when FULL_SUPERVISED)."""
+) -> tuple[MetricsRow, ModelWithHead, list[FinetuneLogRow]]:
+    """Train one protocol arm from `student` (ignored when FULL_SUPERVISED).
+
+    Returns the arm's test metrics row, the trained model and its per-epoch
+    fine-tune losses.
+    """
     train_videos, _, test_videos = splits
     if protocol is Protocol.FULL_SUPERVISED:
         arm_backbone = build_backbone(backbone_spec, seed)
@@ -309,7 +324,7 @@ def run_single_protocol(
     else:
         arm_backbone = student.copy()
     head = make_head(tune_cfg, backbone_spec.embed_dim, np.random.default_rng(seed + 1000))
-    model, _ = finetune(arm_backbone, head, protocol, train_videos, tune_cfg, seed=seed)
+    model, tune_log = finetune(arm_backbone, head, protocol, train_videos, tune_cfg, seed=seed)
     result_eval = evaluate_model(model.backbone, model.head, test_videos, tune_cfg)
     row = MetricsRow(
         backbone=backbone_spec.family,
@@ -320,4 +335,4 @@ def run_single_protocol(
         macro_precision=result_eval.macro_precision,
         n_frames=result_eval.n_frames,
     )
-    return row, model
+    return row, model, tune_log

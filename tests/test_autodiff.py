@@ -145,6 +145,141 @@ class TestConv3d:
             assert np.array_equal(a, b)
 
 
+# The im2col/GEMM kernel that the tap-wise polyphase kernel replaced; kept as
+# the reference for outputs and gradients.
+
+
+def _reference_im2col(xd, ksize, strides, pads):
+    """Column matrix [C * prod(ksize), B * prod(out)] of xd [B, C, *spatial]."""
+    n = len(ksize)
+    xp = np.pad(xd, ((0, 0), (0, 0), *((p, p) for p in pads)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, ksize, axis=tuple(range(2, 2 + n)))
+    win = win[(slice(None), slice(None), *(slice(None, None, s) for s in strides))]
+    win = win.transpose(1, *range(2 + n, 2 + 2 * n), 0, *range(2, 2 + n))
+    return win.reshape(xd.shape[1] * int(np.prod(ksize)), -1)
+
+
+def reference_conv(x, k, stride, padding):
+    """conv2d/conv3d as one im2col GEMM, with a per-tap col2im scatter for the input gradient."""
+    n = k.ndim - 2
+    squeeze = x.ndim == n + 1
+    xd = x.data[None] if squeeze else x.data
+    strides = (stride,) * n if isinstance(stride, int) else tuple(stride)
+    pads = (padding,) * n if isinstance(padding, int) else tuple(padding)
+    batch, c_in, c_out = xd.shape[0], xd.shape[1], k.shape[0]
+    ksize = k.shape[2:]
+    padded = tuple(d + 2 * p for d, p in zip(xd.shape[2:], pads))
+    out_dims = tuple((d - kd) // s + 1 for d, kd, s in zip(padded, ksize, strides))
+    k_mat = k.data.reshape(c_out, -1)
+    y = (k_mat @ _reference_im2col(xd, ksize, strides, pads)).reshape(c_out, batch, *out_dims)
+    y = np.moveaxis(y, 0, 1)
+    out = Tensor(y[0] if squeeze else y)
+
+    def rule(g):
+        gb = g[None] if squeeze else g
+        g_mat = np.moveaxis(gb, 1, 0).reshape(c_out, -1)
+        gx = gk = None
+        if k.requires_grad:
+            gk = (g_mat @ _reference_im2col(xd, ksize, strides, pads).T).reshape(k.shape)
+        if x.requires_grad:
+            gcols = (k_mat.T @ g_mat).reshape(c_in, *ksize, batch, *out_dims)
+            gxp = np.zeros((c_in, batch, *padded), dtype=xd.dtype)
+            for offset in np.ndindex(*ksize):
+                taps = (slice(o, o + m * s, s) for o, m, s in zip(offset, out_dims, strides))
+                gxp[(slice(None), slice(None), *taps)] += gcols[(slice(None), *offset)]
+            crop = (slice(p, d - p) for p, d in zip(pads, padded))
+            gx = np.moveaxis(gxp[(slice(None), slice(None), *crop)], 0, 1)
+            if squeeze:
+                gx = gx[0]
+        return gx, gk
+
+    ad._record(out, (x, k), rule)
+    return out
+
+
+def _conv_with_grads(conv, x, k, stride, padding, w):
+    xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+    tape = Tape()
+    with tape:
+        loss = ad.sum_(ad.mul(conv(xt, kt, stride, padding), w))
+    backward(loss, tape)
+    return tape.entries[0].output.data, xt.grad, kt.grad
+
+
+class TestConvMatchesIm2colReference:
+    # (x shape, kernel shape, stride, padding) of each conv the two conv backbones run
+    BACKBONE_CONVS = {
+        "c2d_conv1": ((192, 3, 32, 32), (8, 3, 3, 3), 2, 1),
+        "c2d_conv2": ((192, 8, 16, 16), (16, 8, 3, 3), 2, 1),
+        "c3d_stem": ((16, 3, 6, 32, 32), (8, 3, 3, 3, 3), (1, 2, 2), 1),
+        "c3d_block1": ((16, 8, 6, 16, 16), (8, 8, 3, 3, 3), 1, 1),
+        "c3d_down": ((16, 8, 6, 16, 16), (16, 8, 3, 3, 3), 2, 1),
+        "c3d_block2": ((16, 16, 3, 8, 8), (16, 16, 3, 3, 3), 1, 1),
+    }
+    # max|new - ref| / max|ref| over y, gx and gk; the summation order differs
+    TOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", list(BACKBONE_CONVS))
+    def test_backbone_shapes(self, shape, dtype):
+        x_shape, k_shape, stride, padding = self.BACKBONE_CONVS[shape]
+        conv = ad.conv3d if len(k_shape) == 5 else ad.conv2d
+        rng = np.random.default_rng(83)
+        x = rng.normal(size=x_shape).astype(dtype)
+        k = rng.normal(size=k_shape).astype(dtype)
+        w = rng.normal(size=conv(Tensor(x), Tensor(k), stride, padding).shape).astype(dtype)
+        new = _conv_with_grads(conv, x, k, stride, padding, w)
+        ref = _conv_with_grads(reference_conv, x, k, stride, padding, w)
+        for name, a, b in zip(("y", "gx", "gk"), new, ref):
+            assert a.dtype == dtype and a.shape == b.shape
+            err = np.abs(a - b).max() / np.abs(b).max()
+            assert err <= self.TOL[dtype], f"{name}: {err:.2e}"
+
+    @pytest.mark.parametrize(
+        "x_shape,k_shape,stride,padding",
+        [
+            ((2, 2, 5, 6), (3, 2, 3, 3), 2, 1),  # padded extents 7 and 8: phase grids of unequal length
+            ((2, 2, 3, 5, 6), (2, 2, 2, 3, 3), (1, 2, 2), 1),
+            ((2, 2, 5, 5), (3, 2, 3, 2), 1, 0),
+            ((2, 2, 3, 4, 4), (2, 2, 2, 3, 3), (2, 1, 2), 2),
+            ((2, 3, 4, 5), (2, 3, 1, 1), 1, 0),  # one tap
+            ((2, 3, 4, 5), (2, 3, 1, 1), 2, 1),
+            ((1, 2, 3, 4, 4), (2, 2, 3, 3, 3), 1, 1),  # batch of one
+            ((2, 5, 6), (3, 2, 3, 3), 2, 1),  # unbatched
+            ((2, 3, 4, 4), (2, 2, 3, 3, 3), (1, 2, 2), 1),  # unbatched conv3d
+        ],
+    )
+    def test_gradient_vs_finite_differences(self, x_shape, k_shape, stride, padding):
+        conv = ad.conv3d if len(k_shape) == 5 else ad.conv2d
+        rng = np.random.default_rng(89)
+        x = Tensor(rng.normal(size=x_shape))
+        k = Tensor(rng.normal(size=k_shape))
+        w = rng.normal(size=conv(x, k, stride, padding).shape)
+        # x-only, then k-only: the other operand needs no gradient
+        fd_check(lambda t: ad.sum_(ad.mul(conv(t, k, stride, padding), w)), x, tol=1e-6)
+        fd_check(lambda t: ad.sum_(ad.mul(conv(x, t, stride, padding), w)), k, tol=1e-6)
+        y, gx, gk = _conv_with_grads(conv, x.data, k.data, stride, padding, w)
+        ref = _conv_with_grads(reference_conv, x.data, k.data, stride, padding, w)
+        for a, b in zip((y, gx, gk), ref):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    def test_float32_input_with_float64_kernels_gives_float64(self):
+        rng = np.random.default_rng(97)
+        x = rng.normal(size=(2, 3, 6, 7)).astype(np.float32)
+        k = rng.normal(size=(4, 3, 3, 3))
+        xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+        tape = Tape()
+        with tape:
+            y = ad.conv2d(xt, kt, stride=2, padding=1)
+            loss = ad.sum_(ad.mul(y, y))
+        backward(loss, tape)
+        assert y.dtype == np.float64
+        y64, gx64, gk64 = _conv_with_grads(ad.conv2d, x.astype(np.float64), k, 2, 1, 2 * y.data)
+        assert np.array_equal(y.data, y64)
+        assert xt.grad.dtype == np.float32 and kt.grad.dtype == np.float64
+        assert np.allclose(xt.grad, gx64, rtol=1e-6) and np.array_equal(kt.grad, gk64)
+
+
 class TestRecurrentStep:
     def test_zero_weights_zero_output(self):
         h, c = ad.recurrent_step(

@@ -4,6 +4,7 @@ import configparser
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,8 @@ import pytest
 
 from futuredistill import cli
 from futuredistill.checkpoint import (
+    MAGIC,
+    VERSION,
     load_backbone_checkpoint,
     read_checkpoint,
     save_checkpoint,
@@ -368,6 +371,31 @@ class TestCli:
         assert len(rows) == 3  # 3 protocols x 1 seed
         assert {r.protocol for r in rows} == {"linear_probe", "fine_tune", "supervised"}
 
+    def test_finetune_writes_each_arms_loss_curve(self, quick_config_file, tmp_path, monkeypatch):
+        text = quick_config_file.read_text()
+        quick_config_file.write_text(text.replace("task = prediction\nepochs = 1", "task = prediction\nepochs = 3"))
+        real = cli.run_single_protocol
+        returned = []
+
+        def record(*args):
+            result = real(*args)
+            returned.append(result[2])
+            return result
+
+        monkeypatch.setattr(cli, "run_single_protocol", record)
+        argv = ["finetune", "--config", str(quick_config_file), "--protocol", "supervised"]
+        assert self.run_cli(*argv) == cli.EXIT_OK
+        out = tmp_path / "out"
+        (path,) = out.glob("*_finetune_log.csv")
+        assert path.name == "Conv2dRecurrent_t6p6_cosine_seed0_supervised_finetune_log.csv"
+        assert not path.match("*train_log.csv")  # report's pretrain-curve glob skips it
+        with path.open(newline="") as fh:
+            recs = list(csv.DictReader(fh))
+        assert [int(r["epoch"]) for r in recs] == [0, 1, 2]
+        losses = [float(r["loss"]) for r in recs]
+        assert all(np.isfinite(losses))
+        assert losses == [row.loss for row in returned[0]]
+
     def test_probe_requires_checkpoint(self, quick_config_file, capsys):
         code = self.run_cli("finetune", "--config", str(quick_config_file), "--protocol", "linear_probe")
         assert code == cli.EXIT_CONFIG
@@ -396,6 +424,28 @@ class TestCli:
         code = self.run_cli("evaluate", "--config", str(quick_config_file), "--checkpoint", str(tuned))
         assert code == cli.EXIT_OK
         assert "macro_precision=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "header,match",
+        [
+            ({"params": [], "backbone_spec": {}}, "total_floats"),
+            (
+                {"params": [{"name": "w", "shape": [3, 2], "offset": 1}], "total_floats": 4, "backbone_spec": {}},
+                "runs past",
+            ),
+            ([], "not an object"),
+            ({"params": [], "total_floats": 4}, "no backbone_spec"),
+            ({"params": [], "total_floats": 4, "backbone_spec": {"depth": 3}}, "does not fit BackboneSpec"),
+        ],
+        ids=["no_total_floats", "param_past_blob", "list_header", "no_backbone_spec", "unknown_spec_key"],
+    )
+    def test_malformed_header_exits_4(self, quick_config_file, tmp_path, capsys, header, match):
+        raw = json.dumps(header).encode()
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(struct.pack("<4sII", MAGIC, VERSION, len(raw)) + raw + bytes(16))
+        code = self.run_cli("evaluate", "--config", str(quick_config_file), "--checkpoint", str(path))
+        assert code == cli.EXIT_MISMATCH
+        assert match in capsys.readouterr().err
 
     def test_evaluate_head_mismatch_exits_4(self, quick_config_file, tmp_path, capsys):
         assert self.run_cli("pretrain", "--config", str(quick_config_file)) == cli.EXIT_OK
