@@ -479,13 +479,16 @@ def _phase_slices(spatial, strides, pads):
         yield phase, tuple(grid_idx), tuple(x_idx)
 
 
-def _polyphase(xd: np.ndarray, strides, pads, grid) -> np.ndarray:
-    """Phase buffer [C, prod(strides), B * prod(grid)] of xd [B, C, *spatial], zero-padded."""
+def _polyphase(xd: np.ndarray, strides, pads, grid, dtype) -> np.ndarray:
+    """Zero-padded phase buffer [C, prod(strides), prod(grid) * B] of xd [B, C, *spatial].
+
+    The batch axis is innermost: column q * B + b holds grid position q of item b.
+    """
     batch, c = xd.shape[:2]
-    buf = np.zeros((c, math.prod(strides), batch, *grid), dtype=xd.dtype)
-    xt = xd.swapaxes(0, 1)
+    buf = np.zeros((c, math.prod(strides), *grid, batch), dtype=dtype)
+    xt = np.moveaxis(xd, 0, -1)
     for phase, grid_idx, x_idx in _phase_slices(xd.shape[2:], strides, pads):
-        buf[(slice(None), phase, slice(None), *grid_idx)] = xt[(slice(None), slice(None), *x_idx)]
+        buf[(slice(None), phase, *grid_idx)] = xt[(slice(None), *x_idx)]
     return buf.reshape(c, math.prod(strides), -1)
 
 
@@ -493,16 +496,20 @@ def _conv_nd(name: str, x: Tensor, k: Tensor, stride, padding) -> Tensor:
     """Cross-correlation over the trailing n = k.ndim - 2 axes, one GEMM per kernel tap.
 
     x is [C_in, *spatial] or [B, C_in, *spatial]; k is [C_out, C_in, *ksize].
-    x is padded once into a polyphase buffer [C_in, prod(stride), B * prod(grid)]
-    with grid = ceil(padded / stride) per axis (see `_phase_slices`). Tap o then
-    reads phase o % stride at the constant flat column shift
-    sum((o // stride) * grid_stride), so every tap's operand is a 2-D slice BLAS
-    reads in place, and the output is accumulated as sum_o K[:, :, o] @ slice
-    over column chunks of the grid, from which the valid outputs are cropped.
-    This builds no im2col column matrix (the kn2row family of Anderson et al.
-    2017, arXiv 1709.03395). The backward rule rebuilds the buffer from x
-    rather than keeping it from forward, and folds the phase gradient back into
-    x's layout.
+    x is padded once into a batch-innermost polyphase buffer
+    [C_in, prod(stride), prod(grid) * B] with grid = ceil(padded / stride) per
+    axis (see `_phase_slices`). Tap o reads phase o % stride at the constant
+    flat column shift B * sum((o // stride) * grid_stride), so every tap's
+    operand is a 2-D slice BLAS reads in place, and the output is accumulated
+    as sum_o K[:, :, o] @ slice over column chunks. With the batch innermost,
+    the valid outputs of all items lie in the columns [0, (q_last + 1) * B),
+    where q_last is the flat grid index of the last valid output; only those
+    columns are computed, and the valid outputs are cropped from them. The
+    result is a [B, C_out, *out] view of that [C_out, *grid, B] grid. This
+    builds no im2col column matrix (the kn2row family of Anderson et al. 2017,
+    arXiv 1709.03395). The backward rule runs its per-tap GEMMs over the same
+    columns, rebuilds the buffer from x rather than keeping it from forward,
+    and folds the phase gradient back into x's layout.
     """
     n = k.ndim - 2
     squeeze = x.ndim == n + 1
@@ -525,23 +532,27 @@ def _conv_nd(name: str, x: Tensor, k: Tensor, stride, padding) -> Tensor:
         )
     grid = tuple(-(-d // s) for d, s in zip(padded, strides))
     grid_strides = [math.prod(grid[i + 1 :]) for i in range(n)]
+    phase_strides = [math.prod(strides[i + 1 :]) for i in range(n)]
     taps = [
         (
-            int(np.ravel_multi_index(tuple(o % s for o, s in zip(offset, strides)), strides)),
-            sum((o // s) * gs for o, s, gs in zip(offset, strides, grid_strides)),
+            sum((o % s) * ps for o, s, ps in zip(offset, strides, phase_strides)),
+            batch * sum((o // s) * gs for o, s, gs in zip(offset, strides, grid_strides)),
         )
         for offset in np.ndindex(*ksize)
     ]
-    n_cols = batch * math.prod(grid)
-    # A valid output reads every tap inside its own batch item's grid, so the
-    # columns past n_valid are never valid outputs and are not computed.
-    n_valid = n_cols - taps[-1][1]
+    n_phases, n_cols = math.prod(strides), math.prod(grid) * batch
+    # Every valid output lies at or before grid index q_last, and every tap it
+    # reads stays inside the grid: (out - 1) + (ksize - 1) // stride < grid per axis.
+    n_valid = (1 + sum((m - 1) * gs for m, gs in zip(out_dims, grid_strides))) * batch
+    # The output grid needs only the first out_dims[0] planes of the first axis.
+    out_grid = (out_dims[0], *grid[1:], batch)
+    crop = (slice(None), *(slice(0, m) for m in out_dims))
     dtype = np.result_type(xd, k.data)
     k_taps = np.ascontiguousarray(k.data.reshape(c_out, c_in, -1).transpose(2, 0, 1))
-    crop = (slice(None), slice(None), *(slice(0, m) for m in out_dims))
 
-    buf = _polyphase(xd, strides, pads, grid)
-    y = np.empty((c_out, n_cols), dtype=dtype)
+    buf = _polyphase(xd, strides, pads, grid, dtype)
+    y_grid = np.empty((c_out, *out_grid), dtype=dtype)
+    y = y_grid.reshape(c_out, -1)
     part = np.empty((c_out, _CONV_CHUNK), dtype=dtype)
     for lo in range(0, n_valid, _CONV_CHUNK):
         hi = min(lo + _CONV_CHUNK, n_valid)
@@ -553,20 +564,20 @@ def _conv_nd(name: str, x: Tensor, k: Tensor, stride, padding) -> Tensor:
             else:
                 np.matmul(k_taps[i], cols, out=tmp)
                 acc += tmp
-    y = np.moveaxis(y.reshape(c_out, batch, *grid)[crop], 0, 1)
+    y = np.moveaxis(y_grid[crop], -1, 0)
     out = Tensor(y[0] if squeeze else y)
 
     def rule(g):
         gb = g[None] if squeeze else g
-        g_grid = np.zeros((c_out, batch, *grid), dtype=dtype)
-        g_grid[crop] = np.moveaxis(gb, 1, 0)
+        g_grid = np.zeros((c_out, *out_grid), dtype=dtype)
+        g_grid[crop] = np.moveaxis(gb, 0, -1)
         g_grid = g_grid.reshape(c_out, -1)
         gk_taps = gbuf = None
         if k.requires_grad:
-            buf = _polyphase(xd, strides, pads, grid)
+            buf = _polyphase(xd, strides, pads, grid, dtype)
             gk_taps = np.zeros((len(taps), c_out, c_in), dtype=dtype)
         if x.requires_grad:
-            gbuf = np.zeros((c_in, math.prod(strides), n_cols), dtype=dtype)
+            gbuf = np.zeros((c_in, n_phases, n_cols), dtype=dtype)
         part = np.empty((c_in, _CONV_CHUNK), dtype=dtype)
         for lo in range(0, n_valid, _CONV_CHUNK):
             hi = min(lo + _CONV_CHUNK, n_valid)
@@ -582,11 +593,11 @@ def _conv_nd(name: str, x: Tensor, k: Tensor, stride, padding) -> Tensor:
         if gk_taps is not None:
             gk = gk_taps.transpose(1, 2, 0).reshape(k.shape)
         if gbuf is not None:
-            gbuf = gbuf.reshape(c_in, -1, batch, *grid)
-            gx = np.empty(xd.shape, dtype=xd.dtype)
-            gxt = gx.swapaxes(0, 1)
+            gbuf = gbuf.reshape(c_in, n_phases, *grid, batch)
+            gxt = np.empty((c_in, *spatial, batch), dtype=xd.dtype)
             for phase, grid_idx, x_idx in _phase_slices(spatial, strides, pads):
-                gxt[(slice(None), slice(None), *x_idx)] = gbuf[(slice(None), phase, slice(None), *grid_idx)]
+                gxt[(slice(None), *x_idx)] = gbuf[(slice(None), phase, *grid_idx)]
+            gx = np.moveaxis(gxt, -1, 0)
             if squeeze:
                 gx = gx[0]
         return gx, gk

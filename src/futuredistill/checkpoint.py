@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .downstream import FinetuneConfig, StandardizedHead, make_head
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigurationError
 from .models import BackboneSpec, build_backbone
 from .nn import Module
 
@@ -159,14 +159,21 @@ def load_backbone_checkpoint(path: str | Path, expect_config_hash: str | None = 
 def restore_backbone(path: str | Path, header: dict, params: dict[str, np.ndarray]):
     """Rebuild the backbone named in a read header; returns (backbone, spec).
 
-    Only 'backbone.*' parameters (or unprefixed ones) are restored.
+    Only 'backbone.*' parameters (or unprefixed ones) are restored. A spec
+    with a missing or unknown field, or one that builds no backbone, raises
+    CheckpointError.
     """
+    stored = header["backbone_spec"]
+    absent = [f.name for f in dataclasses.fields(BackboneSpec) if f.name not in stored]
+    if absent:
+        raise CheckpointError(f"{path}: header backbone_spec does not fit BackboneSpec (missing {absent})")
+    # A spec that parses but names no buildable backbone is the checkpoint's fault, not the config's.
     try:
-        spec = BackboneSpec(**header["backbone_spec"])
-    except TypeError as exc:
+        spec = BackboneSpec(**stored)
+        spec.conv_widths = tuple(spec.conv_widths)
+        backbone = build_backbone(spec, seed=0)
+    except (TypeError, ValueError, ConfigurationError) as exc:
         raise CheckpointError(f"{path}: header backbone_spec does not fit BackboneSpec ({exc})") from None
-    spec.conv_widths = tuple(spec.conv_widths)
-    backbone = build_backbone(spec, seed=0)
     prefix = "backbone."
     own = dict(backbone.named_parameters())
     restored = {}
@@ -190,29 +197,42 @@ def _describe_head(head: Module, cfg: FinetuneConfig) -> dict:
 
 
 def restore_head(
-    path: str | Path, header: dict, params: dict[str, np.ndarray], head_cfg: FinetuneConfig
+    path: str | Path,
+    header: dict,
+    params: dict[str, np.ndarray],
+    head_cfg: FinetuneConfig,
+    spec: BackboneSpec,
 ) -> Module:
-    """Rebuild a finetuned checkpoint's head from the description in its header.
+    """Rebuild a finetuned checkpoint's head on the restored backbone `spec`.
 
-    Raises CheckpointError when the checkpoint has no head, or when the stored
-    task, t_pred or n_classes disagree with head_cfg.
+    Raises CheckpointError when the checkpoint has no head, when its head entry
+    is not an object with task, t_pred and n_classes, when those disagree with
+    head_cfg, or when its standardizer or parameters do not fit the head.
     """
     info = header.get("head")
     if not info:
         raise CheckpointError(
             f"{path}: {header.get('kind')} checkpoint has no head; need a finetuned one"
         )
-    stored = {key: info[key] for key in ("task", "t_pred", "n_classes")}
+    keys = ("task", "t_pred", "n_classes")
+    if not isinstance(info, dict) or any(key not in info for key in keys):
+        raise CheckpointError(f"{path}: header head {info!r} is not an object with {', '.join(keys)}")
+    stored = {key: info[key] for key in keys}
     wanted = {"task": head_cfg.task, "t_pred": head_cfg.t_pred, "n_classes": head_cfg.n_classes}
     if stored != wanted:
         raise CheckpointError(f"{path}: checkpoint head {stored} does not match config head {wanted}")
-    embed_dim = header["backbone_spec"]["embed_dim"]
-    head = make_head(FinetuneConfig(**stored), embed_dim, np.random.default_rng(0))
+    head = make_head(FinetuneConfig(**stored), spec.embed_dim, np.random.default_rng(0))
     std = info.get("standardizer")
     if std:
+        fits = isinstance(std, dict) and all(np.shape(std.get(key)) == (spec.embed_dim,) for key in ("mu", "sigma"))
+        if not fits:
+            raise CheckpointError(f"{path}: header head standardizer is not mu and sigma of length {spec.embed_dim}")
         head = StandardizedHead(head, np.asarray(std["mu"]), np.asarray(std["sigma"]))
     prefix = "head."
-    head.load_state_arrays(
-        {name[len(prefix) :]: arr for name, arr in params.items() if name.startswith(prefix)}
-    )
+    try:
+        head.load_state_arrays(
+            {name[len(prefix) :]: arr for name, arr in params.items() if name.startswith(prefix)}
+        )
+    except (KeyError, ValueError) as exc:
+        raise CheckpointError(f"{path}: checkpoint head parameters do not fit the head ({exc})") from None
     return head

@@ -170,7 +170,7 @@ def cmd_evaluate(args) -> int:
     header, params = read_checkpoint(args.checkpoint)
     backbone, spec = restore_backbone(args.checkpoint, header, params)
     _check_backbone(cfg, spec)
-    head = restore_head(args.checkpoint, header, params, cfg.downstream)
+    head = restore_head(args.checkpoint, header, params, cfg.downstream, spec)
     test_videos = build_splits(cfg, "test")[2]
     result = evaluate_model(backbone, head, test_videos, cfg.downstream)
     print(f"macro_precision={result.macro_precision:.6f} n_frames={result.n_frames}")

@@ -208,8 +208,9 @@ def svg_line_plot(
     series: dict[str, tuple[list[float], list[float]]],
     path: str | Path,
     title: str = "",
+    x_label: str = "step",
 ) -> None:
-    """Minimal dependency-free SVG polyline chart of loss over step, 640x400 pixels."""
+    """Minimal dependency-free SVG polyline chart of loss over x_label, 640x400 pixels."""
     width, height, margin = 640, 400, 56
     xs_all = [x for xs, _ in series.values() for x in xs]
     ys_all = [y for _, ys in series.values() for y in ys]
@@ -233,7 +234,7 @@ def svg_line_plot(
         f'<text x="{width // 2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" y2="{height - margin}" stroke="black"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="black"/>',
-        f'<text x="{width // 2}" y="{height - 12}" text-anchor="middle" font-size="12">step</text>',
+        f'<text x="{width // 2}" y="{height - 12}" text-anchor="middle" font-size="12">{x_label}</text>',
         f'<text x="16" y="{height // 2}" font-size="12" transform="rotate(-90 16 {height // 2})" text-anchor="middle">loss</text>',
         f'<text x="{margin}" y="{height - margin + 16}" font-size="10" text-anchor="middle">{x_lo:g}</text>',
         f'<text x="{width - margin}" y="{height - margin + 16}" font-size="10" text-anchor="middle">{x_hi:g}</text>',
@@ -251,24 +252,38 @@ def svg_line_plot(
     Path(path).write_text("\n".join(parts))
 
 
-def collect_training_logs(directory: str | Path) -> dict[str, tuple[list[float], list[float]]]:
-    """Read every *train_log.csv under directory into plot series."""
+def collect_logs(directory: str | Path, tag: str, x_key: str) -> dict[str, tuple[list[float], list[float]]]:
+    """Read every *<tag>.csv under directory into plot series of loss over x_key, named by run stem."""
     series = {}
     directory = Path(directory)
-    for log_path in sorted(directory.rglob("*train_log.csv")):
-        steps, losses = [], []
+    for log_path in sorted(directory.rglob(f"*{tag}.csv")):
+        xs, losses = [], []
         with log_path.open() as fh:
             reader = csv.DictReader(fh)
             for rec in reader:
-                steps.append(float(rec["step"]))
+                xs.append(float(rec[x_key]))
                 losses.append(float(rec["loss"]))
-        if steps:
-            series[log_path.stem.replace("_train_log", "")] = (steps, losses)
+        if xs:
+            series[log_path.stem.replace(f"_{tag}", "")] = (xs, losses)
     return series
 
 
+def _write_curves(out_dir: Path, name: str, series, x_key: str, title: str) -> list[Path]:
+    """Write series as <name>.svg and <name>.csv (run,<x_key>,loss); returns both paths."""
+    svg_path = out_dir / f"{name}.svg"
+    svg_line_plot(series, svg_path, title=title, x_label=x_key)
+    csv_path = out_dir / f"{name}.csv"
+    with csv_path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["run", x_key, "loss"])
+        for run, (xs, ys) in sorted(series.items()):
+            for x, y in zip(xs, ys):
+                writer.writerow([run, int(x), f"{y:.6f}"])
+    return [svg_path, csv_path]
+
+
 def generate_report(metrics_path: str | Path, out_dir: str | Path, logs_dir: str | Path | None = None) -> list[Path]:
-    """Emit both tables plus loss-curve data; returns the files written."""
+    """Emit both tables plus the pretrain and fine-tune loss curves found; returns the files written."""
     rows = read_metrics(metrics_path)
     if not rows:
         raise ConfigurationError(f"{metrics_path}: no metrics rows to report")
@@ -297,17 +312,13 @@ def generate_report(metrics_path: str | Path, out_dir: str | Path, logs_dir: str
     written += [out_dir / "table_loss_variants.csv", out_dir / "table_loss_variants.txt"]
 
     logs_dir = Path(logs_dir) if logs_dir else Path(metrics_path).parent
-    series = collect_training_logs(logs_dir)
-    if series:
-        svg_path = out_dir / "loss_curves.svg"
-        svg_line_plot(series, svg_path, title="Pretraining loss")
-        written.append(svg_path)
-        csv_path = out_dir / "loss_curves.csv"
-        with csv_path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["run", "step", "loss"])
-            for name, (xs, ys) in sorted(series.items()):
-                for x, y in zip(xs, ys):
-                    writer.writerow([name, int(x), f"{y:.6f}"])
-        written.append(csv_path)
+    # "*train_log.csv" does not match the fine-tune arms' "*_finetune_log.csv".
+    curves = (
+        ("train_log", "step", "loss_curves", "Pretraining loss"),
+        ("finetune_log", "epoch", "finetune_curves", "Fine-tune train loss"),
+    )
+    for tag, x_key, name, title in curves:
+        series = collect_logs(logs_dir, tag, x_key)
+        if series:
+            written += _write_curves(out_dir, name, series, x_key, title)
     return written

@@ -247,6 +247,11 @@ class TestConvMatchesIm2colReference:
             ((1, 2, 3, 4, 4), (2, 2, 3, 3, 3), 1, 1),  # batch of one
             ((2, 5, 6), (3, 2, 3, 3), 2, 1),  # unbatched
             ((2, 3, 4, 4), (2, 2, 3, 3, 3), (1, 2, 2), 1),  # unbatched conv3d
+            # kernel spans the padded width: one output column, whose last tap reads the grid's last column
+            ((2, 2, 5, 6), (3, 2, 3, 8), 1, 1),
+            ((3, 2, 3, 5, 6), (2, 2, 2, 3, 8), (1, 1, 2), 1),
+            ((2, 2, 7, 7), (3, 2, 2, 2), 3, 1),  # stride greater than the kernel
+            ((2, 2, 4, 7, 8), (2, 2, 1, 2, 2), (2, 3, 4), (0, 1, 1)),
         ],
     )
     def test_gradient_vs_finite_differences(self, x_shape, k_shape, stride, padding):
@@ -262,6 +267,52 @@ class TestConvMatchesIm2colReference:
         ref = _conv_with_grads(reference_conv, x.data, k.data, stride, padding, w)
         for a, b in zip((y, gx, gk), ref):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    LAYOUT_CONVS = {
+        "conv2d": ((3, 2, 7, 6), (3, 2, 3, 3), 2, 1),
+        "conv3d": ((3, 2, 4, 5, 6), (4, 2, 3, 3, 3), (1, 2, 2), 1),
+    }
+
+    @pytest.mark.parametrize("shape", list(LAYOUT_CONVS))
+    def test_result_does_not_depend_on_memory_layout(self, shape):
+        x_shape, k_shape, stride, padding = self.LAYOUT_CONVS[shape]
+        conv = ad.conv3d if len(k_shape) == 5 else ad.conv2d
+        rng = np.random.default_rng(101)
+        x = rng.normal(size=x_shape)
+        k = rng.normal(size=k_shape)
+        w = rng.normal(size=conv(Tensor(x), Tensor(k), stride, padding).shape)
+        layouts = {
+            "batch_innermost": np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)), -1, 0),
+            "transposed": np.ascontiguousarray(x.T).T,
+        }
+        y, gx, gk = _conv_with_grads(conv, x, k, stride, padding, w)
+        for name, view in layouts.items():
+            assert not view.flags.c_contiguous and np.array_equal(view, x)
+            y_v, gx_v, gk_v = _conv_with_grads(conv, view, k, stride, padding, w)
+            assert np.array_equal(y_v, y), name
+            for a, b in ((gx_v, gx), (gk_v, gk)):
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
+    @pytest.mark.parametrize("shape", list(LAYOUT_CONVS))
+    def test_non_contiguous_upstream_gradient(self, shape):
+        x_shape, k_shape, stride, padding = self.LAYOUT_CONVS[shape]
+        conv = ad.conv3d if len(k_shape) == 5 else ad.conv2d
+        rng = np.random.default_rng(103)
+        x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+        k = Tensor(rng.normal(size=k_shape), requires_grad=True)
+        tape = Tape()
+        with tape:
+            y = conv(x, k, stride, padding)
+        g = rng.normal(size=y.shape)
+        every_other = np.zeros((2 * g.shape[0], *g.shape[1:]))
+        every_other[::2] = g
+        views = {"strided": every_other[::2], "transposed": np.ascontiguousarray(g.T).T}
+        gx, gk = tape.entries[0].backward_rule(np.ascontiguousarray(g))
+        for name, view in views.items():
+            assert not view.flags.c_contiguous and np.array_equal(view, g)
+            gx_v, gk_v = tape.entries[0].backward_rule(view)
+            for a, b in ((gx_v, gx), (gk_v, gk)):
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
 
     def test_float32_input_with_float64_kernels_gives_float64(self):
         rng = np.random.default_rng(97)

@@ -301,6 +301,28 @@ class TestMetricsAndReport:
         svg = (tmp_path / "report" / "loss_curves.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
+    def test_report_renders_finetune_curves(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        append_metrics(path, sample_rows())
+        (tmp_path / "a_train_log.csv").write_text("step,loss,momentum,embed_std\n0,1.0,0.996,0.1\n")
+        for arm, losses in (("fine_tune", (1.95, 1.7)), ("supervised", (1.9, 1.8))):
+            rows = "".join(f"{e},{loss!r}\n" for e, loss in enumerate(losses))
+            (tmp_path / f"a_seed0_{arm}_finetune_log.csv").write_text("epoch,loss\n" + rows)
+        written = {p.name for p in generate_report(path, tmp_path / "report", logs_dir=tmp_path)}
+        assert {"loss_curves.csv", "finetune_curves.svg", "finetune_curves.csv"} <= written
+        report = tmp_path / "report"
+        assert (report / "finetune_curves.csv").read_text().splitlines() == [
+            "run,epoch,loss",
+            "a_seed0_fine_tune,0,1.950000",
+            "a_seed0_fine_tune,1,1.700000",
+            "a_seed0_supervised,0,1.900000",
+            "a_seed0_supervised,1,1.800000",
+        ]
+        svg = (report / "finetune_curves.svg").read_text()
+        assert svg.count("<polyline") == 2 and ">epoch</text>" in svg
+        # the pretrain curves keep skipping the fine-tune logs
+        assert (report / "loss_curves.csv").read_text().splitlines() == ["run,step,loss", "a,0,1.000000"]
+
     def test_svg_plot_rejects_empty(self, tmp_path):
         with pytest.raises(ConfigurationError):
             svg_line_plot({}, tmp_path / "x.svg")
@@ -320,6 +342,19 @@ def quick_config_file(tmp_path):
     cfg = QUICK_CONFIG.replace("out_dir = runs/quick", f"out_dir = {tmp_path / 'out'}")
     path.write_text(cfg)
     return path
+
+
+@pytest.fixture(scope="module")
+def supervised_checkpoint(tmp_path_factory):
+    """(config, checkpoint) of one supervised arm at the default embed_dim, trained once per module."""
+    tmp = tmp_path_factory.mktemp("supervised")
+    config = tmp / "exp.ini"
+    text = QUICK_CONFIG.replace("embed_dim = 32", "embed_dim = 64")
+    config.write_text(text.replace("out_dir = runs/quick", f"out_dir = {tmp / 'out'}"))
+    assert cli.main(["finetune", "--config", str(config), "--protocol", "supervised"]) == cli.EXIT_OK
+    ckpt = next((tmp / "out").glob("*_supervised.ckpt"))
+    assert cli.main(["evaluate", "--config", str(config), "--checkpoint", str(ckpt)]) == cli.EXIT_OK
+    return config, ckpt
 
 
 class TestCli:
@@ -446,6 +481,37 @@ class TestCli:
         code = self.run_cli("evaluate", "--config", str(quick_config_file), "--checkpoint", str(path))
         assert code == cli.EXIT_MISMATCH
         assert match in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h["backbone_spec"].update(family="Nope"),
+            lambda h: h["backbone_spec"].update(frame_size=30),
+            lambda h: h["backbone_spec"].pop("embed_dim"),
+            lambda h: h["head"].pop("task"),
+            lambda h: h.update(head="x"),
+            lambda h: h["backbone_spec"].update(conv_widths=5),
+            lambda h: h["head"].update(standardizer={"mu": [0.0] * 64}),
+            lambda h: h["head"].update(standardizer={"mu": [0.0] * 3, "sigma": [1.0] * 3}),
+            lambda h: h.update(params=[p for p in h["params"] if not p["name"].startswith("head.")]),
+        ],
+        ids=[
+            "unknown_family", "bad_frame_size", "no_embed_dim", "no_head_task", "head_not_object",
+            "int_conv_widths", "no_standardizer_sigma", "short_standardizer", "no_head_params",
+        ],
+    )
+    def test_bad_supervised_header_exits_4(self, supervised_checkpoint, tmp_path, capsys, edit):
+        config, ckpt = supervised_checkpoint
+        raw = ckpt.read_bytes()
+        _, _, n = struct.unpack_from("<4sII", raw)
+        header = json.loads(raw[12 : 12 + n])
+        edit(header)
+        head = json.dumps(header).encode()
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(struct.pack("<4sII", MAGIC, VERSION, len(head)) + head + raw[12 + n :])
+        code = self.run_cli("evaluate", "--config", str(config), "--checkpoint", str(path))
+        assert code == cli.EXIT_MISMATCH
+        assert "checkpoint error" in capsys.readouterr().err
 
     def test_evaluate_head_mismatch_exits_4(self, quick_config_file, tmp_path, capsys):
         assert self.run_cli("pretrain", "--config", str(quick_config_file)) == cli.EXIT_OK
