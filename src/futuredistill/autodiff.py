@@ -32,6 +32,7 @@ __all__ = [
     "conv3d",
     "conv2d",
     "recurrent_step",
+    "lstm_sequence",
     "softmax",
     "log_softmax",
     "layer_norm",
@@ -276,15 +277,16 @@ def tanh(a) -> Tensor:
     return out
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function: 1 / (1 + e) for x >= 0 and e / (1 + e) below, e = exp(-|x|), so no exp overflows."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    x = a.data
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
-    out = Tensor(y)
+    out = Tensor(_sigmoid(a.data))
 
     def rule(g):
         return (g * out.data * (1.0 - out.data),)
@@ -459,6 +461,8 @@ def matmul(a, b) -> Tensor:
 # Columns per chunk of the tap-wise GEMMs: the [C_out, chunk] accumulator of
 # every backbone conv stays in L2 while all taps add into it.
 _CONV_CHUNK = 4096
+# Items per block when `_polyphase` gathers a batch-outer input.
+_GATHER_BLOCK = 64
 
 
 def _phase_slices(spatial, strides, pads):
@@ -487,8 +491,15 @@ def _polyphase(xd: np.ndarray, strides, pads, grid, dtype) -> np.ndarray:
     batch, c = xd.shape[:2]
     buf = np.zeros((c, math.prod(strides), *grid, batch), dtype=dtype)
     xt = np.moveaxis(xd, 0, -1)
-    for phase, grid_idx, x_idx in _phase_slices(xd.shape[2:], strides, pads):
-        buf[(slice(None), phase, *grid_idx)] = xt[(slice(None), *x_idx)]
+    # A batch-outer x (the C-contiguous clip) is read with a stride of one whole
+    # item per column, so it is copied in blocks of items that stay in cache; a
+    # batch-innermost x is copied in one pass.
+    blocks = [slice(None)]
+    if batch > _GATHER_BLOCK and abs(xd.strides[0]) > min(map(abs, xd.strides[1:])):
+        blocks = [slice(b, b + _GATHER_BLOCK) for b in range(0, batch, _GATHER_BLOCK)]
+    for blk in blocks:
+        for phase, grid_idx, x_idx in _phase_slices(xd.shape[2:], strides, pads):
+            buf[(slice(None), phase, *grid_idx, blk)] = xt[(slice(None), *x_idx, blk)]
     return buf.reshape(c, math.prod(strides), -1)
 
 
@@ -659,6 +670,86 @@ def recurrent_step(x, h, c, w_x, w_h, bias):
     c2 = add(mul(f, c), mul(i, g))
     h2 = mul(o, tanh(c2))
     return h2, c2
+
+
+def lstm_sequence(xs, w_x, w_h, bias) -> Tensor:
+    """Run the recurrent_step LSTM over xs [B, T, d_in] from a zero state; return h_T [B, d_h].
+
+    One tape entry. The input projection of all T steps is one GEMM (Appleyard
+    et al. 2016, arXiv 1604.01946); each step then adds h @ w_h and the bias
+    and applies recurrent_step's gate expressions, so h_T is what T calls of
+    recurrent_step give. The rule keeps the gates, the cell states and their
+    tanh, and runs backpropagation through time in closed form: walking the
+    steps in reverse it carries dh and dc and writes each step's gate
+    pre-activation gradient dz_t into one [B, T, 4 * d_h] buffer, so the
+    gradients of w_x, w_h and xs are one GEMM each and the bias gradient one sum.
+    """
+    xs, w_x, w_h, bias = _as_tensor(xs), _as_tensor(w_x), _as_tensor(w_h), _as_tensor(bias)
+    d_h = w_h.shape[0] if w_h.ndim == 2 else 0
+    if (
+        xs.ndim != 3
+        or xs.shape[1] < 1
+        or w_x.shape != (xs.shape[-1], 4 * d_h)
+        or w_h.shape != (d_h, 4 * d_h)
+        or bias.shape != (4 * d_h,)
+    ):
+        raise DimensionError(
+            f"lstm_sequence: inconsistent shapes xs{xs.shape} w_x{w_x.shape} w_h{w_h.shape} b{bias.shape}"
+        )
+    batch, steps, d_in = xs.shape
+    xd, wx, wh = xs.data, w_x.data, w_h.data
+    zx = (xd.reshape(batch * steps, d_in) @ wx).reshape(batch, steps, 4 * d_h)
+    h = c = np.zeros((batch, d_h), dtype=xd.dtype)
+    hs, cs, gates, tanh_cs = [h], [c], [], []
+    for t in range(steps):
+        z = (zx[:, t] + h @ wh) + bias.data
+        a = _sigmoid(z)  # i, f and o; g is overwritten with its tanh
+        a[:, 2 * d_h : 3 * d_h] = np.tanh(z[:, 2 * d_h : 3 * d_h])
+        c = a[:, d_h : 2 * d_h] * c + a[:, 0:d_h] * a[:, 2 * d_h : 3 * d_h]
+        tc = np.tanh(c)
+        h = a[:, 3 * d_h :] * tc
+        hs.append(h)
+        cs.append(c)
+        gates.append(a)
+        tanh_cs.append(tc)
+    out = Tensor(h)
+
+    def rule(g_out):
+        acts = np.stack(gates)  # [T, B, 4 * d_h]
+        i, f, g, o = (acts[..., k * d_h : (k + 1) * d_h] for k in range(4))
+        tcs = np.stack(tanh_cs)
+        dsig = acts * (1.0 - acts)
+        # dz_t = (dc_t, dc_t, dc_t, dh_t) * per-gate factors that depend only on the forward pass
+        factor = np.empty_like(acts)
+        factor[..., 0:d_h] = g * dsig[..., 0:d_h]
+        factor[..., d_h : 2 * d_h] = np.stack(cs[:-1]) * dsig[..., d_h : 2 * d_h]
+        factor[..., 2 * d_h : 3 * d_h] = i * (1.0 - g * g)
+        factor[..., 3 * d_h :] = tcs * dsig[..., 3 * d_h :]
+        factor = factor.reshape(steps, batch, 4, d_h)
+        dc_dh = o * (1.0 - tcs * tcs)
+        dz = np.empty((batch, steps, 4, d_h), dtype=acts.dtype)
+        dh, dc = g_out, np.zeros_like(g_out)
+        for t in reversed(range(steps)):
+            dc = dc + dh * dc_dh[t]
+            np.multiply(dc[:, None], factor[t, :, :3], out=dz[:, t, :3])
+            np.multiply(dh, factor[t, :, 3], out=dz[:, t, 3])
+            dc = dc * f[t]
+            if t:
+                dh = dz[:, t].reshape(batch, 4 * d_h) @ wh.T
+        dz = dz.reshape(batch * steps, 4 * d_h)
+        gxs = gwx = gwh = gb = None
+        if xs.requires_grad:
+            gxs = (dz @ wx.T).reshape(xd.shape)
+        if w_x.requires_grad:
+            gwx = xd.reshape(batch * steps, d_in).T @ dz
+        if w_h.requires_grad:
+            gwh = np.stack(hs[:-1], axis=1).reshape(batch * steps, d_h).T @ dz
+        if bias.requires_grad:
+            gb = dz.sum(axis=0)
+        return gxs, gwx, gwh, gb
+
+    _record(out, (xs, w_x, w_h, bias), rule)
+    return out
 
 
 def softmax(logits, temperature: float = 1.0, axis: int = -1) -> Tensor:

@@ -115,25 +115,16 @@ class Conv2d(Module):
 
 
 class LstmCell(Module):
-    """4-gate recurrent cell; weights laid out for autodiff.recurrent_step."""
+    """4-gate recurrent cell; weights laid out for autodiff.lstm_sequence (gate order i, f, g, o)."""
 
     def __init__(self, d_in: int, d_hidden: int, rng: np.random.Generator):
         self.w_x = uniform_init(rng, (d_in, 4 * d_hidden), d_in)
         self.w_h = uniform_init(rng, (d_hidden, 4 * d_hidden), d_hidden)
         self.bias = Tensor(np.zeros(4 * d_hidden, dtype=np.float32), requires_grad=True)
-        self.d_hidden = d_hidden
-
-    def step(self, x, h, c):
-        return ad.recurrent_step(x, h, c, self.w_x, self.w_h, self.bias)
 
     def run(self, xs: Tensor) -> Tensor:
-        """Consume xs [B, T, d_in]; return the final hidden state [B, d_hidden]."""
-        batch = xs.shape[0]
-        zeros = np.zeros((batch, self.d_hidden), dtype=xs.dtype)
-        h, c = Tensor(zeros.copy()), Tensor(zeros.copy())
-        for t in range(xs.shape[1]):
-            h, c = self.step(xs[:, t, :], h, c)
-        return h
+        """Consume xs [B, T, d_in] from a zero state; return the final hidden state [B, d_hidden]."""
+        return ad.lstm_sequence(xs, self.w_x, self.w_h, self.bias)
 
 
 class SelfAttention(Module):

@@ -97,6 +97,14 @@ def test_criterion_1_gradient_suite():
 
         record("recurrent", _grad_check(lstm_loss, Tensor(rng.normal(size=(3, d_in)))))
 
+        def lstm_sequence_loss(t, wx=wx, wh=wh, bias=bias):
+            h = ad.lstm_sequence(t, wx, wh, bias)
+            return ad.sum_(ad.mul(h, h))
+
+        # from its own generator, so the inputs of the checks below stay as they were
+        xs = np.random.default_rng(200 + i).normal(size=(1 + i % 3, 3, d_in))
+        record("lstm_sequence", _grad_check(lstm_sequence_loss, Tensor(xs)))
+
         w = Tensor(rng.normal(size=6))
         record("softmax", _grad_check(
             lambda t, w=w: ad.sum_(ad.mul(ad.softmax(t, temperature=0.5), w)),

@@ -293,6 +293,14 @@ class TestConvMatchesIm2colReference:
             for a, b in ((gx_v, gx), (gk_v, gk)):
                 assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
 
+    def test_blocked_gather_builds_the_same_phase_buffer(self):
+        # a C-contiguous x of more than _GATHER_BLOCK items is gathered block by
+        # block, its batch-innermost copy in one pass
+        x = np.random.default_rng(107).normal(size=(2 * ad._GATHER_BLOCK + 5, 3, 9, 8)).astype(np.float32)
+        inner = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)), -1, 0)
+        args = ((2, 2), (1, 1), (6, 5), np.float32)
+        assert ad._polyphase(x, *args).tobytes() == ad._polyphase(inner, *args).tobytes()
+
     @pytest.mark.parametrize("shape", list(LAYOUT_CONVS))
     def test_non_contiguous_upstream_gradient(self, shape):
         x_shape, k_shape, stride, padding = self.LAYOUT_CONVS[shape]
@@ -398,6 +406,53 @@ class TestRecurrentStep:
             return ad.add(ad.sum_(ad.mul(h, h)), ad.sum_(c))
 
         fd_check(f, Tensor(rng.normal(size=(4, 3))), tol=1e-4)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_matches_masked_two_branch_form(dtype):
+    # the form sigmoid had before it read both branches from one exp(-|x|)
+    x = np.random.default_rng(97).normal(size=20000) * np.logspace(-3, 3, 20000)
+    x = np.concatenate([x, [0.0, -0.0, 88.7, -88.7, 745.2, -745.2, np.inf, -np.inf]]).astype(dtype)
+    y = np.empty_like(x)
+    pos = x >= 0
+    with np.errstate(over="ignore", under="ignore"):
+        y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        y[~pos] = ex / (1.0 + ex)
+        assert ad._sigmoid(x).tobytes() == y.tobytes()
+
+
+class TestLstmSequence:
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_gradients_vs_finite_differences(self, batch):
+        rng = np.random.default_rng(83)
+        d_in, d_h, steps = 3, 2, 4
+        args = {
+            "xs": Tensor(rng.normal(size=(batch, steps, d_in))),
+            "w_x": Tensor(rng.normal(size=(d_in, 4 * d_h))),
+            "w_h": Tensor(rng.normal(size=(d_h, 4 * d_h))),
+            "bias": Tensor(rng.normal(size=4 * d_h)),
+        }
+        w = Tensor(rng.normal(size=(batch, d_h)))
+        for name in args:
+            def f(t, name=name):
+                h = ad.lstm_sequence(**{**args, name: t})
+                return ad.sum_(ad.mul(ad.mul(h, h), w))
+
+            fd_check(f, args[name], tol=1e-6)
+
+    def test_dim_mismatch(self):
+        xs = Tensor(np.zeros((2, 3, 4)))
+        w_x, w_h, bias = Tensor(np.zeros((4, 8))), Tensor(np.zeros((2, 8))), Tensor(np.zeros(8))
+        for bad in (
+            (xs[0], w_x, w_h, bias),
+            (xs[:, :0], w_x, w_h, bias),
+            (xs, Tensor(np.zeros((3, 8))), w_h, bias),
+            (xs, w_x, Tensor(np.zeros((2, 6))), bias),
+            (xs, w_x, w_h, Tensor(np.zeros(6))),
+        ):
+            with pytest.raises(DimensionError):
+                ad.lstm_sequence(*bad)
 
 
 class TestSoftmax:
@@ -751,6 +806,15 @@ def reference_gelu(a):
     return ad.mul(ad.mul(a, ad.add(ad.tanh(inner), 1.0)), 0.5)
 
 
+def reference_lstm_sequence(xs, w_x, w_h, bias):
+    """recurrent_step over the T steps of xs [B, T, d_in] from a zero state; returns h_T."""
+    zeros = np.zeros((xs.shape[0], w_h.shape[0]), dtype=xs.dtype)
+    h, c = Tensor(zeros.copy()), Tensor(zeros.copy())
+    for t in range(xs.shape[1]):
+        h, c = ad.recurrent_step(xs[:, t, :], h, c, w_x, w_h, bias)
+    return h
+
+
 class TestFusedOpsMatchComposite:
     # max relative error of the gradients, with a 1e-3 floor for values near zero
     GRAD_TOL = {np.float32: 1e-3, np.float64: 1e-11}
@@ -781,10 +845,50 @@ class TestFusedOpsMatchComposite:
             err = max_relative_error(g, g_ref, floor=1e-3)
             assert err < self.GRAD_TOL[dtype], f"d/d{name}: {err:.2e}"
 
+    # At B = 1 numpy runs each per-step input projection of the reference as a
+    # vector-matrix product, which rounds differently from the fused op's GEMM.
+    FORWARD_TOL_B1 = {np.float32: 1e-5, np.float64: 1e-13}
+
+    def _run_lstm(self, op, batch, dtype):
+        rng = np.random.default_rng(89)
+        d_in, d_h, steps = 32, 16, 12
+        xs = Tensor(rng.normal(size=(batch, steps, d_in)).astype(dtype), requires_grad=True)
+        w_x = Tensor((rng.normal(size=(d_in, 4 * d_h)) / np.sqrt(d_in)).astype(dtype), requires_grad=True)
+        w_h = Tensor((rng.normal(size=(d_h, 4 * d_h)) / np.sqrt(d_h)).astype(dtype), requires_grad=True)
+        bias = Tensor((0.3 * rng.normal(size=4 * d_h)).astype(dtype), requires_grad=True)
+        w = Tensor(rng.normal(size=(batch, d_h)).astype(dtype))
+        tape = Tape()
+        with tape:
+            h = op(xs, w_x, w_h, bias)
+            loss = ad.sum_(ad.mul(h, w))
+        backward(loss, tape)
+        return h.data, (xs.grad, w_x.grad, w_h.grad, bias.grad)
+
+    @pytest.mark.parametrize("batch", [1, 2, 16])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_lstm_sequence_matches_recurrent_steps(self, batch, dtype):
+        h_ref, grads_ref = self._run_lstm(reference_lstm_sequence, batch, dtype)
+        h, grads = self._run_lstm(ad.lstm_sequence, batch, dtype)
+        assert h.dtype == dtype
+        if batch == 1:
+            assert max_relative_error(h, h_ref) < self.FORWARD_TOL_B1[dtype]
+        else:
+            assert h.tobytes() == h_ref.tobytes()
+        for name, g, g_ref in zip(("xs", "w_x", "w_h", "bias"), grads, grads_ref):
+            assert g.dtype == dtype
+            err = max_relative_error(g, g_ref, floor=1e-3)
+            assert err < self.GRAD_TOL[dtype], f"d/d{name}: {err:.2e}"
+
     def test_each_op_records_one_entry(self):
         x = Tensor(np.ones((2, 4), dtype=np.float32), requires_grad=True)
         gain, bias = Tensor(np.ones(4, dtype=np.float32)), Tensor(np.zeros(4, dtype=np.float32))
-        for op in (lambda: ad.layer_norm(x, gain, bias), lambda: ad.gelu(x)):
+        xs = Tensor(np.ones((2, 3, 4), dtype=np.float32), requires_grad=True)
+        w_x, w_h = Tensor(np.ones((4, 8), dtype=np.float32)), Tensor(np.ones((2, 8), dtype=np.float32))
+        for op in (
+            lambda: ad.layer_norm(x, gain, bias),
+            lambda: ad.gelu(x),
+            lambda: ad.lstm_sequence(xs, w_x, w_h, Tensor(np.zeros(8, dtype=np.float32))),
+        ):
             tape = Tape()
             with tape:
                 op()
@@ -795,7 +899,8 @@ class TestFusedOpsMatchComposite:
         [
             ("TemporalTransformer", 6, "cross_entropy", 69),
             ("Conv3dResidual", 6, "cosine", 55),
-            ("Conv2dRecurrent", 12, "cosine", 251),
+            ("Conv2dRecurrent", 12, "cosine", 36),
+            ("PatchTransformerRecurrent", 12, "cosine", 54),
         ],
     )
     def test_pretrain_step_tape_length(self, family, t, loss, entries):
