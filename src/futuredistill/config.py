@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import typing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -92,13 +93,7 @@ def derive_cell(base: ExperimentConfig, family: str, interval: int, loss: str) -
     return cell
 
 
-_SECTION_TYPES = {
-    "dataset": DatasetConfig,
-    "backbone": BackboneSpec,
-    "distill": DistillConfig,
-    "downstream": FinetuneConfig,
-    "run": RunConfig,
-}
+_SECTIONS = ("dataset", "backbone", "distill", "downstream", "run")
 # keys a config file never holds: ExperimentConfig.validate sets backbone.frames
 # and downstream.t/t_pred from [distill]; downstream.n_classes is fixed
 _HIDDEN_KEYS = {"backbone": {"frames"}, "downstream": {"t", "t_pred", "n_classes"}}
@@ -130,13 +125,27 @@ def _coerce(section: str, key: str, raw: str, target_type):
     raise ConfigurationError(f"{section}.{key}: unsupported field type {target_type}")
 
 
-def _resolved_types(cls) -> dict:
-    import typing
+def _parse_section(parser: configparser.ConfigParser, section: str, target) -> None:
+    """Set the section's keys on the dataclass `target`, coerced to its field types."""
+    hints = typing.get_type_hints(type(target))
+    known = {f.name for f in fields(target)} - _HIDDEN_KEYS.get(section, set())
+    for key, raw in parser.items(section):
+        if key not in known:
+            raise ConfigurationError(f"unknown key {section}.{key}")
+        value = _coerce(section, key, raw, hints[key])
+        if key == "loss_variant":
+            value = _loss_name(value)
+        elif key == "losses":
+            value = tuple(map(_loss_name, value))
+        setattr(target, key, value)
 
-    return typing.get_type_hints(cls)
+
+def _loss_name(name: str) -> str:
+    return _LOSS_ALIASES.get(name.lower(), name.lower())
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def _parse(text: str) -> tuple[ExperimentConfig, configparser.ConfigParser]:
+    """The validated experiment sections of `text`, and the parser, which still holds [grid]."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
@@ -146,41 +155,34 @@ def parse_config(text: str) -> ExperimentConfig:
     for section in parser.sections():
         if section == "grid":
             continue  # handled by load_grid_config
-        if section not in _SECTION_TYPES:
+        if section not in _SECTIONS:
             raise ConfigurationError(f"unknown config section [{section}]")
-        target = getattr(cfg, section)
-        hints = _resolved_types(_SECTION_TYPES[section])
-        known = {f.name for f in fields(_SECTION_TYPES[section])} - _HIDDEN_KEYS.get(section, set())
-        for key, raw in parser.items(section):
-            if key not in known:
-                raise ConfigurationError(f"unknown key {section}.{key}")
-            value = _coerce(section, key, raw, hints[key])
-            if section == "distill" and key == "loss_variant":
-                value = _LOSS_ALIASES.get(str(value).lower(), str(value).lower())
-            setattr(target, key, value)
+        _parse_section(parser, section, getattr(cfg, section))
     cfg.validate()
-    return cfg
+    return cfg, parser
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def parse_config(text: str) -> ExperimentConfig:
+    return _parse(text)[0]
+
+
+def _read_config_file(path: str | Path) -> str:
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
-    return parse_config(path.read_text())
+    return path.read_text()
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    return parse_config(_read_config_file(path))
 
 
 def dump_config(cfg: ExperimentConfig) -> str:
     parser = configparser.ConfigParser(interpolation=None)
-    for section, obj in (
-        ("dataset", cfg.dataset),
-        ("backbone", cfg.backbone),
-        ("distill", cfg.distill),
-        ("downstream", cfg.downstream),
-        ("run", cfg.run),
-    ):
+    for section in _SECTIONS:
         parser.add_section(section)
         hidden = _HIDDEN_KEYS.get(section, set())
-        for key, value in asdict(obj).items():
+        for key, value in asdict(getattr(cfg, section)).items():
             if key in hidden:
                 continue
             if isinstance(value, (tuple, list)):
@@ -197,22 +199,8 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 def load_grid_config(path: str | Path) -> tuple[ExperimentConfig, GridConfig]:
     """Read the base experiment plus an optional [grid] section."""
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigurationError(f"config file not found: {path}")
-    text = path.read_text()
-    base = parse_config(text)
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.read_string(text)
+    base, parser = _parse(_read_config_file(path))
     grid = GridConfig()
     if parser.has_section("grid"):
-        known = {f.name for f in fields(GridConfig)}
-        hints = _resolved_types(GridConfig)
-        for key, raw in parser.items("grid"):
-            if key not in known:
-                raise ConfigurationError(f"unknown key grid.{key}")
-            value = _coerce("grid", key, raw, hints[key])
-            if key == "losses":
-                value = tuple(_LOSS_ALIASES.get(v.lower(), v.lower()) for v in value)
-            setattr(grid, key, value)
+        _parse_section(parser, "grid", grid)
     return base, grid

@@ -124,9 +124,9 @@ class _Window:
     start: int
 
 
-def _windows(videos: list[SyntheticVideo], cfg: FinetuneConfig, stride: int | None = None) -> list[_Window]:
+def _windows(videos: list[SyntheticVideo], cfg: FinetuneConfig) -> list[_Window]:
     span = cfg.span
-    stride = stride if stride is not None else max(1, cfg.t_pred if cfg.task == "prediction" else cfg.t)
+    stride = max(1, cfg.t_pred if cfg.task == "prediction" else cfg.t)
     out = []
     for video in videos:
         for start in eval_clip_starts(len(video), cfg.t, span - cfg.t, stride):
@@ -172,15 +172,20 @@ class StandardizedHead(nn.Module):
         return self.inner(shifted)
 
 
-def feature_stats(backbone, videos: list[SyntheticVideo], cfg: FinetuneConfig):
-    """Per-dimension embedding mean/std over the first 512 train windows, label-free."""
-    windows = _windows(videos, cfg)[:512]
-    feats = []
+def embed_windows(backbone, windows: list[_Window], cfg: FinetuneConfig) -> tuple[np.ndarray, np.ndarray]:
+    """No-grad embeddings z [N, d] of the windows, in order and 64 at a time, with their labels."""
+    feats, targets = [], []
     for lo in range(0, len(windows), 64):
-        clips, _ = _batch_arrays(windows[lo : lo + 64], cfg)
+        clips, labels = _batch_arrays(windows[lo : lo + 64], cfg)
         with no_grad():
             feats.append(backbone.forward(Tensor(clips)).data)
-    z = np.concatenate(feats)
+        targets.append(labels)
+    return np.concatenate(feats), np.concatenate(targets)
+
+
+def feature_stats(z: np.ndarray):
+    """Per-dimension mean/std of the first 512 embedding rows, label-free."""
+    z = z[:512]
     sigma = z.std(axis=0)
     floor = max(1e-6, 1e-3 * float(sigma.mean()))
     return z.mean(axis=0), np.maximum(sigma, floor)
@@ -225,33 +230,31 @@ def finetune(
     their own and the amplified 1/sigma backprop would destabilize them.
     """
     cfg.validate()
+    windows = _windows(train_videos, cfg)
     freeze_backbone = protocol is Protocol.LINEAR_PROBE
     if freeze_backbone:
-        mu, sigma = feature_stats(backbone, train_videos, cfg)
+        # the frozen backbone embeds each window once; every epoch trains the head on these rows
+        z, targets = embed_windows(backbone, windows, cfg)
+        mu, sigma = feature_stats(z)
         head = StandardizedHead(head, mu, sigma)
     model = ModelWithHead(backbone, head)
     params = head.parameters() if freeze_backbone else model.parameters()
+    trained = head if freeze_backbone else model.forward
     opt = SgdState(learning_rate=cfg.learning_rate, momentum=cfg.sgd_momentum)
     rng = np.random.default_rng([seed, 3])
-    windows = _windows(train_videos, cfg)
     log: list[FinetuneLogRow] = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(windows))
         epoch_losses = []
         for lo in range(0, len(order), cfg.batch_size):
-            batch = [windows[i] for i in order[lo : lo + cfg.batch_size]]
-            clips, labels = _batch_arrays(batch, cfg)
+            batch = order[lo : lo + cfg.batch_size]
             if freeze_backbone:
-                with no_grad():
-                    z = backbone.forward(Tensor(clips))
-                z = z.detach()
-                tape = Tape()
-                with tape:
-                    loss = _task_loss(head(z), labels, cfg)
+                inputs, labels = z[batch], targets[batch]
             else:
-                tape = Tape()
-                with tape:
-                    loss = _task_loss(model.forward(Tensor(clips)), labels, cfg)
+                inputs, labels = _batch_arrays([windows[i] for i in batch], cfg)
+            tape = Tape()
+            with tape:
+                loss = _task_loss(trained(Tensor(inputs)), labels, cfg)
             val = loss.item()
             if not math.isfinite(val):
                 raise DivergenceError(f"fine-tuning diverged at epoch {epoch} (loss={val!r})")
@@ -274,17 +277,11 @@ def _task_loss(logits: Tensor, labels: np.ndarray, cfg: FinetuneConfig) -> Tenso
 def evaluate_model(backbone, head, videos: list[SyntheticVideo], cfg: FinetuneConfig) -> EvalResult:
     """Argmax predictions over deterministic strided windows of the given videos."""
     cfg.validate()
-    windows = _windows(videos, cfg)
-    preds, golds = [], []
-    for lo in range(0, len(windows), 64):
-        batch = windows[lo : lo + 64]
-        clips, labels = _batch_arrays(batch, cfg)
-        with no_grad():
-            logits = head(backbone.forward(Tensor(clips)))
-        picked = np.argmax(logits.data, axis=-1)
-        preds.append(picked.reshape(-1))
-        golds.append(labels.reshape(-1))
-    return evaluate_precision(np.concatenate(preds), np.concatenate(golds), cfg.n_classes)
+    z, golds = embed_windows(backbone, _windows(videos, cfg), cfg)
+    with no_grad():
+        logits = head(Tensor(z))
+    preds = np.argmax(logits.data, axis=-1)
+    return evaluate_precision(preds.reshape(-1), golds.reshape(-1), cfg.n_classes)
 
 
 # ---------------------------------------------------------------------------

@@ -88,8 +88,8 @@ class ResidualConv3dBlock(nn.Module):
     """Residual 3D conv pair; the branch scale starts at zero for stability."""
 
     def __init__(self, width: int, rng):
-        self.conv1 = nn.Conv3d(width, width, 3, 1, 1, rng)
-        self.conv2 = nn.Conv3d(width, width, 3, 1, 1, rng)
+        self.conv1 = nn.Conv(width, width, (3, 3, 3), 1, 1, rng)
+        self.conv2 = nn.Conv(width, width, (3, 3, 3), 1, 1, rng)
         self.scale = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x) -> Tensor:
@@ -103,9 +103,9 @@ class Conv3dResidual(Backbone):
     def __init__(self, spec: BackboneSpec, rng):
         super().__init__(spec)
         w1, w2 = spec.conv_widths
-        self.stem = nn.Conv3d(spec.channels, w1, 3, (1, 2, 2), 1, rng)
+        self.stem = nn.Conv(spec.channels, w1, (3, 3, 3), (1, 2, 2), 1, rng)
         self.block1 = ResidualConv3dBlock(w1, rng)
-        self.down = nn.Conv3d(w1, w2, 3, (2, 2, 2), 1, rng)
+        self.down = nn.Conv(w1, w2, (3, 3, 3), (2, 2, 2), 1, rng)
         self.block2 = ResidualConv3dBlock(w2, rng)
         grid = spec.frame_size // 8  # two stride-2 stages then 2x2 pooling
         self.norm = nn.LayerNorm(w2 * grid * grid)
@@ -164,8 +164,8 @@ class FrameConvEncoder(nn.Module):
 
     def __init__(self, channels: int, frame_size: int, widths: tuple[int, int], rng):
         w1, w2 = widths
-        self.conv1 = nn.Conv2d(channels, w1, 3, 2, 1, rng)
-        self.conv2 = nn.Conv2d(w1, w2, 3, 2, 1, rng)
+        self.conv1 = nn.Conv(channels, w1, (3, 3), 2, 1, rng)
+        self.conv2 = nn.Conv(w1, w2, (3, 3), 2, 1, rng)
         grid = frame_size // 8  # two stride-2 stages then 2x2 pooling
         self.out_dim = w2 * grid * grid
 

@@ -8,6 +8,7 @@ deterministic per seed.
 from __future__ import annotations
 
 import copy
+import math
 
 import numpy as np
 
@@ -84,33 +85,21 @@ class LayerNorm(Module):
         return ad.layer_norm(x, self.gain, self.bias, eps=self.eps)
 
 
-class Conv3d(Module):
-    def __init__(self, c_in: int, c_out: int, kernel, stride, padding, rng: np.random.Generator):
-        kt, kh, kw = (kernel, kernel, kernel) if isinstance(kernel, int) else kernel
-        fan_in = c_in * kt * kh * kw
-        self.kernels = uniform_init(rng, (c_out, c_in, kt, kh, kw), fan_in)
+class Conv(Module):
+    """2-D or 3-D convolution; the rank of the `kernel` tuple picks autodiff.conv2d or conv3d."""
+
+    def __init__(self, c_in: int, c_out: int, kernel: tuple[int, ...], stride, padding, rng: np.random.Generator):
+        fan_in = c_in * math.prod(kernel)
+        self.kernels = uniform_init(rng, (c_out, c_in, *kernel), fan_in)
         self.bias = uniform_init(rng, (c_out,), fan_in)
         self.stride = stride
         self.padding = padding
 
     def __call__(self, x) -> Tensor:
-        y = ad.conv3d(x, self.kernels, stride=self.stride, padding=self.padding)
-        b = ad.reshape(self.bias, (-1, 1, 1, 1))
-        return ad.add(y, b)
-
-
-class Conv2d(Module):
-    def __init__(self, c_in: int, c_out: int, kernel, stride, padding, rng: np.random.Generator):
-        kh, kw = (kernel, kernel) if isinstance(kernel, int) else kernel
-        fan_in = c_in * kh * kw
-        self.kernels = uniform_init(rng, (c_out, c_in, kh, kw), fan_in)
-        self.bias = uniform_init(rng, (c_out,), fan_in)
-        self.stride = stride
-        self.padding = padding
-
-    def __call__(self, x) -> Tensor:
-        y = ad.conv2d(x, self.kernels, stride=self.stride, padding=self.padding)
-        b = ad.reshape(self.bias, (-1, 1, 1))
+        spatial = self.kernels.ndim - 2
+        conv = ad.conv3d if spatial == 3 else ad.conv2d
+        y = conv(x, self.kernels, stride=self.stride, padding=self.padding)
+        b = ad.reshape(self.bias, (-1,) + (1,) * spatial)
         return ad.add(y, b)
 
 

@@ -8,10 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from futuredistill import autodiff as ad
-from futuredistill.autodiff import Tensor
+from futuredistill.autodiff import SgdState, Tape, Tensor, backward, no_grad, sgd_step
 from futuredistill.downstream import (
     FinetuneConfig,
     Protocol,
+    StandardizedHead,
+    _batch_arrays,
+    _task_loss,
+    _windows,
     evaluate_model,
     evaluate_precision,
     finetune,
@@ -167,3 +171,90 @@ class TestFinetune:
         assert Protocol.parse("FINE_TUNE") is Protocol.FINE_TUNE
         with pytest.raises(ConfigurationError):
             Protocol.parse("zero_shot")
+
+
+def reference_linear_probe(backbone, head, train_videos, cfg, seed):
+    """The per-batch probe: standardizer from a separate pass, every window re-embedded each epoch."""
+    windows = _windows(train_videos, cfg)
+    first = windows[:512]
+    feats = []
+    for lo in range(0, len(first), 64):
+        clips, _ = _batch_arrays(first[lo : lo + 64], cfg)
+        with no_grad():
+            feats.append(backbone.forward(Tensor(clips)).data)
+    z = np.concatenate(feats)
+    sigma = z.std(axis=0)
+    head = StandardizedHead(head, z.mean(axis=0), np.maximum(sigma, max(1e-6, 1e-3 * float(sigma.mean()))))
+    params = head.parameters()
+    opt = SgdState(learning_rate=cfg.learning_rate, momentum=cfg.sgd_momentum)
+    rng = np.random.default_rng([seed, 3])
+    losses = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(windows))
+        epoch_losses = []
+        for lo in range(0, len(order), cfg.batch_size):
+            clips, labels = _batch_arrays([windows[i] for i in order[lo : lo + cfg.batch_size]], cfg)
+            with no_grad():
+                z = backbone.forward(Tensor(clips))
+            tape = Tape()
+            with tape:
+                loss = _task_loss(head(z.detach()), labels, cfg)
+            for p in params:
+                p.zero_grad()
+            backward(loss, tape)
+            sgd_step(params, [p.grad for p in params], opt)
+            epoch_losses.append(loss.item())
+        losses.append(float(np.mean(epoch_losses)))
+    return head, losses
+
+
+def reference_evaluate(backbone, head, videos, cfg):
+    """Argmax predictions with the head applied chunk by chunk, 64 windows at a time."""
+    windows = _windows(videos, cfg)
+    preds, golds = [], []
+    for lo in range(0, len(windows), 64):
+        clips, labels = _batch_arrays(windows[lo : lo + 64], cfg)
+        with no_grad():
+            logits = head(backbone.forward(Tensor(clips)))
+        preds.append(np.argmax(logits.data, axis=-1).reshape(-1))
+        golds.append(labels.reshape(-1))
+    return evaluate_precision(np.concatenate(preds), np.concatenate(golds), cfg.n_classes)
+
+
+class TestEmbedOnce:
+    def test_linear_probe_embeds_each_train_window_once(self, small_world, monkeypatch):
+        train, _, _ = small_world
+        cfg = quick_cfg(epochs=2)
+        spec = BackboneSpec(family="Conv2dRecurrent", frames=6)
+        backbone = build_backbone(spec, seed=0)
+        rows = []
+        forward = backbone.forward
+
+        def counting_forward(clips):
+            rows.append(clips.shape[0])
+            return forward(clips)
+
+        monkeypatch.setattr(backbone, "forward", counting_forward)
+        finetune(backbone, make_head(cfg, spec.embed_dim, np.random.default_rng(9)), Protocol.LINEAR_PROBE, train, cfg)
+        n_windows = len(_windows(train, cfg))
+        assert sum(rows) == n_windows
+
+    @pytest.mark.parametrize("family", ["Conv2dRecurrent", "TemporalTransformer"])
+    def test_probe_and_evaluation_bitwise_equal_to_per_batch_reference(self, small_world, family):
+        train, _, test = small_world
+        cfg = quick_cfg(epochs=2)
+        spec = BackboneSpec(family=family, frames=6)
+        backbone = build_backbone(spec, seed=0)
+        head = make_head(cfg, spec.embed_dim, np.random.default_rng(9))
+        ref_head, ref_losses = reference_linear_probe(backbone, head.copy(), train, cfg, seed=0)
+        model, log = finetune(backbone, head, Protocol.LINEAR_PROBE, train, cfg, seed=0)
+        assert [row.loss for row in log] == ref_losses
+        assert params_hash(model.head) == params_hash(ref_head)
+        assert model.head.mu.tobytes() == ref_head.mu.tobytes()
+        assert model.head.sigma.tobytes() == ref_head.sigma.tobytes()
+        got = evaluate_model(backbone, model.head, test, cfg)
+        want = reference_evaluate(backbone, ref_head, test, cfg)
+        assert got.macro_precision == want.macro_precision
+        assert got.n_frames == want.n_frames
+        assert np.array_equal(got.per_class, want.per_class)
+        assert np.array_equal(got.confusion, want.confusion)
