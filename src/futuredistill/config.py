@@ -1,8 +1,9 @@
 """Experiment configuration: flat key = value sections, strict round-trip.
 
-The on-disk format is INI-style for diff-friendliness. Unknown sections or
-keys are rejected with the offending name; values are coerced from the target
-dataclass field types.
+The on-disk format is INI-style for diff-friendliness. Every section, [grid]
+included, is parsed by every loader: unknown sections or keys are rejected with
+the offending name, and values are coerced from the target dataclass field
+types.
 """
 
 from __future__ import annotations
@@ -144,22 +145,24 @@ def _loss_name(name: str) -> str:
     return _LOSS_ALIASES.get(name.lower(), name.lower())
 
 
-def _parse(text: str) -> tuple[ExperimentConfig, configparser.ConfigParser]:
-    """The validated experiment sections of `text`, and the parser, which still holds [grid]."""
+def _parse(text: str) -> tuple[ExperimentConfig, GridConfig]:
+    """The validated experiment sections of `text` and its [grid] section (empty when absent)."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigurationError(f"config syntax error: {exc}") from None
-    cfg = ExperimentConfig()
+    cfg, grid = ExperimentConfig(), GridConfig()
     for section in parser.sections():
         if section == "grid":
-            continue  # handled by load_grid_config
-        if section not in _SECTIONS:
+            target = grid
+        elif section in _SECTIONS:
+            target = getattr(cfg, section)
+        else:
             raise ConfigurationError(f"unknown config section [{section}]")
-        _parse_section(parser, section, getattr(cfg, section))
+        _parse_section(parser, section, target)
     cfg.validate()
-    return cfg, parser
+    return cfg, grid
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -198,9 +201,5 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 def load_grid_config(path: str | Path) -> tuple[ExperimentConfig, GridConfig]:
-    """Read the base experiment plus an optional [grid] section."""
-    base, parser = _parse(_read_config_file(path))
-    grid = GridConfig()
-    if parser.has_section("grid"):
-        _parse_section(parser, "grid", grid)
-    return base, grid
+    """Read the base experiment plus its [grid] section (empty when absent)."""
+    return _parse(_read_config_file(path))

@@ -145,18 +145,17 @@ def fpd_loss(student_emb, teacher_emb, cfg: DistillConfig, center: np.ndarray | 
     s_norm_sq = np.einsum("bd,bd->b", s.data, s.data)
     t_norm_sq = np.einsum("bd,bd->b", tch.data, tch.data)
     ok = (s_norm_sq > 0) & (t_norm_sq > 0)
-    if ok.all():
-        cos = _cosine_rows(s, tch.data, np.arange(batch))
-        return ad.mean(ad.add(ad.mul(cos, -1.0), 1.0))
-    warnings.warn(
-        f"cosine loss: {int((~ok).sum())} zero-norm embedding rows contribute loss 1",
-        RuntimeWarning,
-        stacklevel=2,
-    )
     n_zero = int((~ok).sum())
     cos = _cosine_rows(s, tch.data, np.nonzero(ok)[0])
-    live = ad.sum_(ad.add(ad.mul(cos, -1.0), 1.0))
-    return ad.mul(ad.add(live, float(n_zero)), 1.0 / batch)
+    total = ad.sum_(ad.add(ad.mul(cos, -1.0), 1.0))
+    if n_zero:
+        warnings.warn(
+            f"cosine loss: {n_zero} zero-norm embedding rows contribute loss 1",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        total = ad.add(total, float(n_zero))
+    return ad.mul(total, 1.0 / batch)
 
 
 def update_center(center: np.ndarray | None, teacher_batch: np.ndarray, momentum: float) -> np.ndarray:

@@ -1,9 +1,8 @@
-"""Downstream training and evaluation under three protocols.
+"""Downstream action prediction under three protocols.
 
-Prediction: one embedding of the past t frames maps to per-frame logits for
-the next t_pred frames. Recognition: one embedding maps to a single clip-level
-label (majority per-frame label). Both minimize cross-entropy; macro precision
-is the headline metric.
+One embedding of the past t frames maps to per-frame logits for the next
+t_pred frames, trained with cross-entropy over every predicted frame; macro
+precision over those frames is the headline metric.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import SgdState, Tape, Tensor, backward, no_grad, sgd_step
 from .errors import ConfigurationError, DimensionError, DivergenceError
-from .models import BackboneSpec, PredictionHead, RecognitionHead, build_backbone
+from .models import BackboneSpec, PredictionHead, build_backbone
 from .synthdata import N_ACTIONS, SyntheticVideo, clip_at, eval_clip_starts
 
 
@@ -37,15 +36,13 @@ class Protocol(Enum):
         raise ConfigurationError(f"unknown protocol {name!r}; pick from {[p.value for p in cls]}")
 
 
-TASKS = ("prediction", "recognition")
-
-
 @dataclass
 class FinetuneConfig:
     """Supervised-stage hyperparameters shared by all three protocols: the [downstream] section.
 
     t and t_pred are not keys of that section; ExperimentConfig.validate copies
-    them from [distill].
+    them from [distill]. task names the downstream task, and action prediction
+    is the only one.
     """
 
     task: str = "prediction"
@@ -58,9 +55,9 @@ class FinetuneConfig:
     n_classes: int = N_ACTIONS
 
     def validate(self) -> None:
-        if self.task not in TASKS:
-            raise ConfigurationError(f"unknown downstream.task {self.task!r}; pick one of {TASKS}")
-        if self.t < 1 or (self.task == "prediction" and self.t_pred < 1):
+        if self.task != "prediction":
+            raise ConfigurationError(f"unknown downstream.task {self.task!r}; the only task is 'prediction'")
+        if self.t < 1 or self.t_pred < 1:
             raise ConfigurationError(f"bad horizon: t={self.t}, t_pred={self.t_pred}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigurationError(
@@ -75,7 +72,7 @@ class FinetuneConfig:
 
     @property
     def span(self) -> int:
-        return self.t + self.t_pred if self.task == "prediction" else self.t
+        return self.t + self.t_pred
 
 
 @dataclass
@@ -109,11 +106,6 @@ def evaluate_precision(preds, golds, n_classes: int) -> EvalResult:
     )
 
 
-def majority_label(labels: np.ndarray) -> int:
-    """Most frequent label; ties break to the lowest class index."""
-    return int(np.bincount(np.asarray(labels), minlength=N_ACTIONS).argmax())
-
-
 # ---------------------------------------------------------------------------
 # clip window plumbing
 
@@ -125,33 +117,26 @@ class _Window:
 
 
 def _windows(videos: list[SyntheticVideo], cfg: FinetuneConfig) -> list[_Window]:
-    span = cfg.span
-    stride = max(1, cfg.t_pred if cfg.task == "prediction" else cfg.t)
     out = []
     for video in videos:
-        for start in eval_clip_starts(len(video), cfg.t, span - cfg.t, stride):
+        for start in eval_clip_starts(len(video), cfg.t, cfg.t_pred):
             out.append(_Window(video, start))
     if not out:
-        raise ConfigurationError(f"no clips of {span} frames fit the given videos")
+        raise ConfigurationError(f"no clips of {cfg.span} frames fit the given videos")
     return out
 
 
 def _batch_arrays(windows: list[_Window], cfg: FinetuneConfig) -> tuple[np.ndarray, np.ndarray]:
     clips, labels = [], []
     for w in windows:
-        clip = clip_at(w.video, w.start, cfg.t, cfg.span - cfg.t)
+        clip = clip_at(w.video, w.start, cfg.t, cfg.t_pred)
         clips.append(clip.past)
-        if cfg.task == "prediction":
-            labels.append(clip.future_labels)
-        else:
-            labels.append(majority_label(clip.past_labels))
+        labels.append(clip.future_labels)
     return np.stack(clips), np.asarray(labels, dtype=np.int64)
 
 
-def make_head(cfg: FinetuneConfig, embed_dim: int, rng) -> nn.Module:
-    if cfg.task == "prediction":
-        return PredictionHead(embed_dim, cfg.t_pred, cfg.n_classes, rng)
-    return RecognitionHead(embed_dim, cfg.n_classes, rng)
+def make_head(cfg: FinetuneConfig, embed_dim: int, rng) -> PredictionHead:
+    return PredictionHead(embed_dim, cfg.t_pred, cfg.n_classes, rng)
 
 
 class StandardizedHead(nn.Module):
@@ -268,10 +253,9 @@ def finetune(
 
 
 def _task_loss(logits: Tensor, labels: np.ndarray, cfg: FinetuneConfig) -> Tensor:
-    if cfg.task == "prediction":
-        flat = ad.reshape(logits, (-1, cfg.n_classes))
-        return ad.cross_entropy(flat, labels.reshape(-1))
-    return ad.cross_entropy(logits, labels)
+    """Cross-entropy over every predicted frame of the [N, t_pred, C] logits."""
+    flat = ad.reshape(logits, (-1, cfg.n_classes))
+    return ad.cross_entropy(flat, labels.reshape(-1))
 
 
 def evaluate_model(backbone, head, videos: list[SyntheticVideo], cfg: FinetuneConfig) -> EvalResult:

@@ -1,4 +1,4 @@
-"""Four toy video backbones plus downstream heads.
+"""Four toy video backbones plus the downstream prediction head.
 
 Two families consume the clip jointly (3D conv net, temporal transformer over
 all frame patches); two encode frames independently and aggregate with a
@@ -250,14 +250,3 @@ class PredictionHead(nn.Module):
         logits = self.linear(z)
         lead = logits.shape[:-1]
         return ad.reshape(logits, (*lead, self.horizon, self.n_classes))
-
-
-class RecognitionHead(nn.Module):
-    """Affine map from one embedding to clip-level class logits."""
-
-    def __init__(self, embed_dim: int, n_classes: int, rng):
-        self.linear = nn.Linear(embed_dim, n_classes, rng)
-        self.n_classes = n_classes
-
-    def __call__(self, z) -> Tensor:
-        return self.linear(z)

@@ -67,7 +67,6 @@ class SyntheticVideo:
 class ClipSample:
     past: np.ndarray  # [t, 3, 32, 32]
     combined: np.ndarray  # [t + t_pred, 3, 32, 32]
-    past_labels: np.ndarray  # [t]
     future_labels: np.ndarray  # [t_pred]
     source: tuple[int, int] = field(default=(-1, 0))  # (video_id, start frame)
 
@@ -241,7 +240,6 @@ def clip_at(video: SyntheticVideo, start: int, t: int, t_pred: int) -> ClipSampl
     return ClipSample(
         past=combined[:t],
         combined=combined,
-        past_labels=video.labels[start : start + t].copy(),
         future_labels=video.labels[start + t : start + span].copy(),
         source=(video.video_id, start),
     )

@@ -19,7 +19,6 @@ from futuredistill.downstream import (
     evaluate_model,
     evaluate_precision,
     finetune,
-    majority_label,
     make_head,
 )
 from futuredistill.errors import ConfigurationError, DimensionError
@@ -98,11 +97,6 @@ class TestEvaluatePrecision:
         assert np.array_equal(a.confusion, b.confusion)
 
 
-def test_majority_label_ties_to_lowest():
-    assert majority_label(np.array([2, 2, 5, 5])) == 2
-    assert majority_label(np.array([6, 6, 6, 1])) == 6
-
-
 @pytest.fixture(scope="module")
 def small_world():
     videos = make_dataset(master_seed=2, n_videos=6, frames_per_video=96)
@@ -144,17 +138,6 @@ class TestFinetune:
         head = make_head(quick_cfg(), spec.embed_dim, np.random.default_rng(9))
         finetune(backbone, head, Protocol.FINE_TUNE, train, quick_cfg(), seed=0)
         assert params_hash(backbone) != before
-
-    def test_recognition_task_trains_and_evaluates(self, small_world):
-        train, _, test = small_world
-        spec = BackboneSpec(family="Conv2dRecurrent", frames=6)
-        cfg = quick_cfg(task="recognition", epochs=2)
-        backbone = build_backbone(spec, seed=0)
-        head = make_head(cfg, spec.embed_dim, np.random.default_rng(9))
-        model, log = finetune(backbone, head, Protocol.FULL_SUPERVISED, train, cfg, seed=0)
-        assert len(log) == 2
-        result = evaluate_model(model.backbone, model.head, test, cfg)
-        assert 0.0 <= result.macro_precision <= 1.0
 
     def test_identical_model_evaluates_identically(self, small_world):
         _, _, test = small_world

@@ -41,6 +41,8 @@ from futuredistill.reporting import (
 )
 from futuredistill.synthdata import make_dataset, split_dataset
 
+ROOT = Path(__file__).resolve().parents[1]
+
 QUICK_CONFIG = """
 [dataset]
 videos = 5
@@ -138,6 +140,7 @@ class TestConfig:
         "section, key, value",
         [
             ("downstream", "task", "foo"),
+            ("downstream", "task", "recognition"),
             ("downstream", "batch_size", "0"),
             ("downstream", "epochs", "-1"),
             ("downstream", "learning_rate", "0"),
@@ -162,6 +165,30 @@ class TestConfig:
         assert cli.main(["ablate", "--config", str(path)]) == cli.EXIT_CONFIG
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("grid", ["foo = 1", "intervals = 3,x"], ids=["unknown_key", "bad_interval"])
+    @pytest.mark.parametrize(
+        "command",
+        [["pretrain"], ["finetune", "--protocol", "supervised"], ["evaluate", "--checkpoint", "absent.ckpt"]],
+        ids=["pretrain", "finetune", "evaluate"],
+    )
+    def test_bad_grid_exits_2_from_every_command(self, tmp_path, capsys, grid, command):
+        out_dir = tmp_path / "out"
+        path = tmp_path / "bad_grid.ini"
+        path.write_text(QUICK_CONFIG.replace("out_dir = runs/quick", f"out_dir = {out_dir}") + f"\n[grid]\n{grid}\n")
+        with pytest.raises(ConfigurationError, match=r"grid\."):
+            load_config(path)
+        assert cli.main([command[0], "--config", str(path), *command[1:]]) == cli.EXIT_CONFIG
+        assert "grid." in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.ini")), ids=lambda p: p.name)
+    def test_shipped_config_loads_and_derives_its_grid(self, path):
+        cfg = load_config(path)
+        base, grid = load_grid_config(path)
+        assert dump_config(base) == dump_config(cfg)
+        cells = list(grid.cells(base))
+        assert len(cells) == max(1, len(grid.backbones)) * max(1, len(grid.intervals)) * max(1, len(grid.losses))
 
     def test_hash_changes_with_content(self):
         a = parse_config(QUICK_CONFIG)
@@ -513,6 +540,25 @@ class TestCli:
         assert code == cli.EXIT_MISMATCH
         assert "checkpoint error" in capsys.readouterr().err
 
+    def test_evaluate_reproduces_every_arms_metrics_row(self, quick_config_file, tmp_path, capsys):
+        assert self.run_cli("pretrain", "--config", str(quick_config_file)) == cli.EXIT_OK
+        out = tmp_path / "out"
+        stem = cli.cell_stem(load_config(quick_config_file), 0)
+        for protocol in ("linear_probe", "fine_tune", "supervised"):
+            argv = ["finetune", "--config", str(quick_config_file), "--protocol", protocol]
+            if protocol != "supervised":
+                argv += ["--checkpoint", str(out / f"{stem}.ckpt")]
+            assert self.run_cli(*argv) == cli.EXIT_OK
+        rows = read_metrics(out / "metrics.csv")
+        assert [r.protocol for r in rows] == ["linear_probe", "fine_tune", "supervised"]
+        for row in rows:
+            capsys.readouterr()
+            ckpt = out / f"{stem}_{row.protocol}.ckpt"
+            argv = ["evaluate", "--config", str(quick_config_file), "--checkpoint", str(ckpt)]
+            assert self.run_cli(*argv) == cli.EXIT_OK
+            first = capsys.readouterr().out.splitlines()[0]
+            assert first == f"macro_precision={row.macro_precision:.6f} n_frames={row.n_frames}", row.protocol
+
     def test_evaluate_head_mismatch_exits_4(self, quick_config_file, tmp_path, capsys):
         assert self.run_cli("pretrain", "--config", str(quick_config_file)) == cli.EXIT_OK
         out = tmp_path / "out"
@@ -522,15 +568,13 @@ class TestCli:
             "--checkpoint", str(ckpt),
         ) == cli.EXIT_OK
         tuned = next(iter(out.glob("*_fine_tune.ckpt")))
-        other = tmp_path / "recognition.ini"
-        other.write_text(
-            quick_config_file.read_text().replace("task = prediction", "task = recognition")
-        )
+        other = tmp_path / "short_horizon.ini"
+        other.write_text(quick_config_file.read_text().replace("t_pred = 6", "t_pred = 3"))
         capsys.readouterr()
         code = self.run_cli("evaluate", "--config", str(other), "--checkpoint", str(tuned))
         assert code == cli.EXIT_MISMATCH
         err = capsys.readouterr().err
-        assert "'task': 'prediction'" in err and "'task': 'recognition'" in err
+        assert "'t_pred': 6" in err and "'t_pred': 3" in err
 
     def test_finetune_appends_each_seed_before_a_later_one_diverges(
         self, quick_config_file, tmp_path, monkeypatch
@@ -658,6 +702,20 @@ class TestCli:
         assert self.run_cli("pretrain", "--config", str(quick_config_file)) == cli.EXIT_OK
         assert (root / "relative_out").is_dir()
         assert list((root / "relative_out").glob("*.ckpt"))
+
+    @pytest.mark.parametrize("driver", ["run_main.py", "run_grid.py"])
+    def test_driver_honours_out_root_with_relative_out(self, tmp_path, driver):
+        config = tmp_path / "exp.ini"
+        config.write_text(QUICK_CONFIG + "\n[grid]\nbackbones = Conv2dRecurrent\nintervals = 6\nlosses = cosine\n")
+        root = tmp_path / "root"
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / driver), "--config", str(config), "--out", "rel"],
+            capture_output=True, text=True, cwd=tmp_path, env={**os.environ, cli.OUT_ROOT_ENV: str(root)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (root / "rel" / "report" / "table_backbone_interval.csv").is_file()
+        assert len(read_metrics(root / "rel" / "metrics.csv")) == 3
+        assert not (tmp_path / "rel").exists()
 
     def test_console_entry_point(self):
         # the child imports the same package as this process, installed or not

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from futuredistill import autodiff as ad
+from futuredistill import nn
 from futuredistill.autodiff import (
     SgdState,
     Tape,
@@ -18,7 +19,6 @@ from futuredistill.models import (
     FAMILIES,
     BackboneSpec,
     PredictionHead,
-    RecognitionHead,
     build_backbone,
 )
 
@@ -106,7 +106,7 @@ def test_backbone_trains_on_separable_toy_task(family):
     # class 1 clips carry a bright top-left block; 50 steps must cut the loss
     spec = BackboneSpec(family=family, frames=3)
     backbone = build_backbone(spec, seed=0)
-    head = RecognitionHead(spec.embed_dim, 2, np.random.default_rng(1))
+    head = nn.Linear(spec.embed_dim, 2, np.random.default_rng(1))
     rng = np.random.default_rng(2)
     params = backbone.parameters() + head.parameters()
     state = SgdState(learning_rate=0.05, momentum=0.9)
@@ -143,11 +143,6 @@ class TestHeads:
         head.linear.bias.data = np.array([0.5, 0.0, -0.5, 1.0], dtype=np.float32)
         logits = head(Tensor(np.array([2.0], dtype=np.float32)))
         assert np.allclose(logits.data, [[2.5, 4.0], [5.5, 9.0]])
-
-    def test_recognition_head_single_row(self):
-        head = RecognitionHead(8, 7, np.random.default_rng(0))
-        out = head(Tensor(np.ones(8, dtype=np.float32)))
-        assert out.shape == (7,)
 
     def test_ce_gradient_through_head_weights(self):
         rng = np.random.default_rng(5)

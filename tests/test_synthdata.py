@@ -192,7 +192,6 @@ class TestClips:
             clip = sd.sample_clip(video, t=6, t_pred=6, rng=rng)
             start = clip.source[1]
             assert np.array_equal(clip.future_labels, video.labels[start + 6 : start + 12])
-            assert np.array_equal(clip.past_labels, video.labels[start : start + 6])
 
     def test_too_long_clip_rejected(self):
         video = sd.generate_video(seed=1, length=24)
