@@ -362,10 +362,27 @@ def mean(a, axis=None, keepdims=False) -> Tensor:
 
 
 def reshape(a, shape) -> Tensor:
+    """a viewed (or copied) as `shape`.
+
+    Backward keeps the gradient in a's memory layout: when a is not
+    C-contiguous and an array laid out like a can be viewed as g's shape, g
+    is written through that view, so a batch-innermost activation gets a
+    batch-innermost gradient. Otherwise g.reshape returns it in C order.
+    """
     a = _as_tensor(a)
     out = Tensor(a.data.reshape(shape))
 
     def rule(g):
+        if not a.data.flags.c_contiguous:
+            full = np.empty_like(a.data, dtype=g.dtype)
+            view = full.view()
+            try:
+                view.shape = g.shape  # raises instead of copying when no view exists
+            except AttributeError:
+                pass
+            else:
+                view[...] = g
+                return (full,)
         return (g.reshape(a.data.shape),)
 
     _record(out, (a,), rule)
@@ -519,8 +536,10 @@ def _conv_nd(name: str, x: Tensor, k: Tensor, stride, padding) -> Tensor:
     result is a [B, C_out, *out] view of that [C_out, *grid, B] grid. This
     builds no im2col column matrix (the kn2row family of Anderson et al. 2017,
     arXiv 1709.03395). The backward rule runs its per-tap GEMMs over the same
-    columns, rebuilds the buffer from x rather than keeping it from forward,
-    and folds the phase gradient back into x's layout.
+    columns and folds the phase gradient back into x's layout. When k needs a
+    gradient, the rule keeps the forward's phase buffer (about the size of x)
+    for the kernel GEMMs, so x is gathered once per step; the buffer lives as
+    long as the tape entry.
     """
     n = k.ndim - 2
     squeeze = x.ndim == n + 1
@@ -577,6 +596,8 @@ def _conv_nd(name: str, x: Tensor, k: Tensor, stride, padding) -> Tensor:
                 acc += tmp
     y = np.moveaxis(y_grid[crop], -1, 0)
     out = Tensor(y[0] if squeeze else y)
+    if not k.requires_grad:
+        buf = None
 
     def rule(g):
         gb = g[None] if squeeze else g
@@ -584,8 +605,7 @@ def _conv_nd(name: str, x: Tensor, k: Tensor, stride, padding) -> Tensor:
         g_grid[crop] = np.moveaxis(gb, 0, -1)
         g_grid = g_grid.reshape(c_out, -1)
         gk_taps = gbuf = None
-        if k.requires_grad:
-            buf = _polyphase(xd, strides, pads, grid, dtype)
+        if buf is not None:
             gk_taps = np.zeros((len(taps), c_out, c_in), dtype=dtype)
         if x.requires_grad:
             gbuf = np.zeros((c_in, n_phases, n_cols), dtype=dtype)

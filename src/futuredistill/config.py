@@ -52,15 +52,26 @@ class GridConfig:
     intervals: tuple[int, ...] = ()
     losses: tuple[str, ...] = ()
 
-    def cells(self, base: "ExperimentConfig"):
-        """Yield one derived ExperimentConfig per grid cell."""
+    def cells(self, base: "ExperimentConfig") -> list["ExperimentConfig"]:
+        """One derived, validated ExperimentConfig per grid cell.
+
+        A cell that does not validate raises ConfigurationError naming the
+        grid keys and values that made it.
+        """
         backbones = self.backbones or (base.backbone.family,)
         intervals = self.intervals or (base.distill.t,)
         losses = self.losses or (base.distill.loss_variant,)
+        cells = []
         for family in backbones:
             for interval in intervals:
                 for loss in losses:
-                    yield derive_cell(base, family, interval, loss)
+                    try:
+                        cells.append(derive_cell(base, family, interval, loss))
+                    except ConfigurationError as exc:
+                        values = {"backbones": family, "intervals": interval, "losses": loss}
+                        named = ", ".join(f"grid.{key} = {v}" for key, v in values.items() if getattr(self, key))
+                        raise ConfigurationError(f"{named or 'grid'}: {exc}") from None
+        return cells
 
 
 @dataclass
@@ -162,6 +173,9 @@ def _parse(text: str) -> tuple[ExperimentConfig, GridConfig]:
             raise ConfigurationError(f"unknown config section [{section}]")
         _parse_section(parser, section, target)
     cfg.validate()
+    # derive_cell re-parses a dump without [grid], so this recursion stops at one level
+    if parser.has_section("grid"):
+        grid.cells(cfg)
     return cfg, grid
 
 

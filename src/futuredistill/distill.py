@@ -216,6 +216,13 @@ def ema_update(pair: StudentTeacherPair, m: float) -> None:
 
 @dataclass
 class PretrainLogRow:
+    """One pretraining step: its loss, the EMA momentum it applied and the student's spread.
+
+    embed_std is the mean over dimensions of the per-dimension std, over the
+    batch, of the student's training output: the projector output when
+    projection_head is true, otherwise the backbone embedding.
+    """
+
     step: int
     loss: float
     momentum: float
@@ -309,7 +316,12 @@ def _sample_batch(dataset, cfg: DistillConfig, rng) -> tuple[np.ndarray, np.ndar
 
 
 def write_training_log(path: str | Path, log: list[PretrainLogRow]) -> None:
-    """CSV with one row per logged step: step,loss,momentum,embed_std."""
+    """CSV with one row per logged step: step,loss,momentum,embed_std.
+
+    embed_std is PretrainLogRow.embed_std: the student's training output
+    (the projector output when projection_head is true), not the backbone
+    embedding.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:

@@ -322,6 +322,20 @@ class TestConvMatchesIm2colReference:
             for a, b in ((gx_v, gx), (gk_v, gk)):
                 assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
 
+    @pytest.mark.parametrize("shape", list(LAYOUT_CONVS))
+    def test_forward_and_backward_gather_x_once(self, shape, monkeypatch):
+        # the backward rule reads the phase buffer its forward built
+        x_shape, k_shape, stride, padding = self.LAYOUT_CONVS[shape]
+        conv = ad.conv3d if len(k_shape) == 5 else ad.conv2d
+        rng = np.random.default_rng(109)
+        x, k = rng.normal(size=x_shape), rng.normal(size=k_shape)
+        w = rng.normal(size=conv(Tensor(x), Tensor(k), stride, padding).shape)
+        calls = []
+        polyphase = ad._polyphase
+        monkeypatch.setattr(ad, "_polyphase", lambda *a: calls.append(1) or polyphase(*a))
+        _conv_with_grads(conv, x, k, stride, padding, w)
+        assert len(calls) == 1
+
     def test_float32_input_with_float64_kernels_gives_float64(self):
         rng = np.random.default_rng(97)
         x = rng.normal(size=(2, 3, 6, 7)).astype(np.float32)
@@ -692,6 +706,79 @@ class TestStructuralOps:
             ad.relu(x),
         ):
             assert np.all(np.isfinite(out.data))
+
+
+def _batch_innermost(a):
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
+
+
+def _stride_order(a):
+    return tuple(np.argsort(a.strides, kind="stable"))
+
+
+class TestReshapeGradientLayout:
+    """reshape's backward returns g in the input's memory layout when a view allows it."""
+
+    def _grad(self, a, shape, g):
+        t = Tensor(a, requires_grad=True)
+        tape = Tape()
+        with tape:
+            ad.reshape(t, shape)
+        return tape.entries[0].backward_rule(g)[0]
+
+    @pytest.mark.parametrize(
+        "layout,shape",
+        [
+            ("batch_innermost", (6, 3, 2, 2, 2, 2)),  # the 2x2 pool's split
+            ("batch_innermost", (6, 48)),  # the encoder's flatten: C, H, W stay in memory order
+            ("transposed", (2, 3, 3, 4, 4)),  # split of the outermost-logical axis
+        ],
+    )
+    def test_gradient_keeps_the_input_layout_when_a_view_exists(self, layout, shape):
+        rng = np.random.default_rng(113)
+        base = rng.normal(size=(6, 3, 4, 4))
+        a = _batch_innermost(base) if layout == "batch_innermost" else np.ascontiguousarray(base.T).T
+        g = rng.normal(size=shape)
+        ga = self._grad(a, shape, g)
+        assert not a.flags.c_contiguous
+        assert np.array_equal(ga, g.reshape(a.shape))
+        assert _stride_order(ga) == _stride_order(a)
+
+    @pytest.mark.parametrize(
+        "make_a,shape",
+        [
+            (lambda b: np.ascontiguousarray(b.T).T, (6, 48)),  # merges a transposed pair of axes
+            (lambda b: np.transpose(b, (0, 2, 1, 3)), (6, 48)),  # attention's head merge
+            (lambda b: b, (6, 48)),  # C-contiguous input
+        ],
+        ids=["transposed_merge", "swapped_merge", "c_contiguous"],
+    )
+    def test_gradient_falls_back_to_c_order(self, make_a, shape):
+        rng = np.random.default_rng(127)
+        a = make_a(rng.normal(size=(6, 4, 3, 4)))
+        g = rng.normal(size=shape)
+        ga = self._grad(a, shape, g)
+        assert np.array_equal(ga, g.reshape(a.shape))
+        assert ga.flags.c_contiguous
+
+    def test_gradient_through_non_contiguous_reshape_vs_finite_differences(self):
+        rng = np.random.default_rng(131)
+        w_pool = rng.normal(size=(3, 16))
+        w_flat = rng.normal(size=(3, 64))
+
+        def pooled(t):
+            # a batch-innermost activation, 2x2-pooled as in models._pool2x2
+            x = ad.transpose(ad.relu(ad.mul(t, 1.5)), (3, 0, 1, 2))  # [B, C, H, W] view of [C, H, W, B]
+            y = ad.mean(ad.reshape(x, (3, 4, 2, 2, 2, 2)), axis=(-3, -1))
+            return ad.sum_(ad.mul(ad.reshape(y, (3, 16)), w_pool))
+
+        def merged(t):
+            # transposed pair merged: no view, the C-order fallback
+            return ad.sum_(ad.mul(ad.reshape(ad.transpose(t, (3, 0, 2, 1)), (3, -1)), w_flat))
+
+        x = Tensor(rng.normal(size=(4, 4, 4, 3)))
+        fd_check(pooled, x, tol=1e-6)
+        fd_check(merged, x, tol=1e-6)
 
 
 class TestFusedOpOracles:

@@ -166,11 +166,20 @@ class TestConfig:
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("grid", ["foo = 1", "intervals = 3,x"], ids=["unknown_key", "bad_interval"])
+    @pytest.mark.parametrize(
+        "grid",
+        ["foo = 1", "intervals = 3,x", "backbones = Conv2dRecurrent, Nope"],
+        ids=["unknown_key", "bad_interval", "bad_cell"],
+    )
     @pytest.mark.parametrize(
         "command",
-        [["pretrain"], ["finetune", "--protocol", "supervised"], ["evaluate", "--checkpoint", "absent.ckpt"]],
-        ids=["pretrain", "finetune", "evaluate"],
+        [
+            ["pretrain"],
+            ["finetune", "--protocol", "supervised"],
+            ["evaluate", "--checkpoint", "absent.ckpt"],
+            ["ablate"],
+        ],
+        ids=["pretrain", "finetune", "evaluate", "ablate"],
     )
     def test_bad_grid_exits_2_from_every_command(self, tmp_path, capsys, grid, command):
         out_dir = tmp_path / "out"
@@ -716,6 +725,26 @@ class TestCli:
         assert (root / "rel" / "report" / "table_backbone_interval.csv").is_file()
         assert len(read_metrics(root / "rel" / "metrics.csv")) == 3
         assert not (tmp_path / "rel").exists()
+
+    def test_bench_ops_times_every_op_at_tiny_shapes(self, tmp_path):
+        config = tmp_path / "tiny.ini"
+        config.write_text(
+            QUICK_CONFIG.replace("embed_dim = 32", "embed_dim = 16\nframe_size = 16\nconv_widths = 2,4")
+            .replace("t = 6\nt_pred = 6", "t = 3\nt_pred = 3")
+            .replace("batch_size = 4", "batch_size = 2")
+        )
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "bench_ops.py"), "--config", str(config), "--repeats", "3"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0].startswith("cores: ") and "BLAS threads: 1;" in lines[0]
+        rows = [line.split() for line in lines[3:]]
+        assert {row[1] for row in rows} == {"conv2d", "conv3d", "lstm_sequence", "layer_norm", "gelu", "matmul"}
+        for row in rows:
+            median, q1, q3 = float(row[-3]), float(row[-2].strip("[,")), float(row[-1].strip("]"))
+            assert 0 < q1 <= median <= q3
 
     def test_console_entry_point(self):
         # the child imports the same package as this process, installed or not
