@@ -162,15 +162,18 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], rule) -> None:
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum grad over dims that were broadcast so it matches `shape`."""
+    """Sum grad over dims that were broadcast so it matches `shape`.
+
+    The leading and the size-1 axes are reduced in one einsum, which reads grad
+    in its own memory layout: an axis-by-axis sum strides across the
+    batch-innermost conv outputs, and a multi-axis `sum` is slow when the kept
+    axis is innermost, as for a [B, T, d] bias gradient.
+    """
     if grad.shape == shape:
         return grad
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and grad.shape[ax] != 1:
-            grad = grad.sum(axis=ax, keepdims=True)
-    return grad
+    lead = grad.ndim - len(shape)
+    kept = [lead + ax for ax, n in enumerate(shape) if n != 1 or grad.shape[lead + ax] == 1]
+    return np.einsum(grad, range(grad.ndim), kept).reshape(shape)
 
 
 def backward(loss: Tensor, tape: Tape) -> None:

@@ -1,5 +1,10 @@
 """Command-line entry points: pretrain, finetune, evaluate, ablate, report.
 
+`ablate` is the experiment driver. It runs every cell of the config's [grid]
+(a config without [grid] is one cell, the base config) through pretraining and
+the three protocol arms, skips the arms `metrics.csv` already holds, and then
+writes the report to `<out>/report`, also after a partial failure.
+
 Exit codes: 0 ok, 1 partial grid failure, 2 invalid config, 3 training
 divergence, 4 checkpoint/config mismatch, 5 empty or missing metrics input.
 The FUTUREDISTILL_OUT_ROOT environment variable re-roots relative output dirs.
@@ -41,9 +46,6 @@ EXIT_EMPTY_METRICS = 5
 OUT_ROOT_ENV = "FUTUREDISTILL_OUT_ROOT"
 
 SPLIT_NAMES = ("train", "val", "test")
-
-# the order in which `ablate` runs a cell's protocol arms and appends their rows
-CELL_PROTOCOLS = (Protocol.LINEAR_PROBE, Protocol.FINE_TUNE, Protocol.FULL_SUPERVISED)
 
 
 def resolve_out_dir(cfg_out: str, flag_out: str | None) -> Path:
@@ -193,7 +195,7 @@ def cmd_ablate(args) -> int:
             stem = cell_stem(cell, seed)
             d = cell.distill
             missing = [
-                p for p in CELL_PROTOCOLS
+                p for p in Protocol
                 if (cell.backbone.family, d.t, p.value, d.loss_variant, seed) not in done
             ]
             if not missing:
@@ -212,6 +214,8 @@ def cmd_ablate(args) -> int:
             except (ConfigurationError, DivergenceError, CheckpointError) as exc:
                 log.error("cell %s failed: %s", stem, exc)
                 failures.append({"cell": stem, "error": str(exc)})
+    if metrics_path.exists():
+        generate_report(metrics_path, out_dir / "report")
     if failures:
         (out_dir / "failures.json").write_text(json.dumps(failures, indent=2))
         return EXIT_PARTIAL
@@ -259,7 +263,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.set_defaults(fn=cmd_evaluate)
 
-    p = sub.add_parser("ablate", help="run a backbone x interval x loss grid, resumable")
+    p = sub.add_parser("ablate", help="run the config's grid (one cell without [grid]) and report; resumable")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_ablate)

@@ -9,6 +9,7 @@ types.
 from __future__ import annotations
 
 import configparser
+import copy
 import hashlib
 import io
 import typing
@@ -55,11 +56,12 @@ class GridConfig:
     def cells(self, base: "ExperimentConfig") -> list["ExperimentConfig"]:
         """One derived, validated ExperimentConfig per grid cell.
 
-        A cell that does not validate raises ConfigurationError naming the
-        grid keys and values that made it.
+        A key the grid leaves empty keeps the base value, so a config without
+        [grid] is one cell equal to the base. A cell that does not validate
+        raises ConfigurationError naming the grid keys and values that made it.
         """
         backbones = self.backbones or (base.backbone.family,)
-        intervals = self.intervals or (base.distill.t,)
+        intervals = self.intervals or (None,)
         losses = self.losses or (base.distill.loss_variant,)
         cells = []
         for family in backbones:
@@ -95,11 +97,12 @@ class ExperimentConfig:
             raise ConfigurationError("run.seeds must list at least one seed")
 
 
-def derive_cell(base: ExperimentConfig, family: str, interval: int, loss: str) -> ExperimentConfig:
-    cell = parse_config(dump_config(base))  # deep copy via round-trip
+def derive_cell(base: ExperimentConfig, family: str, interval: int | None, loss: str) -> ExperimentConfig:
+    """`base` with the cell's overrides; an interval sets both horizons, None keeps the base's."""
+    cell = copy.deepcopy(base)
     cell.backbone.family = family
-    cell.distill.t = interval
-    cell.distill.t_pred = interval
+    if interval is not None:
+        cell.distill.t = cell.distill.t_pred = interval
     cell.distill.loss_variant = loss
     cell.validate()
     return cell
@@ -173,9 +176,7 @@ def _parse(text: str) -> tuple[ExperimentConfig, GridConfig]:
             raise ConfigurationError(f"unknown config section [{section}]")
         _parse_section(parser, section, target)
     cfg.validate()
-    # derive_cell re-parses a dump without [grid], so this recursion stops at one level
-    if parser.has_section("grid"):
-        grid.cells(cfg)
+    grid.cells(cfg)
     return cfg, grid
 
 

@@ -24,9 +24,11 @@ from .synthdata import N_ACTIONS, SyntheticVideo, clip_at, eval_clip_starts
 
 
 class Protocol(Enum):
-    FULL_SUPERVISED = "supervised"
+    """The protocol arms, in the order a cell runs them and a report lists them."""
+
     LINEAR_PROBE = "linear_probe"
     FINE_TUNE = "fine_tune"
+    FULL_SUPERVISED = "supervised"
 
     @classmethod
     def parse(cls, name: str) -> "Protocol":

@@ -18,12 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .downstream import MetricsRow
+from .downstream import MetricsRow, Protocol
 from .errors import ConfigurationError
 
 METRICS_VERSION_LINE = "#metrics-v1"
 METRICS_HEADER = ["backbone", "interval", "protocol", "loss_variant", "seed", "macro_precision", "n_frames"]
-PROTOCOL_COLUMNS = ("linear_probe", "fine_tune", "supervised")
 
 
 def format_row(row: MetricsRow) -> list[str]:
@@ -116,6 +115,8 @@ def completed_cells(rows: list[MetricsRow]) -> set[tuple[str, int, str, str, int
 
 @dataclass
 class TableRow:
+    """One table row; each protocol column is the field named by its Protocol value."""
+
     key: tuple
     linear_probe: tuple[float, float | None]  # (mean, std or None for single seed)
     fine_tune: tuple[float, float | None]
@@ -131,21 +132,13 @@ def _aggregate(rows: list[MetricsRow], key_fn) -> list[TableRow]:
     out = []
     for key in sorted(grouped):
         stats = {}
-        for protocol in PROTOCOL_COLUMNS:
-            vals = grouped[key].get(protocol, [])
+        for protocol in Protocol:
+            vals = grouped[key].get(protocol.value, [])
             if vals:
-                stats[protocol] = (float(np.mean(vals)), float(np.std(vals)) if len(vals) > 1 else None)
+                stats[protocol.value] = (float(np.mean(vals)), float(np.std(vals)) if len(vals) > 1 else None)
             else:
-                stats[protocol] = (float("nan"), None)
-        out.append(
-            TableRow(
-                key=key,
-                linear_probe=stats["linear_probe"],
-                fine_tune=stats["fine_tune"],
-                supervised=stats["supervised"],
-                improvement=stats["fine_tune"][0] - stats["supervised"][0],
-            )
-        )
+                stats[protocol.value] = (float("nan"), None)
+        out.append(TableRow(key=key, **stats, improvement=stats["fine_tune"][0] - stats["supervised"][0]))
     return out
 
 
@@ -170,25 +163,25 @@ def write_table_csv(path: str | Path, table: list[TableRow], key_names: list[str
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         header = key_names[:]
-        for protocol in PROTOCOL_COLUMNS:
-            header += [f"{protocol}_mean", f"{protocol}_std"]
+        for protocol in Protocol:
+            header += [f"{protocol.value}_mean", f"{protocol.value}_std"]
         header.append("improvement")
         writer.writerow(header)
         for row in table:
             rec = [str(k) for k in row.key]
-            for ms in (row.linear_probe, row.fine_tune, row.supervised):
+            for ms in (getattr(row, p.value) for p in Protocol):
                 rec += [f"{ms[0]:.6f}", "" if ms[1] is None else f"{ms[1]:.6f}"]
             rec.append(f"{row.improvement:.6f}")
             writer.writerow(rec)
 
 
 def write_table_text(path: str | Path, table: list[TableRow], key_names: list[str], title: str) -> None:
-    cols = key_names + ["linear_probe", "fine_tune", "supervised", "improvement"]
+    cols = key_names + [p.value for p in Protocol] + ["improvement"]
     body = []
     for row in table:
         body.append(
             [str(k) for k in row.key]
-            + [_fmt_cell(row.linear_probe), _fmt_cell(row.fine_tune), _fmt_cell(row.supervised)]
+            + [_fmt_cell(getattr(row, p.value)) for p in Protocol]
             + [f"{row.improvement:+.4f}"]
         )
     widths = [max(len(c), *(len(r[i]) for r in body)) if body else len(c) for i, c in enumerate(cols)]

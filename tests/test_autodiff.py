@@ -781,6 +781,59 @@ class TestReshapeGradientLayout:
         fd_check(merged, x, tol=1e-6)
 
 
+class TestUnbroadcast:
+    """_unbroadcast reduces every broadcast axis in one float32 sum.
+
+    Its summation order is numpy's, so each element is held to a float64
+    np.sum reference within sqrt(n) * eps32 * sum(|g|), n the terms it sums.
+    """
+
+    @pytest.mark.parametrize(
+        "g_shape,shape,batch_innermost",
+        [
+            ((16, 8, 6, 16, 16), (8, 1, 1, 1), True),  # Conv3dResidual bias, t = 6, B = 16
+            ((16, 8, 6, 16, 16), (8, 1, 1, 1), False),
+            ((16, 12, 64), (64,), False),  # a [B, T, d] activation's bias or layer_norm gain
+            ((64, 12, 64), (64,), False),
+            ((4, 5), (), False),  # a broadcast scalar
+        ],
+        ids=["conv_bias_batch_innermost", "conv_bias_c_order", "btd_bias", "btd_bias_b64", "scalar"],
+    )
+    def test_matches_a_float64_sum(self, g_shape, shape, batch_innermost):
+        rng = np.random.default_rng(137)
+        g = (rng.normal(size=g_shape) + 1.0).astype(np.float32)  # an offset makes the sum large
+        if batch_innermost:
+            g = _batch_innermost(g)
+        got = ad._unbroadcast(g, shape)
+        assert got.shape == shape and got.dtype == np.float32
+        lead = g.ndim - len(shape)
+        axes = (*range(lead), *(lead + ax for ax, n in enumerate(shape) if n == 1))
+        ref = g.astype(np.float64).sum(axis=axes, keepdims=True).reshape(shape)
+        scale = np.abs(g.astype(np.float64)).sum(axis=axes, keepdims=True).reshape(shape)
+        n = g.size // max(1, got.size)
+        assert np.all(np.abs(got - ref) <= np.sqrt(n) * np.finfo(np.float32).eps * scale)
+
+    def test_same_shape_is_returned_as_is(self):
+        g = np.ones((3, 4), dtype=np.float32)
+        assert ad._unbroadcast(g, (3, 4)) is g
+
+    @pytest.mark.parametrize("op", [ad.add, ad.mul, ad.div])
+    def test_broadcast_operand_gradient(self, op):
+        rng = np.random.default_rng(139)
+        x = Tensor(rng.normal(size=(3, 4, 2, 5)))
+        w = Tensor(rng.normal(size=(3, 4, 2, 5)))
+        b = Tensor(rng.normal(size=(4, 1, 1)) + 3.0)  # leading and size-1 axes broadcast
+
+        fd_check(lambda t: ad.sum_(ad.mul(op(x, t), w)), b, tol=1e-6)
+        fd_check(lambda t: ad.sum_(ad.mul(op(t, b), w)), x, tol=1e-6)
+
+    def test_batched_matmul_weight_gradient(self):
+        rng = np.random.default_rng(149)
+        x = Tensor(rng.normal(size=(3, 4, 5)))
+        w = Tensor(rng.normal(size=(3, 4, 2)))
+        fd_check(lambda t: ad.sum_(ad.mul(ad.matmul(x, t), w)), Tensor(rng.normal(size=(5, 2))), tol=1e-6)
+
+
 class TestFusedOpOracles:
     """Finite-difference oracles for the single-entry layer_norm and gelu, and for getitem."""
 

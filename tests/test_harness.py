@@ -22,6 +22,7 @@ from futuredistill.checkpoint import (
 )
 from futuredistill.config import (
     ExperimentConfig,
+    GridConfig,
     config_hash,
     dump_config,
     load_config,
@@ -198,6 +199,35 @@ class TestConfig:
         assert dump_config(base) == dump_config(cfg)
         cells = list(grid.cells(base))
         assert len(cells) == max(1, len(grid.backbones)) * max(1, len(grid.intervals)) * max(1, len(grid.losses))
+        if grid == GridConfig():
+            (cell,) = cells  # a config without [grid] is one cell, the base config
+            assert dump_config(cell) == dump_config(base)
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.ini")), ids=lambda p: p.name)
+    def test_shipped_cell_hashes_match_a_reparsed_dump(self, path):
+        # a cell's config_hash, which checkpoint headers record, is the hash of
+        # the base's dump re-parsed with the cell's values set
+        base, grid = load_grid_config(path)
+        for cell in grid.cells(base):
+            ref = parse_config(dump_config(base))
+            ref.backbone.family = cell.backbone.family
+            ref.distill.t, ref.distill.t_pred = cell.distill.t, cell.distill.t_pred
+            ref.distill.loss_variant = cell.distill.loss_variant
+            ref.validate()
+            assert config_hash(cell) == config_hash(ref)
+
+    def test_grid_without_intervals_keeps_the_base_horizons(self, tmp_path):
+        path = tmp_path / "t_pred6.ini"
+        path.write_text(
+            (ROOT / "configs" / "default.ini").read_text().replace("t_pred = 12", "t_pred = 6")
+            + "\n[grid]\nbackbones = Conv2dRecurrent\n"
+        )
+        base, grid = load_grid_config(path)
+        (cell,) = grid.cells(base)
+        assert (base.distill.t, base.distill.t_pred) == (12, 6)
+        assert (cell.distill.t, cell.distill.t_pred) == (12, 6)
+        assert (cell.downstream.t, cell.downstream.t_pred) == (12, 6)
+        assert dump_config(cell) == dump_config(base)
 
     def test_hash_changes_with_content(self):
         a = parse_config(QUICK_CONFIG)
@@ -630,6 +660,11 @@ class TestCli:
         assert self.run_cli("ablate", "--config", str(path)) == cli.EXIT_PARTIAL
         rows = read_metrics(tmp_path / "grid" / "metrics.csv")
         assert [r.protocol for r in rows] == ["linear_probe"]
+        assert json.loads((tmp_path / "grid" / "failures.json").read_text())[0]["error"].endswith("(injected)")
+        # the partial run still reports the arm that finished
+        with (tmp_path / "grid" / "report" / "table_backbone_interval.csv").open(newline="") as fh:
+            (rec,) = list(csv.DictReader(fh))
+        assert rec["linear_probe_mean"] == f"{rows[0].macro_precision:.6f}" and rec["fine_tune_mean"] == "nan"
 
         calls = []
 
@@ -643,47 +678,64 @@ class TestCli:
         rows = read_metrics(tmp_path / "grid" / "metrics.csv")
         assert [r.protocol for r in rows] == ["linear_probe", "fine_tune", "supervised"]
 
-    def test_ablate_and_finetune_produce_the_same_cell(self, tmp_path):
-        def config(out_dir):
-            return QUICK_CONFIG.replace("out_dir = runs/quick", f"out_dir = {out_dir}")
-
-        grid_path = tmp_path / "grid.ini"
-        grid_path.write_text(
-            config(tmp_path / "grid")
-            + "\n[grid]\nbackbones = Conv2dRecurrent\nintervals = 6\nlosses = cosine\n"
-        )
-        assert self.run_cli("ablate", "--config", str(grid_path)) == cli.EXIT_OK
+    def _ablate_matches_the_commands(self, tmp_path, text, grid=""):
+        """`ablate` on `text` + `grid` writes the files of `pretrain`, 3 x `finetune` per seed and `report` on `text`."""
+        ablate_path = tmp_path / "ablate.ini"
+        ablate_path.write_text(text.replace("out_dir = runs/quick", f"out_dir = {tmp_path / 'ablate'}") + grid)
+        assert self.run_cli("ablate", "--config", str(ablate_path)) == cli.EXIT_OK
         single_path = tmp_path / "single.ini"
-        single_path.write_text(config(tmp_path / "single"))
+        single_path.write_text(text.replace("out_dir = runs/quick", f"out_dir = {tmp_path / 'single'}"))
+        cfg = load_config(single_path)
         assert self.run_cli("pretrain", "--config", str(single_path)) == cli.EXIT_OK
-        stem = cli.cell_stem(load_config(single_path), 0)
-        for protocol in ("linear_probe", "fine_tune", "supervised"):
-            argv = ["finetune", "--config", str(single_path), "--protocol", protocol]
-            if protocol != "supervised":
-                argv += ["--checkpoint", str(tmp_path / "single" / f"{stem}.ckpt")]
-            assert self.run_cli(*argv) == cli.EXIT_OK
+        for seed in cfg.run.seeds:
+            for protocol in Protocol:
+                argv = ["finetune", "--config", str(single_path), "--protocol", protocol.value, "--seed", str(seed)]
+                if protocol is not Protocol.FULL_SUPERVISED:
+                    argv += ["--checkpoint", str(tmp_path / "single" / f"{cli.cell_stem(cfg, seed)}.ckpt")]
+                assert self.run_cli(*argv) == cli.EXIT_OK
+        metrics = tmp_path / "single" / "metrics.csv"
+        assert self.run_cli("report", "--metrics", str(metrics), "--out", str(metrics.parent / "report")) == cli.EXIT_OK
 
-        metrics = [(tmp_path / run / "metrics.csv").read_text() for run in ("grid", "single")]
-        assert metrics[0] == metrics[1]
-        rows = read_metrics(tmp_path / "grid" / "metrics.csv")
-        assert [r.protocol for r in rows] == ["linear_probe", "fine_tune", "supervised"]
-        for row in rows:
-            assert (row.backbone, row.interval, row.loss_variant, row.seed) == (
-                "Conv2dRecurrent", 6, "cosine", 0,
-            )
-            assert 0.0 <= row.macro_precision <= 1.0
-        for protocol in ("linear_probe", "fine_tune", "supervised"):
-            name = f"{stem}_{protocol}.ckpt"
-            grid_header, grid_params = read_checkpoint(tmp_path / "grid" / name)
-            single_header, single_params = read_checkpoint(tmp_path / "single" / name)
+        def files(run):
+            return sorted(p.relative_to(tmp_path / run) for p in (tmp_path / run).rglob("*") if p.is_file())
+
+        assert files("ablate") == files("single")
+        # per seed: pretrain checkpoint and log, 3 arm checkpoints and logs; metrics.csv; 8 report files
+        assert len(files("ablate")) == 8 * len(cfg.run.seeds) + 9
+        for rel in files("ablate"):
+            if rel.suffix != ".ckpt":
+                assert (tmp_path / "ablate" / rel).read_bytes() == (tmp_path / "single" / rel).read_bytes(), rel
+                continue
+            ablate_header, ablate_params = read_checkpoint(tmp_path / "ablate" / rel)
+            single_header, single_params = read_checkpoint(tmp_path / "single" / rel)
             # the config hash covers run.out_dir, which differs between the two runs
-            del grid_header["config_hash"], single_header["config_hash"]
-            assert grid_header == single_header
-            assert grid_params.keys() == single_params.keys()
-            assert any(k.startswith("backbone.") for k in grid_params)
-            assert any(k.startswith("head.") for k in grid_params)
-            for key, arr in grid_params.items():
-                assert arr.tobytes() == single_params[key].tobytes(), (protocol, key)
+            del ablate_header["config_hash"], single_header["config_hash"]
+            assert ablate_header == single_header
+            assert ablate_params.keys() == single_params.keys()
+            assert any(k.startswith("backbone.") for k in ablate_params)
+            is_arm = rel.stem.endswith(tuple(p.value for p in Protocol))
+            assert any(k.startswith("head.") for k in ablate_params) == is_arm
+            for key, arr in ablate_params.items():
+                assert arr.tobytes() == single_params[key].tobytes(), (rel, key)
+        rows = read_metrics(tmp_path / "ablate" / "metrics.csv")
+        order = ("linear_probe", "fine_tune", "supervised")
+        assert [(r.seed, r.protocol) for r in rows] == [(s, p) for s in cfg.run.seeds for p in order]
+        for row in rows:
+            assert (row.backbone, row.interval, row.loss_variant) == ("Conv2dRecurrent", cfg.distill.t, "cosine")
+            assert 0.0 <= row.macro_precision <= 1.0
+        return cfg
+
+    def test_ablate_and_finetune_produce_the_same_cell(self, tmp_path):
+        grid = "\n[grid]\nbackbones = Conv2dRecurrent\nintervals = 6\nlosses = cosine\n"
+        self._ablate_matches_the_commands(tmp_path, QUICK_CONFIG, grid)
+
+    def test_ablate_without_grid_is_the_main_run(self, tmp_path):
+        # no [grid]: one cell, the base config, with its own t_pred kept
+        text = QUICK_CONFIG.replace("seeds = 0", "seeds = 0,1").replace("t_pred = 6", "t_pred = 3")
+        cfg = self._ablate_matches_the_commands(tmp_path, text)
+        assert (cfg.distill.t, cfg.distill.t_pred, cfg.run.seeds) == (6, 3, (0, 1))
+        header, _ = read_checkpoint(tmp_path / "ablate" / f"{cli.cell_stem(cfg, 1)}_fine_tune.ckpt")
+        assert header["head"]["t_pred"] == 3
 
     def test_report_empty_metrics_exits_5(self, tmp_path, capsys):
         code = self.run_cli("report", "--metrics", str(tmp_path / "none.csv"), "--out", str(tmp_path))
@@ -699,9 +751,12 @@ class TestCli:
         assert len(rows) == 3
         # second run: all cells complete, no new rows, no retraining
         mtimes = {p.name: p.stat().st_mtime_ns for p in (tmp_path / "grid").glob("*.ckpt")}
+        report = tmp_path / "grid" / "report" / "table_backbone_interval.csv"
+        report.unlink()
         assert self.run_cli("ablate", "--config", str(path)) == cli.EXIT_OK
         assert len(read_metrics(tmp_path / "grid" / "metrics.csv")) == 3
         assert mtimes == {p.name: p.stat().st_mtime_ns for p in (tmp_path / "grid").glob("*.ckpt")}
+        assert report.is_file()  # a rerun that trains nothing still reports
 
     def test_out_root_env_override(self, quick_config_file, tmp_path, monkeypatch):
         root = tmp_path / "redirected"
@@ -712,19 +767,17 @@ class TestCli:
         assert (root / "relative_out").is_dir()
         assert list((root / "relative_out").glob("*.ckpt"))
 
-    @pytest.mark.parametrize("driver", ["run_main.py", "run_grid.py"])
-    def test_driver_honours_out_root_with_relative_out(self, tmp_path, driver):
+    def test_ablate_honours_out_root_with_relative_out(self, tmp_path, monkeypatch):
         config = tmp_path / "exp.ini"
-        config.write_text(QUICK_CONFIG + "\n[grid]\nbackbones = Conv2dRecurrent\nintervals = 6\nlosses = cosine\n")
-        root = tmp_path / "root"
-        proc = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / driver), "--config", str(config), "--out", "rel"],
-            capture_output=True, text=True, cwd=tmp_path, env={**os.environ, cli.OUT_ROOT_ENV: str(root)},
-        )
-        assert proc.returncode == 0, proc.stderr
+        config.write_text(QUICK_CONFIG)
+        root, cwd = tmp_path / "root", tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.setenv(cli.OUT_ROOT_ENV, str(root))
+        monkeypatch.chdir(cwd)
+        assert self.run_cli("ablate", "--config", str(config), "--out", "rel") == cli.EXIT_OK
         assert (root / "rel" / "report" / "table_backbone_interval.csv").is_file()
         assert len(read_metrics(root / "rel" / "metrics.csv")) == 3
-        assert not (tmp_path / "rel").exists()
+        assert not any(cwd.iterdir())
 
     def test_bench_ops_times_every_op_at_tiny_shapes(self, tmp_path):
         config = tmp_path / "tiny.ini"
