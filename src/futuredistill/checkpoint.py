@@ -141,17 +141,9 @@ def _check_header(path: Path, header) -> None:
             )
 
 
-def load_backbone_checkpoint(path: str | Path, expect_config_hash: str | None = None):
-    """Read a checkpoint and rebuild its backbone; returns (backbone, spec, header).
-
-    Pass expect_config_hash to refuse resuming under a different configuration.
-    """
+def load_backbone_checkpoint(path: str | Path):
+    """Read a checkpoint and rebuild its backbone; returns (backbone, spec, header)."""
     header, params = read_checkpoint(path)
-    if expect_config_hash is not None and header["config_hash"] != expect_config_hash:
-        raise CheckpointError(
-            f"{path}: config hash mismatch "
-            f"(checkpoint {header['config_hash'][:12]}.., expected {expect_config_hash[:12]}..)"
-        )
     backbone, spec = restore_backbone(path, header, params)
     return backbone, spec, header
 

@@ -2,8 +2,8 @@
 
 `ablate` is the experiment driver. It runs every cell of the config's [grid]
 (a config without [grid] is one cell, the base config) through pretraining and
-the three protocol arms, skips the arms `metrics.csv` already holds, and then
-writes the report to `<out>/report`, also after a partial failure.
+the three protocol arms, skips each arm whose checkpoint records the cell's
+config hash, and writes the report to `<out>/report`, also after a failure.
 
 Exit codes: 0 ok, 1 partial grid failure, 2 invalid config, 3 training
 divergence, 4 checkpoint/config mismatch, 5 empty or missing metrics input.
@@ -28,11 +28,11 @@ from .checkpoint import (
 )
 from .config import ExperimentConfig, config_hash, load_config, load_grid_config
 from .distill import pretrain, write_training_log
-from .downstream import MetricsRow, Protocol, evaluate_model, run_single_protocol, write_finetune_log
+from .downstream import Protocol, evaluate_model, run_single_protocol, write_finetune_log
 from .errors import CheckpointError, ConfigurationError, DivergenceError
 from .models import BackboneSpec
-from .reporting import append_metrics, completed_cells, generate_report, read_metrics
-from .synthdata import make_dataset, split_dataset
+from .reporting import append_metrics, generate_report, read_metrics
+from .synthdata import CHANNELS, FRAME_SIZE, make_dataset, split_dataset
 
 log = logging.getLogger("futuredistill")
 
@@ -56,6 +56,14 @@ def resolve_out_dir(cfg_out: str, flag_out: str | None) -> Path:
     return chosen
 
 
+def _check_frames(cfg: ExperimentConfig) -> None:
+    """Raise ConfigurationError unless the backbone reads frames of the synthetic videos' shape."""
+    for key, world in (("frame_size", FRAME_SIZE), ("channels", CHANNELS)):
+        value = getattr(cfg.backbone, key)
+        if value != world:
+            raise ConfigurationError(f"backbone.{key} must be {world} for the synthetic videos, got {value}")
+
+
 def build_splits(cfg: ExperimentConfig, *needed: str):
     """The (train, val, test) video lists of the config's dataset.
 
@@ -76,8 +84,8 @@ def cell_stem(cfg: ExperimentConfig, seed: int) -> str:
     return f"{cfg.backbone.family}_t{d.t}p{d.t_pred}_{d.loss_variant}_seed{seed}"
 
 
-def _pretrain_one(cfg: ExperimentConfig, splits, seed: int, out_dir: Path) -> Path:
-    """Train one seed and write checkpoint + training log; returns checkpoint path."""
+def _pretrain_one(cfg: ExperimentConfig, splits, seed: int, out_dir: Path) -> None:
+    """Train one seed and write checkpoint + training log."""
     result = pretrain(cfg.backbone, splits[0], cfg.distill, seed=seed)
     stem = cell_stem(cfg, seed)
     ckpt_path = out_dir / f"{stem}.ckpt"
@@ -92,26 +100,23 @@ def _pretrain_one(cfg: ExperimentConfig, splits, seed: int, out_dir: Path) -> Pa
         result.pair.step,
         f"{final.loss:.5f}" if final else "n/a",
     )
-    return ckpt_path
 
 
-def _run_protocols(
-    cfg: ExperimentConfig, splits, seed: int, protocols, student, out_dir: Path
-) -> list[MetricsRow]:
+def _run_protocols(cfg: ExperimentConfig, splits, seed: int, protocols, student, out_dir: Path) -> None:
     """Train, test and checkpoint each protocol arm of one (cell config, seed).
 
-    Each arm is written to `<stem>_<protocol>.ckpt`, with its per-epoch loss
-    curve in `<stem>_<protocol>_finetune_log.csv`, and its row appended to
-    `metrics.csv` right after, so a later arm's failure keeps the finished
-    arms; returns one metrics row per protocol, in order. `student` may be
-    None only for FULL_SUPERVISED.
+    Each arm appends its `metrics.csv` row, then writes its per-epoch loss
+    curve to `<stem>_<protocol>_finetune_log.csv` and its `<stem>_<protocol>.ckpt`,
+    which marks it done for `ablate`; a crash in between makes a rerun redo the
+    arm and append a row that replaces the first in the report. `student` may
+    be None only for FULL_SUPERVISED.
     """
-    rows = []
     for protocol in protocols:
         row, model, tune_log = run_single_protocol(
             cfg.backbone, student, protocol, splits, cfg.downstream, seed, cfg.distill.loss_variant
         )
         arm = f"{cell_stem(cfg, seed)}_{protocol.value}"
+        append_metrics(out_dir / "metrics.csv", [row])
         write_finetune_log(out_dir / f"{arm}_finetune_log.csv", tune_log)
         save_checkpoint(
             out_dir / f"{arm}.ckpt",
@@ -120,14 +125,12 @@ def _run_protocols(
             config_hash=config_hash(cfg),
             head_cfg=cfg.downstream,
         )
-        append_metrics(out_dir / "metrics.csv", [row])
         log.info("%s seed %d: macro precision %.4f", protocol.value, seed, row.macro_precision)
-        rows.append(row)
-    return rows
 
 
 def cmd_pretrain(args) -> int:
     cfg = load_config(args.config)
+    _check_frames(cfg)
     out_dir = resolve_out_dir(cfg.run.out_dir, args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     splits = build_splits(cfg, "train")
@@ -154,6 +157,7 @@ def _load_student_for(cfg: ExperimentConfig, checkpoint: str | Path | None):
 
 def cmd_finetune(args) -> int:
     cfg = load_config(args.config)
+    _check_frames(cfg)
     out_dir = resolve_out_dir(cfg.run.out_dir, args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     protocol = Protocol.parse(args.protocol)
@@ -169,6 +173,7 @@ def cmd_finetune(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
+    _check_frames(cfg)
     header, params = read_checkpoint(args.checkpoint)
     backbone, spec = restore_backbone(args.checkpoint, header, params)
     _check_backbone(cfg, spec)
@@ -181,36 +186,42 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _is_current(ckpt_path: Path, want_hash: str) -> bool:
+    """Whether the checkpoint exists with `want_hash` in its header; logs a stale one."""
+    if not ckpt_path.exists():
+        return False
+    stale = read_checkpoint(ckpt_path)[0].get("config_hash") != want_hash
+    if stale:
+        log.info("stale %s: written under another config; training it again", ckpt_path.name)
+    return not stale
+
+
 def cmd_ablate(args) -> int:
     base, grid = load_grid_config(args.config)
+    _check_frames(base)  # grid cells keep the base's frame shape
     out_dir = resolve_out_dir(base.run.out_dir, args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.csv"
-    done = completed_cells(read_metrics(metrics_path)) if metrics_path.exists() else set()
+    if metrics_path.exists():
+        read_metrics(metrics_path)  # the report reads it at the end; refuse a corrupt one before training
     failures = []
-    any_ran = False
     for cell in grid.cells(base):
+        want_hash = config_hash(cell)
         splits = None
         for seed in cell.run.seeds:
             stem = cell_stem(cell, seed)
-            d = cell.distill
-            missing = [
-                p for p in Protocol
-                if (cell.backbone.family, d.t, p.value, d.loss_variant, seed) not in done
-            ]
-            if not missing:
-                log.info("skipping completed cell %s", stem)
-                continue
-            any_ran = True
             try:
+                missing = [p for p in Protocol if not _is_current(out_dir / f"{stem}_{p.value}.ckpt", want_hash)]
+                if not missing:
+                    log.info("skipping completed cell %s", stem)
+                    continue
                 if splits is None:
                     splits = build_splits(cell, "train", "test")
                 ckpt_path = out_dir / f"{stem}.ckpt"
-                if not ckpt_path.exists():
+                if not _is_current(ckpt_path, want_hash):
                     _pretrain_one(cell, splits, seed, out_dir)
                 student = _load_student_for(cell, ckpt_path)
-                rows = _run_protocols(cell, splits, seed, missing, student, out_dir)
-                done |= completed_cells(rows)
+                _run_protocols(cell, splits, seed, missing, student, out_dir)
             except (ConfigurationError, DivergenceError, CheckpointError) as exc:
                 log.error("cell %s failed: %s", stem, exc)
                 failures.append({"cell": stem, "error": str(exc)})
@@ -219,8 +230,6 @@ def cmd_ablate(args) -> int:
     if failures:
         (out_dir / "failures.json").write_text(json.dumps(failures, indent=2))
         return EXIT_PARTIAL
-    if not any_ran:
-        log.info("all grid cells already complete; nothing to do")
     return EXIT_OK
 
 

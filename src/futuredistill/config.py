@@ -13,7 +13,7 @@ import copy
 import hashlib
 import io
 import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .distill import DistillConfig
@@ -93,6 +93,9 @@ class ExperimentConfig:
         self.downstream.t = self.distill.t
         self.downstream.t_pred = self.distill.t_pred
         self.downstream.validate()
+        span, length = self.distill.t + self.distill.t_pred, self.dataset.frames_per_video
+        if span > length:
+            raise ConfigurationError(f"distill.t + distill.t_pred = {span} exceeds dataset.frames_per_video = {length}")
         if not self.run.seeds:
             raise ConfigurationError("run.seeds must list at least one seed")
 
@@ -212,7 +215,8 @@ def dump_config(cfg: ExperimentConfig) -> str:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    return hashlib.sha256(dump_config(cfg).encode()).hexdigest()
+    """SHA-256 of the config's dump with [run] at its defaults: seeds and out_dir decide no result."""
+    return hashlib.sha256(dump_config(replace(cfg, run=RunConfig())).encode()).hexdigest()
 
 
 def load_grid_config(path: str | Path) -> tuple[ExperimentConfig, GridConfig]:

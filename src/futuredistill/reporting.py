@@ -23,6 +23,7 @@ from .errors import ConfigurationError
 
 METRICS_VERSION_LINE = "#metrics-v1"
 METRICS_HEADER = ["backbone", "interval", "protocol", "loss_variant", "seed", "macro_precision", "n_frames"]
+_COLUMN_TYPES = (str, int, str, str, int, float, int)  # of METRICS_HEADER, in MetricsRow field order
 
 
 def format_row(row: MetricsRow) -> list[str]:
@@ -87,26 +88,14 @@ def read_metrics(path: str | Path) -> list[MetricsRow]:
     for rec in reader:
         if not rec:
             continue
-        rows.append(
-            MetricsRow(
-                backbone=rec[0],
-                interval=int(rec[1]),
-                protocol=rec[2],
-                loss_variant=rec[3],
-                seed=int(rec[4]),
-                macro_precision=float(rec[5]),
-                n_frames=int(rec[6]),
-            )
-        )
+        line = reader.line_num + 1  # the reader starts after the version line
+        if len(rec) != len(METRICS_HEADER):
+            raise ConfigurationError(f"{path}, line {line}: {len(rec)} fields, expected {len(METRICS_HEADER)}")
+        try:
+            rows.append(MetricsRow(*(kind(value) for kind, value in zip(_COLUMN_TYPES, rec))))
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}, line {line}: {exc}") from None
     return rows
-
-
-def _cell_key(row: MetricsRow) -> tuple[str, int, str, str, int]:
-    return (row.backbone, row.interval, row.protocol, row.loss_variant, row.seed)
-
-
-def completed_cells(rows: list[MetricsRow]) -> set[tuple[str, int, str, str, int]]:
-    return {_cell_key(r) for r in rows}
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +115,8 @@ class TableRow:
 
 def _aggregate(rows: list[MetricsRow], key_fn) -> list[TableRow]:
     grouped: dict[tuple, dict[str, list[float]]] = defaultdict(lambda: defaultdict(list))
-    latest = {_cell_key(row): row for row in rows}  # a rerun's row replaces the earlier one
+    # a rerun's row replaces the earlier one of its (backbone, interval, protocol, loss, seed)
+    latest = {(r.backbone, r.interval, r.protocol, r.loss_variant, r.seed): r for r in rows}
     for row in latest.values():
         grouped[key_fn(row)][row.protocol].append(row.macro_precision)
     out = []

@@ -2,6 +2,7 @@
 
 import configparser
 import csv
+import io
 import json
 import os
 import struct
@@ -234,6 +235,51 @@ class TestConfig:
         b = parse_config(QUICK_CONFIG.replace("epochs = 1", "epochs = 2", 1))
         assert config_hash(a) != config_hash(b)
 
+    @pytest.mark.parametrize(
+        "section, key, value, same",
+        [
+            ("run", "seeds", "0,1,2", True),
+            ("run", "out_dir", "elsewhere", True),
+            ("dataset", "seed", "2", False),
+            ("backbone", "embed_dim", "16", False),
+            ("distill", "learning_rate", "0.01", False),
+            ("downstream", "learning_rate", "0.5", False),
+        ],
+    )
+    def test_hash_ignores_run_and_covers_every_other_section(self, section, key, value, same):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(QUICK_CONFIG)
+        parser.set(section, key, value)
+        buf = io.StringIO()
+        parser.write(buf)
+        edited = parse_config(buf.getvalue())
+        assert getattr(edited, section) != getattr(parse_config(QUICK_CONFIG), section)
+        assert (config_hash(edited) == config_hash(parse_config(QUICK_CONFIG))) == same
+
+    @pytest.mark.parametrize(
+        "edit, grid, match",
+        [
+            ({"frames_per_video = 48": "frames_per_video = 30", "t = 6\nt_pred = 6": "t = 16\nt_pred = 16"}, "",
+             r"distill.t \+ distill.t_pred = 32 exceeds dataset.frames_per_video = 30"),
+            ({}, "\n[grid]\nintervals = 6,30\n",
+             r"grid.intervals = 30: distill.t \+ distill.t_pred = 60 exceeds dataset.frames_per_video = 48"),
+        ],
+        ids=["base", "grid_interval"],
+    )
+    @pytest.mark.parametrize("command", ["pretrain", "ablate"])
+    def test_clip_longer_than_a_video_exits_2_before_any_work(self, tmp_path, capsys, edit, grid, match, command):
+        out_dir = tmp_path / "out"
+        text = QUICK_CONFIG.replace("out_dir = runs/quick", f"out_dir = {out_dir}")
+        for old, new in edit.items():
+            text = text.replace(old, new)
+        path = tmp_path / "long_clip.ini"
+        path.write_text(text + grid)
+        with pytest.raises(ConfigurationError, match=match):
+            load_config(path)
+        assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
+        assert "dataset.frames_per_video" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestCheckpoint:
     def make_backbone(self):
@@ -284,12 +330,6 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version"):
             read_checkpoint(bad_version)
 
-    def test_config_hash_mismatch_refused(self, tmp_path):
-        backbone, spec = self.make_backbone()
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, backbone, spec, config_hash="aaaa")
-        with pytest.raises(CheckpointError, match="hash mismatch"):
-            load_backbone_checkpoint(path, expect_config_hash="bbbb")
 
 
 def sample_rows():
@@ -398,6 +438,26 @@ class TestMetricsAndReport:
         path.write_text("#metrics-v9\nbackbone\n")
         with pytest.raises(ConfigurationError, match="version"):
             read_metrics(path)
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ("Conv2dRecurrent,12,linear_probe,cosine,0", "5 fields, expected 7"),
+            ("Conv2dRecurrent,twelve,linear_probe,cosine,0,0.5,100", "invalid literal for int"),
+            ("Conv2dRecurrent,12,linear_probe,cosine,0,high,100", "could not convert string to float"),
+        ],
+        ids=["short_row", "bad_int", "bad_float"],
+    )
+    def test_bad_row_names_its_line_and_report_exits_5(self, tmp_path, capsys, bad, match):
+        path = tmp_path / "metrics.csv"
+        append_metrics(path, sample_rows()[:2])
+        with path.open("a") as fh:
+            fh.write(bad + "\n")
+        # version line, header, two rows: the bad row is line 5
+        with pytest.raises(ConfigurationError, match=f"metrics.csv, line 5: {match}"):
+            read_metrics(path)
+        assert cli.main(["report", "--metrics", str(path)]) == cli.EXIT_EMPTY_METRICS
+        assert "line 5" in capsys.readouterr().err
 
 
 @pytest.fixture()
@@ -708,8 +768,6 @@ class TestCli:
                 continue
             ablate_header, ablate_params = read_checkpoint(tmp_path / "ablate" / rel)
             single_header, single_params = read_checkpoint(tmp_path / "single" / rel)
-            # the config hash covers run.out_dir, which differs between the two runs
-            del ablate_header["config_hash"], single_header["config_hash"]
             assert ablate_header == single_header
             assert ablate_params.keys() == single_params.keys()
             assert any(k.startswith("backbone.") for k in ablate_params)
@@ -757,6 +815,155 @@ class TestCli:
         assert len(read_metrics(tmp_path / "grid" / "metrics.csv")) == 3
         assert mtimes == {p.name: p.stat().st_mtime_ns for p in (tmp_path / "grid").glob("*.ckpt")}
         assert report.is_file()  # a rerun that trains nothing still reports
+
+    @staticmethod
+    def _ablate_calls(monkeypatch):
+        """Record the (stage, seed) of every pretraining and protocol arm that `ablate` trains."""
+        calls = []
+        real_pretrain, real_protocol = cli.pretrain, cli.run_single_protocol
+
+        def pretrain(*args, seed):
+            calls.append(("pretrain", seed))
+            return real_pretrain(*args, seed=seed)
+
+        def protocol(*args):
+            calls.append((args[2].value, args[5]))
+            return real_protocol(*args)
+
+        monkeypatch.setattr(cli, "pretrain", pretrain)
+        monkeypatch.setattr(cli, "run_single_protocol", protocol)
+        return calls
+
+    @staticmethod
+    def _mtimes(out):
+        return {p.name: p.stat().st_mtime_ns for p in out.glob("*.ckpt")}
+
+    def test_ablate_retrains_a_cell_after_a_config_edit(self, tmp_path, monkeypatch):
+        path = tmp_path / "exp.ini"
+        text = QUICK_CONFIG.replace("out_dir = runs/quick", f"out_dir = {tmp_path / 'out'}")
+        path.write_text(text)
+        assert self.run_cli("ablate", "--config", str(path)) == cli.EXIT_OK
+        before = self._mtimes(tmp_path / "out")
+        assert len(before) == 4
+        path.write_text(text.replace("learning_rate = 0.02", "learning_rate = 0.5"))
+        calls = self._ablate_calls(monkeypatch)
+        assert self.run_cli("ablate", "--config", str(path)) == cli.EXIT_OK
+        assert calls == [("pretrain", 0), ("linear_probe", 0), ("fine_tune", 0), ("supervised", 0)]
+        after = self._mtimes(tmp_path / "out")
+        assert after.keys() == before.keys() and all(after[k] != before[k] for k in before)
+        want = config_hash(load_config(path))
+        assert all(read_checkpoint(tmp_path / "out" / name)[0]["config_hash"] == want for name in after)
+        rows = read_metrics(tmp_path / "out" / "metrics.csv")
+        assert len(rows) == 6
+        with (tmp_path / "out" / "report" / "table_backbone_interval.csv").open(newline="") as fh:
+            (rec,) = list(csv.DictReader(fh))
+        for row in rows[3:]:  # the report shows the rerun's rows
+            assert rec[f"{row.protocol}_mean"] == f"{row.macro_precision:.6f}"
+
+    def test_ablate_trains_only_an_added_seed(self, tmp_path, monkeypatch):
+        path = tmp_path / "exp.ini"
+        text = QUICK_CONFIG.replace("out_dir = runs/quick", f"out_dir = {tmp_path / 'out'}")
+        path.write_text(text)
+        assert self.run_cli("ablate", "--config", str(path)) == cli.EXIT_OK
+        before = self._mtimes(tmp_path / "out")
+        path.write_text(text.replace("seeds = 0", "seeds = 0,1"))
+        calls = self._ablate_calls(monkeypatch)
+        assert self.run_cli("ablate", "--config", str(path)) == cli.EXIT_OK
+        assert calls == [("pretrain", 1), ("linear_probe", 1), ("fine_tune", 1), ("supervised", 1)]
+        after = self._mtimes(tmp_path / "out")
+        assert {k: after[k] for k in before} == before and len(after) == 8
+        assert [r.seed for r in read_metrics(tmp_path / "out" / "metrics.csv")] == [0, 0, 0, 1, 1, 1]
+
+    def test_ablate_ignores_an_out_dir_edit(self, tmp_path, monkeypatch):
+        path = tmp_path / "exp.ini"
+        path.write_text(QUICK_CONFIG)
+        out = tmp_path / "out"
+        assert self.run_cli("ablate", "--config", str(path), "--out", str(out)) == cli.EXIT_OK
+        before = self._mtimes(out)
+        path.write_text(QUICK_CONFIG.replace("out_dir = runs/quick", "out_dir = runs/elsewhere"))
+        calls = self._ablate_calls(monkeypatch)
+        assert self.run_cli("ablate", "--config", str(path), "--out", str(out)) == cli.EXIT_OK
+        assert calls == [] and self._mtimes(out) == before
+        assert len(read_metrics(out / "metrics.csv")) == 3
+
+    def test_ablate_refuses_a_corrupt_metrics_file_before_training(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "exp.ini"
+        path.write_text(QUICK_CONFIG.replace("out_dir = runs/quick", f"out_dir = {tmp_path / 'out'}"))
+        (tmp_path / "out").mkdir()
+        append_metrics(tmp_path / "out" / "metrics.csv", sample_rows()[:1])
+        with (tmp_path / "out" / "metrics.csv").open("a") as fh:
+            fh.write("Conv2dRecurrent,6,linear_probe\n")
+        calls = self._ablate_calls(monkeypatch)
+        assert self.run_cli("ablate", "--config", str(path)) == cli.EXIT_CONFIG
+        assert "metrics.csv, line 4" in capsys.readouterr().err
+        assert calls == [] and not list((tmp_path / "out").glob("*.ckpt"))
+
+    def test_ablate_fails_only_the_seed_with_an_unreadable_header(self, tmp_path, monkeypatch):
+        path = tmp_path / "exp.ini"
+        path.write_text(QUICK_CONFIG.replace("out_dir = runs/quick", f"out_dir = {tmp_path / 'out'}"))
+        out = tmp_path / "out"
+        assert self.run_cli("ablate", "--config", str(path)) == cli.EXIT_OK
+        cfg = load_config(path)
+        probe = out / f"{cli.cell_stem(cfg, 0)}_linear_probe.ckpt"
+        raw = probe.read_bytes()
+        _, _, n = struct.unpack_from("<4sII", raw)
+        probe.write_bytes(raw[:12] + b"{" * n + raw[12 + n :])
+        path.write_text(path.read_text().replace("seeds = 0", "seeds = 0,1"))
+        calls = self._ablate_calls(monkeypatch)
+        assert self.run_cli("ablate", "--config", str(path)) == cli.EXIT_PARTIAL
+        (failure,) = json.loads((out / "failures.json").read_text())
+        assert failure["cell"] == cli.cell_stem(cfg, 0) and "corrupt header" in failure["error"]
+        assert {seed for _, seed in calls} == {1}
+        assert (out / "report" / "table_backbone_interval.csv").is_file()
+
+    def test_ablate_redoes_an_arm_whose_checkpoint_was_not_saved(self, tmp_path, monkeypatch):
+        path = tmp_path / "exp.ini"
+        path.write_text(QUICK_CONFIG.replace("out_dir = runs/quick", f"out_dir = {tmp_path / 'out'}"))
+        real = cli.save_checkpoint
+
+        def crash_on_fine_tune(ckpt_path, *args, **kwargs):
+            if ckpt_path.name.endswith("_fine_tune.ckpt"):
+                raise CheckpointError("disk gone (injected)")
+            return real(ckpt_path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "save_checkpoint", crash_on_fine_tune)
+        assert self.run_cli("ablate", "--config", str(path)) == cli.EXIT_PARTIAL
+        metrics = tmp_path / "out" / "metrics.csv"
+        assert [r.protocol for r in read_metrics(metrics)] == ["linear_probe", "fine_tune"]  # row before checkpoint
+        monkeypatch.setattr(cli, "save_checkpoint", real)
+        calls = self._ablate_calls(monkeypatch)
+        assert self.run_cli("ablate", "--config", str(path)) == cli.EXIT_OK
+        assert calls == [("fine_tune", 0), ("supervised", 0)]
+        rows = read_metrics(metrics)
+        assert [r.protocol for r in rows] == ["linear_probe", "fine_tune", "fine_tune", "supervised"]
+        with (tmp_path / "out" / "report" / "table_backbone_interval.csv").open(newline="") as fh:
+            (rec,) = list(csv.DictReader(fh))
+        assert rec["fine_tune_mean"] == f"{rows[2].macro_precision:.6f}" and rec["fine_tune_std"] == ""
+
+    @pytest.mark.parametrize("key, value", [("frame_size", 16), ("channels", 1)])
+    @pytest.mark.parametrize(
+        "command",
+        [["pretrain"], ["finetune", "--protocol", "supervised"], ["evaluate", "--checkpoint", "absent.ckpt"], ["ablate"]],
+        ids=["pretrain", "finetune", "evaluate", "ablate"],
+    )
+    def test_frame_shape_other_than_the_videos_exits_2_before_any_work(
+        self, tmp_path, monkeypatch, capsys, key, value, command
+    ):
+        out_dir = tmp_path / "out"
+        path = tmp_path / "shape.ini"
+        path.write_text(
+            QUICK_CONFIG.replace("out_dir = runs/quick", f"out_dir = {out_dir}")
+            .replace("embed_dim = 32", f"embed_dim = 32\n{key} = {value}")
+        )
+        assert getattr(load_config(path).backbone, key) == value  # valid as a config; bench_ops accepts it
+
+        def no_data(*args, **kwargs):
+            raise AssertionError("data built")
+
+        monkeypatch.setattr(cli, "make_dataset", no_data)
+        assert self.run_cli(command[0], "--config", str(path), *command[1:]) == cli.EXIT_CONFIG
+        assert f"backbone.{key}" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_out_root_env_override(self, quick_config_file, tmp_path, monkeypatch):
         root = tmp_path / "redirected"
