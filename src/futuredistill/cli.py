@@ -13,6 +13,7 @@ The FUTUREDISTILL_OUT_ROOT environment variable re-roots relative output dirs.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import logging
 import os
@@ -46,6 +47,17 @@ EXIT_EMPTY_METRICS = 5
 OUT_ROOT_ENV = "FUTUREDISTILL_OUT_ROOT"
 
 SPLIT_NAMES = ("train", "val", "test")
+
+# glibc's mallopt parameters and the values main() fixes them at. By default
+# glibc sets its mmap threshold to the largest mmap-served block freed so far
+# and returns the free top of the heap to the OS once it exceeds twice that.
+# The blocks a command frees are a few MB at most, so the tens of MB of
+# temporaries each training step frees would go back to the OS and fault in
+# again as zero pages on the next step. The fixed values are the largest that
+# glibc's adaptation reaches on 64-bit systems.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
 
 
 def resolve_out_dir(cfg_out: str, flag_out: str | None) -> Path:
@@ -285,8 +297,23 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _retain_freed_heap() -> None:
+    """Keep freed heap memory for reuse instead of returning it to the OS after every step (glibc only)."""
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
+    _retain_freed_heap()
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",

@@ -22,7 +22,7 @@ from . import nn
 from .autodiff import SgdState, Tape, Tensor, backward, no_grad, sgd_step
 from .errors import ConfigurationError, DimensionError, DivergenceError
 from .models import BackboneSpec, build_backbone
-from .synthdata import SyntheticVideo, sample_clip
+from .synthdata import CHANNELS, FRAME_SIZE, SyntheticVideo, sample_clip
 
 LOSS_VARIANTS = ("cosine", "cross_entropy", "mse")
 
@@ -304,15 +304,16 @@ def pretrain(
 
 
 def _sample_batch(dataset, cfg: DistillConfig, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Stack one batch of (past, downsampled-combined) clip arrays."""
+    """One batch of (past, downsampled-combined) clips, each decoded straight into its batch row."""
     idx = downsample_indices(cfg.t, cfg.t_pred)
-    pasts, combineds = [], []
-    for _ in range(cfg.batch_size):
+    shape = (cfg.batch_size, cfg.t, CHANNELS, FRAME_SIZE, FRAME_SIZE)
+    past, combined = np.empty(shape, np.float32), np.empty(shape, np.float32)
+    for i in range(cfg.batch_size):
         video = dataset[int(rng.integers(len(dataset)))]
         clip = sample_clip(video, cfg.t, cfg.t_pred, rng)
-        pasts.append(clip.past)
-        combineds.append(clip.combined[idx])
-    return np.stack(pasts), np.stack(combineds)
+        video.decode(slice(clip.start, clip.start + cfg.t), out=past[i])
+        video.decode(clip.start + idx, out=combined[i])
+    return past, combined
 
 
 def write_training_log(path: str | Path, log: list[PretrainLogRow]) -> None:

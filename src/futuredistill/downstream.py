@@ -20,7 +20,7 @@ from . import nn
 from .autodiff import SgdState, Tape, Tensor, backward, no_grad, sgd_step
 from .errors import ConfigurationError, DimensionError, DivergenceError
 from .models import BackboneSpec, PredictionHead, build_backbone
-from .synthdata import N_ACTIONS, SyntheticVideo, clip_at, eval_clip_starts
+from .synthdata import CHANNELS, FRAME_SIZE, N_ACTIONS, SyntheticVideo, clip_at, eval_clip_starts
 
 
 class Protocol(Enum):
@@ -129,12 +129,14 @@ def _windows(videos: list[SyntheticVideo], cfg: FinetuneConfig) -> list[_Window]
 
 
 def _batch_arrays(windows: list[_Window], cfg: FinetuneConfig) -> tuple[np.ndarray, np.ndarray]:
-    clips, labels = [], []
-    for w in windows:
+    """The windows' past frames [N, t, 3, 32, 32], each decoded straight into its row, and future labels [N, t_pred]."""
+    clips = np.empty((len(windows), cfg.t, CHANNELS, FRAME_SIZE, FRAME_SIZE), np.float32)
+    labels = np.empty((len(windows), cfg.t_pred), np.int64)
+    for i, w in enumerate(windows):
         clip = clip_at(w.video, w.start, cfg.t, cfg.t_pred)
-        clips.append(clip.past)
-        labels.append(clip.future_labels)
-    return np.stack(clips), np.asarray(labels, dtype=np.int64)
+        w.video.decode(slice(clip.start, clip.start + cfg.t), out=clips[i])
+        labels[i] = clip.future_labels
+    return clips, labels
 
 
 def make_head(cfg: FinetuneConfig, embed_dim: int, rng) -> PredictionHead:

@@ -4,11 +4,14 @@ A single agent moves on a 32x32 top-down canvas under a scripted Markov action
 sequence over the seven ego actions. A colored indicator block appears exactly
 CUE_LEAD frames before every action change, colored by the upcoming action, so
 near-future actions are genuinely predictable from past frames.
+
+Every pixel-channel takes one of the six LEVELS, so a video stores uint8
+indices into LEVELS and decodes float32 frames only when a clip is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +39,15 @@ CUE_PALETTE = np.array(
     ],
     dtype=np.float32,
 )
+# every value the renderer paints, ascending; a video's codes index this table
+LEVELS = np.array([0.0, 0.08, 0.25, 0.5, 0.7, 1.0], dtype=np.float32)
+_BACKGROUND, _LANE, _TICK, _AGENT = 1, 2, 4, 5  # the codes of 0.08, 0.25, 0.7 and 1.0
+_CUE_CODES = np.searchsorted(LEVELS, CUE_PALETTE).astype(np.uint8)
+# row i holds the levels of the two codes a little-endian uint16 i packs,
+# (i & 255, i >> 8), so decoding looks up two pixel-channels at once; codes
+# past the end of LEVELS read as its last value
+_BYTE_LEVELS = LEVELS[np.minimum(np.arange(256), len(LEVELS) - 1)]
+_PAIR_LEVELS = np.stack(np.meshgrid(_BYTE_LEVELS, _BYTE_LEVELS), axis=-1).reshape(-1, 2)
 _CUE_SLICE = (slice(1, 4), slice(1, 4))  # rows/cols of the indicator block
 _CUE_PROBE = (2, 2)  # center pixel used to test for cue presence
 
@@ -55,20 +67,48 @@ class WorldState:
 
 @dataclass
 class SyntheticVideo:
-    frames: np.ndarray  # [L, 3, 32, 32] float32 in [0, 1]
+    codes: np.ndarray  # [L, 3, 32, 32] uint8 indices into LEVELS
     labels: np.ndarray  # [L] uint8 action ids
     video_id: int = -1
 
     def __len__(self) -> int:
         return len(self.labels)
 
+    def decode(self, frames=slice(None), out: np.ndarray | None = None) -> np.ndarray:
+        """Float32 frames in [0, 1] for `frames` (a slice or frame indices), written into `out` if given."""
+        pairs = self.codes[frames].view("<u2")
+        if out is None:
+            out = np.empty((*pairs.shape[:-1], 2 * pairs.shape[-1]), np.float32)
+        rows = out.view()
+        rows.shape = (*pairs.shape, 2)  # raises instead of copying when out has no such view
+        np.take(_PAIR_LEVELS, pairs, axis=0, mode="clip", out=rows)  # mode="raise" would buffer out
+        return out
 
-@dataclass
+
+@dataclass(frozen=True)
 class ClipSample:
-    past: np.ndarray  # [t, 3, 32, 32]
-    combined: np.ndarray  # [t + t_pred, 3, 32, 32]
-    future_labels: np.ndarray  # [t_pred]
-    source: tuple[int, int] = field(default=(-1, 0))  # (video_id, start frame)
+    """t past and t_pred future frames of one video from `start`; frames decode on each read."""
+
+    video: SyntheticVideo
+    start: int
+    t: int
+    t_pred: int
+
+    @property
+    def source(self) -> tuple[int, int]:
+        return self.video.video_id, self.start
+
+    @property
+    def past(self) -> np.ndarray:  # [t, 3, 32, 32]
+        return self.video.decode(slice(self.start, self.start + self.t))
+
+    @property
+    def combined(self) -> np.ndarray:  # [t + t_pred, 3, 32, 32]
+        return self.video.decode(slice(self.start, self.start + self.t + self.t_pred))
+
+    @property
+    def future_labels(self) -> np.ndarray:  # [t_pred]
+        return self.video.labels[self.start + self.t : self.start + self.t + self.t_pred].copy()
 
 
 def _switch_cdf(current: int) -> np.ndarray:
@@ -112,30 +152,30 @@ def _advance(state: WorldState) -> None:
 
 
 def _render_video(x: np.ndarray, y: np.ndarray, heading: np.ndarray, cue: np.ndarray) -> np.ndarray:
-    """Paint every frame at once from per-frame poses and cue ids (-1: no cue).
+    """Paint the level codes of every frame at once from per-frame poses and cue ids (-1: no cue).
 
     Layers, each over the last: background, dashed lane lines, the 3x3 agent
     body on the torus, the heading tick two cells ahead, the cue block.
     """
     length = len(x)
-    frames = np.full((length, CHANNELS, FRAME_SIZE, FRAME_SIZE), 0.08, dtype=np.float32)
-    frames[:, :, ::3, 8] = 0.25
-    frames[:, :, ::3, 23] = 0.25
+    codes = np.full((length, CHANNELS, FRAME_SIZE, FRAME_SIZE), _BACKGROUND, dtype=np.uint8)
+    codes[:, :, ::3, 8] = _LANE
+    codes[:, :, ::3, 23] = _LANE
     # a channels-last view, so one (frame, row, col) index paints all channels
-    pixels = frames.transpose(0, 2, 3, 1)
+    pixels = codes.transpose(0, 2, 3, 1)
     f = np.arange(length)
     # np.rint rounds half to even, like Python's round
     offsets = np.array([-1, 0, 1])
     rows = (np.rint(x).astype(np.intp)[:, None] + offsets) % FRAME_SIZE
     cols = (np.rint(y).astype(np.intp)[:, None] + offsets) % FRAME_SIZE
-    pixels[f[:, None, None], rows[:, :, None], cols[:, None, :]] = 1.0
+    pixels[f[:, None, None], rows[:, :, None], cols[:, None, :]] = _AGENT
     tick_x = np.rint(x + 2 * np.cos(heading)).astype(np.intp) % FRAME_SIZE
     tick_y = np.rint(y + 2 * np.sin(heading)).astype(np.intp) % FRAME_SIZE
-    pixels[f, tick_x, tick_y] = 0.7
+    pixels[f, tick_x, tick_y] = _TICK
     # cue block last so nothing can occlude it
     shown = cue >= 0
-    frames[shown, :, _CUE_SLICE[0], _CUE_SLICE[1]] = CUE_PALETTE[cue[shown]][:, :, None, None]
-    return frames
+    codes[shown, :, _CUE_SLICE[0], _CUE_SLICE[1]] = _CUE_CODES[cue[shown]][:, :, None, None]
+    return codes
 
 
 def cue_visible(frame: np.ndarray) -> int | None:
@@ -177,8 +217,7 @@ def generate_video(seed: int, length: int) -> SyntheticVideo:
         labels[f] = state.action
         _advance(state)
         state.until_change -= 1
-    frames = _render_video(x, y, heading, cue)
-    return SyntheticVideo(frames=frames, labels=labels)
+    return SyntheticVideo(codes=_render_video(x, y, heading, cue), labels=labels)
 
 
 def derive_video_seed(master_seed: int, video_id: int) -> int:
@@ -236,13 +275,7 @@ def clip_at(video: SyntheticVideo, start: int, t: int, t_pred: int) -> ClipSampl
     span = t + t_pred
     if start < 0 or start + span > len(video):
         raise SamplingError(f"clip [{start}, {start + span}) out of range for {len(video)} frames")
-    combined = video.frames[start : start + span]
-    return ClipSample(
-        past=combined[:t],
-        combined=combined,
-        future_labels=video.labels[start + t : start + span].copy(),
-        source=(video.video_id, start),
-    )
+    return ClipSample(video, start, t, t_pred)
 
 
 def eval_clip_starts(video_length: int, t: int, t_pred: int, stride: int | None = None) -> list[int]:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from futuredistill import autodiff as ad
 from futuredistill import distill as ds
+from futuredistill import synthdata
 from futuredistill.autodiff import (
     Tape,
     Tensor,
@@ -52,25 +53,44 @@ class TestDownsampling:
 
     @pytest.mark.parametrize("t, t_pred", [(6, 6), (6, 2)])
     def test_sample_batch_gives_past_to_student_and_downsampled_window_to_teacher(self, t, t_pred):
-        # every pixel of frame f of video v holds 1000 v + f, so a batch reveals which frames it got
+        # the first three codes of frame f of video v spell 24 v + f in base 6,
+        # so a batch reveals which frames it got
         videos = make_dataset(master_seed=0, n_videos=3, frames_per_video=24)
         for v, video in enumerate(videos):
-            video.frames = np.broadcast_to(
-                (1000.0 * v + np.arange(24, dtype=np.float32))[:, None, None, None], video.frames.shape
-            )
+            ids = 24 * v + np.arange(24)
+            video.codes[:, 0, 0, :3] = np.stack([ids // 36, ids // 6 % 6, ids % 6], axis=1)
         cfg = DistillConfig(t=t, t_pred=t_pred, batch_size=8)
         past, teacher = ds._sample_batch(videos, cfg, np.random.default_rng(4))
         assert past.shape == teacher.shape == (8, t, 3, 32, 32)
-        # the frame ids of each clip, read off one pixel
-        student_ids = past[:, :, 0, 0, 0].astype(np.int64)
-        teacher_ids = teacher[:, :, 0, 0, 0].astype(np.int64)
+
+        def frame_ids(batch):
+            return np.searchsorted(synthdata.LEVELS, batch[:, :, 0, 0, :3]) @ np.array([36, 6, 1])
+
         starts = set()
-        for s_ids, t_ids in zip(student_ids, teacher_ids):
-            v, s = divmod(int(s_ids[0]), 1000)
+        for s_ids, t_ids in zip(frame_ids(past), frame_ids(teacher)):
+            v, s = divmod(int(s_ids[0]), 24)
             starts.add(s)
-            assert s_ids.tolist() == [1000 * v + f for f in range(s, s + t)]
-            assert t_ids.tolist() == [1000 * v + s + i for i in downsample_indices(t, t_pred)]
+            assert s_ids.tolist() == [24 * v + f for f in range(s, s + t)]
+            assert t_ids.tolist() == [24 * v + s + i for i in downsample_indices(t, t_pred)]
         assert len(starts) > 1  # starts are sampled, not fixed
+
+    @pytest.mark.parametrize("t, t_pred", [(6, 6), (12, 12), (6, 2)])
+    def test_sample_batch_equals_slices_of_fully_decoded_videos(self, t, t_pred):
+        videos = make_dataset(master_seed=5, n_videos=3, frames_per_video=48)
+        decoded = [v.decode() for v in videos]
+        cfg = DistillConfig(t=t, t_pred=t_pred, batch_size=8)
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        past, teacher = ds._sample_batch(videos, cfg, rng)
+        want_past, want_teacher = [], []
+        for _ in range(cfg.batch_size):
+            v = int(ref_rng.integers(len(videos)))
+            s = int(ref_rng.integers(0, 48 - (t + t_pred) + 1))
+            want_past.append(decoded[v][s : s + t])
+            want_teacher.append(decoded[v][s : s + t + t_pred][downsample_indices(t, t_pred)])
+        assert past.dtype == teacher.dtype == np.float32
+        assert past.tobytes() == np.stack(want_past).tobytes()
+        assert teacher.tobytes() == np.stack(want_teacher).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestFpdLoss:

@@ -149,6 +149,16 @@ class TestFinetune:
         assert a.macro_precision == b.macro_precision
         assert np.array_equal(a.confusion, b.confusion)
 
+    def test_batch_arrays_equal_slices_of_fully_decoded_videos(self, small_world):
+        train, _, _ = small_world
+        cfg = quick_cfg()
+        windows = _windows(train, cfg)[3:40]
+        clips, labels = _batch_arrays(windows, cfg)
+        want = np.stack([w.video.decode()[w.start : w.start + cfg.t] for w in windows])
+        assert clips.dtype == np.float32 and clips.tobytes() == want.tobytes()
+        want_labels = [w.video.labels[w.start + cfg.t : w.start + cfg.span] for w in windows]
+        assert labels.dtype == np.int64 and np.array_equal(labels, want_labels)
+
     def test_protocol_parse(self):
         assert Protocol.parse("linear_probe") is Protocol.LINEAR_PROBE
         assert Protocol.parse("FINE_TUNE") is Protocol.FINE_TUNE

@@ -5,9 +5,11 @@ import csv
 import io
 import json
 import os
+import resource
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -500,8 +502,28 @@ class TestCli:
                     continue
                 assert [v.video_id for v in videos] == [v.video_id for v in ref]
                 for a, b in zip(videos, ref):
-                    assert a.frames.tobytes() == b.frames.tobytes()
+                    assert a.codes.tobytes() == b.codes.tobytes()
                     assert a.labels.tobytes() == b.labels.tobytes()
+
+    def test_default_splits_fit_the_memory_budget(self):
+        # the uint8 codes of the 48 default train and test videos take 35.4 MB; float32 frames took 4x that
+        cfg = load_config(ROOT / "configs" / "default.ini")
+        tracemalloc.start()
+        try:
+            splits = cli.build_splits(cfg, "train", "test")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(s) for s in splits if s) == 48
+        assert peak < 40e6, f"build_splits peaked at {peak / 1e6:.1f} MB"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sets glibc's malloc thresholds")
+    def test_freed_heap_is_reused_without_page_faults(self):
+        cli._retain_freed_heap()
+        np.ones(2 << 20, np.float32)  # 8 MB, like one training step's temporaries, freed at once
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        np.ones(2 << 20, np.float32)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = self.run_cli("pretrain", "--config", str(tmp_path / "absent.ini"))

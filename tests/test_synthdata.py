@@ -76,7 +76,7 @@ def reference_video(seed, length):
 class TestGeneration:
     def test_byte_determinism(self, video):
         again = sd.generate_video(seed=7, length=240)
-        assert video.frames.tobytes() == again.frames.tobytes()
+        assert video.codes.tobytes() == again.codes.tobytes()
         assert video.labels.tobytes() == again.labels.tobytes()
 
     def test_bytes_match_the_per_frame_reference(self):
@@ -85,17 +85,35 @@ class TestGeneration:
             for seed in range(30):
                 video = sd.generate_video(seed, length)
                 frames, labels, wrapped = reference_video(seed, length)
-                assert video.frames.shape == (length, sd.CHANNELS, sd.FRAME_SIZE, sd.FRAME_SIZE)
-                assert video.frames.dtype == np.float32 and video.frames.flags.c_contiguous
-                assert video.frames.tobytes() == frames.tobytes(), (seed, length)
+                decoded = video.decode()
+                assert decoded.shape == (length, sd.CHANNELS, sd.FRAME_SIZE, sd.FRAME_SIZE)
+                assert decoded.dtype == np.float32 and decoded.flags.c_contiguous
+                assert decoded.tobytes() == frames.tobytes(), (seed, length)
                 assert video.labels.tobytes() == labels.tobytes(), (seed, length)
                 wrapped_videos += wrapped == {"agent", "tick"}
         assert wrapped_videos > 0, "no compared video wrapped both the agent and its heading tick"
 
+    def test_stores_one_uint8_code_per_pixel_channel(self):
+        for length in (24, 240):
+            video = sd.generate_video(seed=3, length=length)
+            assert video.codes.dtype == np.uint8 and video.codes.flags.c_contiguous
+            assert video.codes.shape == (length, sd.CHANNELS, sd.FRAME_SIZE, sd.FRAME_SIZE)
+            assert video.codes.nbytes == length * sd.CHANNELS * sd.FRAME_SIZE * sd.FRAME_SIZE
+            assert video.codes.max() < len(sd.LEVELS)
+
+    def test_decode_writes_into_out(self, video):
+        buf = np.full((5, sd.CHANNELS, sd.FRAME_SIZE, sd.FRAME_SIZE), np.nan, dtype=np.float32)
+        assert video.decode(slice(10, 15), out=buf) is buf
+        assert buf.tobytes() == video.decode()[10:15].tobytes()
+        picked, head = np.array([3, 9, 200]), buf[:3]
+        assert video.decode(picked, out=head) is head
+        assert buf[:3].tobytes() == video.decode()[picked].tobytes()
+
     def test_frames_are_finite_unit_range(self, video):
-        assert video.frames.dtype == np.float32
-        assert np.all(np.isfinite(video.frames))
-        assert video.frames.min() >= 0.0 and video.frames.max() <= 1.0
+        frames = video.decode()
+        assert frames.dtype == np.float32
+        assert np.all(np.isfinite(frames))
+        assert frames.min() >= 0.0 and frames.max() <= 1.0
 
     def test_minimum_length_enforced(self):
         with pytest.raises(ConfigurationError):
@@ -107,12 +125,12 @@ class TestGeneration:
         for f in transitions:
             upcoming = video.labels[f]
             for g in range(f - sd.CUE_LEAD, f):
-                assert sd.cue_visible(video.frames[g]) == upcoming
+                assert sd.cue_visible(video.decode(g)) == upcoming
 
     def test_cue_iff_transition_within_lead(self, video):
         transitions = transition_frames(video.labels)
         for f in range(len(video) - sd.CUE_LEAD):
-            has_cue = sd.cue_visible(video.frames[f]) is not None
+            has_cue = sd.cue_visible(video.decode(f)) is not None
             incoming = any(ft in transitions for ft in range(f + 1, f + sd.CUE_LEAD + 1))
             assert has_cue == incoming, f"cue/transition mismatch at frame {f}"
 
@@ -132,7 +150,7 @@ class TestGeneration:
         # regenerating any single video by id matches the batch generation
         batch = sd.make_dataset(master_seed=3, n_videos=4, frames_per_video=48)
         solo = sd.generate_video(sd.derive_video_seed(3, 2), 48)
-        assert batch[2].frames.tobytes() == solo.frames.tobytes()
+        assert batch[2].codes.tobytes() == solo.codes.tobytes()
 
     def test_next_action_draws_as_weighted_choice(self):
         # the precomputed CDFs give the same draw, and consume the same
