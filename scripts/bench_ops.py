@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Time single autodiff ops, forward plus backward, at the shapes the backbones run.
+"""Time single autodiff ops, forward plus backward and no-grad forward, at the shapes the backbones run.
 
 Each of the four backbone families is built at the config's [backbone] and
 [distill] settings and run once on a [batch_size, t, C, S, S] clip batch. That
 pass records every distinct call of conv2d, conv3d, lstm_sequence, layer_norm
-and gelu, and every attention matmul (both operands 4-D): the argument
-shapes, memory layouts and which inputs need a gradient. Each recorded call is
-then timed on random float32 data of the same layout, as one forward and the
-backward rule of its one tape entry. The table gives the median and the
-quartiles [q1, q3] in ms.
+and gelu, and every attention matmul (both operands 4-D): the shapes and
+memory layouts of its Tensor arguments, positional or keyword (such as a conv
+layer's bias=), which of them need a gradient, and its other arguments (such as
+relu=). Each recorded call is then timed on random float32 data of the same
+layout in two ways: one forward on a tape plus the backward rule of its one
+tape entry, and one forward under no_grad, as the teacher, probe and
+evaluation forwards run it. The table gives the median and the quartiles
+[q1, q3] in ms of each.
 
 BLAS is pinned to one thread before numpy loads; the core and BLAS thread
 counts are printed above the table.
@@ -25,13 +28,14 @@ import argparse  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
+from typing import NamedTuple  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from futuredistill import autodiff as ad  # noqa: E402
-from futuredistill.autodiff import Tape, Tensor  # noqa: E402
+from futuredistill.autodiff import Tape, Tensor, no_grad  # noqa: E402
 from futuredistill.config import load_config  # noqa: E402
 from futuredistill.models import FAMILIES, build_backbone  # noqa: E402
 
@@ -40,11 +44,25 @@ OPS = ("conv2d", "conv3d", "lstm_sequence", "layer_norm", "gelu", "matmul")
 WARMUP = 3
 
 
+class TensorSpec(NamedTuple):
+    """A recorded Tensor argument: an uninitialised array of its layout and its requires_grad flag."""
+
+    template: np.ndarray
+    requires_grad: bool
+
+
+def _spec(a):
+    return TensorSpec(np.empty_like(a.data), a.requires_grad) if isinstance(a, Tensor) else a
+
+
+def _layout(a):
+    return (a.shape, a.data.strides, a.requires_grad) if isinstance(a, Tensor) else repr(a)
+
+
 def record_calls(cfg) -> list[tuple[str, str, list, dict]]:
     """(family, op, args, kwargs) of each distinct op call in one forward of every family.
 
-    A Tensor argument is kept as an uninitialised array of its layout, paired
-    with its requires_grad flag.
+    Each Tensor argument, positional or keyword, is kept as a TensorSpec.
     """
     calls, seen = [], set()
     originals = {name: getattr(ad, name) for name in OPS}
@@ -53,11 +71,10 @@ def record_calls(cfg) -> list[tuple[str, str, list, dict]]:
         def call(*args, **kwargs):
             args_t = [a for a in args if isinstance(a, Tensor)]
             if name != "matmul" or all(a.ndim == 4 for a in args_t):
-                key = (name, tuple((a.shape, a.data.strides, a.requires_grad) for a in args_t), repr(kwargs))
+                key = (name, tuple(map(_layout, args)), tuple((k, _layout(v)) for k, v in sorted(kwargs.items())))
                 if key not in seen:
                     seen.add(key)
-                    kept = [(np.empty_like(a.data), a.requires_grad) if isinstance(a, Tensor) else a for a in args]
-                    calls.append((family, name, kept, kwargs))
+                    calls.append((family, name, list(map(_spec, args)), {k: _spec(v) for k, v in kwargs.items()}))
             return originals[name](*args, **kwargs)
 
         return call
@@ -77,27 +94,48 @@ def record_calls(cfg) -> list[tuple[str, str, list, dict]]:
     return calls
 
 
-def time_call(name: str, args: list, kwargs: dict, repeats: int, rng) -> np.ndarray:
-    """Seconds per forward plus backward of one op call, `repeats` samples after a warm-up."""
-    inputs = []
-    for a in args:
-        if isinstance(a, tuple):
-            template, grad = a
-            data = np.empty_like(template, dtype=np.float32)
-            data[...] = rng.normal(size=template.shape)
-            a = Tensor(data, requires_grad=grad)
-        inputs.append(a)
+def _materialise(a, rng):
+    if not isinstance(a, TensorSpec):
+        return a
+    data = np.empty_like(a.template, dtype=np.float32)
+    data[...] = rng.normal(size=a.template.shape)
+    return Tensor(data, requires_grad=a.requires_grad)
+
+
+def time_call(name: str, args: list, kwargs: dict, repeats: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Seconds per forward plus backward, and per no-grad forward, of one op call.
+
+    `repeats` samples of each after a warm-up; the two are interleaved.
+    """
+    inputs = [_materialise(a, rng) for a in args]
+    kw = {k: _materialise(v, rng) for k, v in kwargs.items()}
     op = getattr(ad, name)
-    g = rng.normal(size=op(*inputs, **kwargs).shape).astype(np.float32)
-    samples = []
+    g = rng.normal(size=op(*inputs, **kw).shape).astype(np.float32)
+    grad_s, nograd_s = [], []
     for _ in range(WARMUP + repeats):
         t0 = time.perf_counter()
         tape = Tape()
         with tape:
-            op(*inputs, **kwargs)
+            op(*inputs, **kw)
         tape.entries[0].backward_rule(g)
-        samples.append(time.perf_counter() - t0)
-    return np.array(samples[WARMUP:])
+        del tape
+        t1 = time.perf_counter()
+        with no_grad():
+            op(*inputs, **kw)
+        nograd_s.append(time.perf_counter() - t1)
+        grad_s.append(t1 - t0)
+    return np.array(grad_s[WARMUP:]), np.array(nograd_s[WARMUP:])
+
+
+def _describe(args: list, kwargs: dict) -> str:
+    """Tensor shapes, then each keyword Tensor by name and each keyword set to True, e.g. `bias=8 relu`."""
+    parts = ["x".join(map(str, a.template.shape)) for a in args if isinstance(a, TensorSpec)]
+    for k, v in kwargs.items():
+        if isinstance(v, TensorSpec):
+            parts.append(f"{k}=" + "x".join(map(str, v.template.shape)))
+        elif v is True:
+            parts.append(k)
+    return " ".join(parts)
 
 
 def main(argv=None) -> int:
@@ -110,13 +148,15 @@ def main(argv=None) -> int:
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
     print(f"cores: {os.cpu_count()} (usable {usable}); BLAS threads: {BLAS_THREADS}; numpy {np.__version__}")
     print(f"config: {args.config}; batch {cfg.distill.batch_size}, t {cfg.distill.t}; {args.repeats} repeats")
-    print(f"{'family':<26} {'op':<14} {'input shapes':<40} {'median ms':>10}  [q1, q3]")
+    print(f"{'family':<26} {'op':<14} {'inputs':<44} {'fwd+bwd ms':>10}  {'[q1, q3]':<18} {'no-grad fwd ms':>14}  [q1, q3]")
     rng = np.random.default_rng(0)
     for family, name, call_args, kwargs in record_calls(cfg):
-        shapes = " ".join("x".join(map(str, a[0].shape)) for a in call_args if isinstance(a, tuple))
-        ms = time_call(name, call_args, kwargs, args.repeats, rng) * 1e3
-        q1, med, q3 = np.percentile(ms, [25, 50, 75])
-        print(f"{family:<26} {name:<14} {shapes:<40} {med:>10.3f}  [{q1:.3f}, {q3:.3f}]")
+        cols = []
+        for ms in time_call(name, call_args, kwargs, args.repeats, rng):
+            q1, med, q3 = np.percentile(ms * 1e3, [25, 50, 75])
+            cols.append((med, f"[{q1:.3f}, {q3:.3f}]"))
+        (g_med, g_iqr), (f_med, f_iqr) = cols
+        print(f"{family:<26} {name:<14} {_describe(call_args, kwargs):<44} {g_med:>10.3f}  {g_iqr:<18} {f_med:>14.3f}  {f_iqr}")
     return 0
 
 

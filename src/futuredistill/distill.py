@@ -300,6 +300,9 @@ def pretrain(
                 embed_std=float(s.data.std(axis=0).mean()),
             )
         )
+        # the tape holds every activation of the student forward; freed here, it
+        # does not live through the next step's batch decode and teacher forward
+        del tape, loss, s
     return PretrainResult(pair=pair, log=log)
 
 

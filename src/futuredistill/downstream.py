@@ -252,6 +252,7 @@ def finetune(
             backward(loss, tape)
             sgd_step(params, [p.grad for p in params], opt)
             epoch_losses.append(val)
+            del tape, loss  # the step's activations, freed before the next batch is decoded
         log.append(FinetuneLogRow(epoch=epoch, loss=float(np.mean(epoch_losses))))
     return model, log
 

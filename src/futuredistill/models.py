@@ -88,12 +88,12 @@ class ResidualConv3dBlock(nn.Module):
     """Residual 3D conv pair; the branch scale starts at zero for stability."""
 
     def __init__(self, width: int, rng):
-        self.conv1 = nn.Conv(width, width, (3, 3, 3), 1, 1, rng)
-        self.conv2 = nn.Conv(width, width, (3, 3, 3), 1, 1, rng)
+        self.conv1 = nn.Conv(width, width, (3, 3, 3), 1, 1, rng, relu=True)
+        self.conv2 = nn.Conv(width, width, (3, 3, 3), 1, 1, rng, relu=False)
         self.scale = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x) -> Tensor:
-        y = self.conv2(ad.relu(self.conv1(x)))
+        y = self.conv2(self.conv1(x))
         return ad.relu(ad.add(x, ad.mul(y, self.scale)))
 
 
@@ -103,9 +103,9 @@ class Conv3dResidual(Backbone):
     def __init__(self, spec: BackboneSpec, rng):
         super().__init__(spec)
         w1, w2 = spec.conv_widths
-        self.stem = nn.Conv(spec.channels, w1, (3, 3, 3), (1, 2, 2), 1, rng)
+        self.stem = nn.Conv(spec.channels, w1, (3, 3, 3), (1, 2, 2), 1, rng, relu=True)
         self.block1 = ResidualConv3dBlock(w1, rng)
-        self.down = nn.Conv(w1, w2, (3, 3, 3), (2, 2, 2), 1, rng)
+        self.down = nn.Conv(w1, w2, (3, 3, 3), (2, 2, 2), 1, rng, relu=True)
         self.block2 = ResidualConv3dBlock(w2, rng)
         grid = spec.frame_size // 8  # two stride-2 stages then 2x2 pooling
         self.norm = nn.LayerNorm(w2 * grid * grid)
@@ -113,8 +113,8 @@ class Conv3dResidual(Backbone):
 
     def _forward(self, clips: Tensor) -> Tensor:
         x = ad.transpose(clips, (0, 2, 1, 3, 4))  # [B, C, T, H, W]
-        x = self.block1(ad.relu(self.stem(x)))
-        x = self.block2(ad.relu(self.down(x)))
+        x = self.block1(self.stem(x))
+        x = self.block2(self.down(x))
         x = _pool2x2(ad.mean(x, axis=2))  # time-pooled, coarse spatial grid kept
         flat = ad.reshape(x, (x.shape[0], -1))
         return self.proj(self.norm(flat))
@@ -164,14 +164,13 @@ class FrameConvEncoder(nn.Module):
 
     def __init__(self, channels: int, frame_size: int, widths: tuple[int, int], rng):
         w1, w2 = widths
-        self.conv1 = nn.Conv(channels, w1, (3, 3), 2, 1, rng)
-        self.conv2 = nn.Conv(w1, w2, (3, 3), 2, 1, rng)
+        self.conv1 = nn.Conv(channels, w1, (3, 3), 2, 1, rng, relu=True)
+        self.conv2 = nn.Conv(w1, w2, (3, 3), 2, 1, rng, relu=True)
         grid = frame_size // 8  # two stride-2 stages then 2x2 pooling
         self.out_dim = w2 * grid * grid
 
     def __call__(self, frames) -> Tensor:
-        x = ad.relu(self.conv1(frames))
-        x = ad.relu(self.conv2(x))
+        x = self.conv2(self.conv1(frames))
         x = _pool2x2(x)  # [N, w2, grid, grid]
         return ad.reshape(x, (x.shape[0], -1))
 

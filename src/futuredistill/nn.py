@@ -86,21 +86,27 @@ class LayerNorm(Module):
 
 
 class Conv(Module):
-    """2-D or 3-D convolution; the rank of the `kernel` tuple picks autodiff.conv2d or conv3d."""
+    """2-D or 3-D convolution plus bias, optionally followed by a ReLU, as one fused autodiff op.
 
-    def __init__(self, c_in: int, c_out: int, kernel: tuple[int, ...], stride, padding, rng: np.random.Generator):
+    The rank of the `kernel` tuple picks autodiff.conv2d or conv3d. `relu` is
+    part of the architecture, fixed at construction: the op adds the bias and
+    clamps at zero in its own chunk loop (see autodiff._conv_nd), so a conv
+    layer is one tape entry and one output array.
+    """
+
+    def __init__(
+        self, c_in: int, c_out: int, kernel: tuple[int, ...], stride, padding, rng: np.random.Generator, *, relu: bool
+    ):
         fan_in = c_in * math.prod(kernel)
         self.kernels = uniform_init(rng, (c_out, c_in, *kernel), fan_in)
         self.bias = uniform_init(rng, (c_out,), fan_in)
         self.stride = stride
         self.padding = padding
+        self.relu = relu
 
     def __call__(self, x) -> Tensor:
-        spatial = self.kernels.ndim - 2
-        conv = ad.conv3d if spatial == 3 else ad.conv2d
-        y = conv(x, self.kernels, stride=self.stride, padding=self.padding)
-        b = ad.reshape(self.bias, (-1,) + (1,) * spatial)
-        return ad.add(y, b)
+        conv = ad.conv3d if self.kernels.ndim == 5 else ad.conv2d
+        return conv(x, self.kernels, stride=self.stride, padding=self.padding, bias=self.bias, relu=self.relu)
 
 
 class LstmCell(Module):

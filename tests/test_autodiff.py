@@ -353,6 +353,125 @@ class TestConvMatchesIm2colReference:
         assert np.allclose(xt.grad, gx64, rtol=1e-6) and np.array_equal(kt.grad, gk64)
 
 
+def composite_conv(conv):
+    """conv -> add(bias) -> relu as separate tape ops, the layer nn.Conv ran before the fused op."""
+
+    def run(x, k, stride, padding, *, bias, relu):
+        y = ad.add(conv(x, k, stride, padding), ad.reshape(bias, (-1,) + (1,) * (k.ndim - 2)))
+        return ad.relu(y) if relu else y
+
+    return run
+
+
+def _fused_conv_with_grads(conv, x, k, b, stride, padding, relu, w):
+    xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, k, b))
+    tape = Tape()
+    with tape:
+        y = conv(xt, kt, stride, padding, bias=bt, relu=relu)
+        loss = ad.sum_(ad.mul(y, w))
+    backward(loss, tape)
+    return y.data, xt.grad, kt.grad, bt.grad
+
+
+class TestFusedConv:
+    BACKBONE_CONVS = TestConvMatchesIm2colReference.BACKBONE_CONVS
+    # max|fused - composite| / max|composite| of the bias gradient, a row sum
+    # of the grid in place of einsum's order; measured at most 3.2e-7 and 8.8e-16
+    GBIAS_TOL = {np.float32: 1e-6, np.float64: 1e-14}
+
+    @staticmethod
+    def _data(x_shape, k_shape, stride, padding, dtype, seed):
+        conv = ad.conv3d if len(k_shape) == 5 else ad.conv2d
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=x_shape).astype(dtype)
+        k = rng.normal(size=k_shape).astype(dtype)
+        b = rng.normal(size=k_shape[:1]).astype(dtype)
+        w = rng.normal(size=conv(Tensor(x), Tensor(k), stride, padding).shape).astype(dtype)
+        return conv, x, k, b, w
+
+    @pytest.mark.parametrize("relu", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", list(BACKBONE_CONVS))
+    def test_backbone_shapes_match_composite(self, shape, dtype, relu):
+        # the epilogue adds the bias to the same sums the unfused op returns, and the
+        # masked grid feeds the same GEMMs: y, gx and gk are bitwise those of the composite
+        x_shape, k_shape, stride, padding = self.BACKBONE_CONVS[shape]
+        conv, x, k, b, w = self._data(x_shape, k_shape, stride, padding, dtype, 83)
+        fused = _fused_conv_with_grads(conv, x, k, b, stride, padding, relu, w)
+        comp = _fused_conv_with_grads(composite_conv(conv), x, k, b, stride, padding, relu, w)
+        for name, a, c in zip(("y", "gx", "gk"), fused, comp):
+            assert a.dtype == dtype and a.tobytes() == c.tobytes(), name
+        gb, gb_comp = fused[3], comp[3]
+        assert gb.dtype == dtype and gb.shape == gb_comp.shape
+        assert np.abs(gb - gb_comp).max() <= self.GBIAS_TOL[dtype] * np.abs(gb_comp).max()
+
+    @pytest.mark.parametrize("relu", [True, False])
+    @pytest.mark.parametrize(
+        "x_shape,k_shape,stride,padding",
+        [
+            ((2, 3, 5, 6), (4, 3, 3, 3), 2, 1),
+            ((2, 2, 3, 5, 6), (3, 2, 2, 3, 3), (1, 2, 2), 1),
+            ((3, 5, 6), (2, 3, 2, 2), 1, 0),  # unbatched
+        ],
+    )
+    def test_gradient_vs_finite_differences(self, x_shape, k_shape, stride, padding, relu):
+        conv, x, k, b, w = self._data(x_shape, k_shape, stride, padding, np.float64, 113)
+        x, k, b = Tensor(x), Tensor(k), Tensor(b)
+
+        def loss(xt, kt, bt):
+            return ad.sum_(ad.mul(conv(xt, kt, stride, padding, bias=bt, relu=relu), w))
+
+        if relu:  # no pre-activation within the difference step of the kink
+            pre = conv(x, k, stride, padding, bias=b).data
+            assert np.abs(pre).min() > 1e-3 and (pre < 0).any()
+        fd_check(lambda t: loss(t, k, b), x, tol=1e-6)
+        fd_check(lambda t: loss(x, t, b), k, tol=1e-6)
+        fd_check(lambda t: loss(x, k, t), b, tol=1e-6)
+
+    @pytest.mark.parametrize(
+        "x_shape,k_shape,stride,padding",
+        [
+            ((2, 3, 5, 6), (4, 3, 1, 1), 1, 0),  # one tap: one group shorter than G
+            ((2, 3, 5, 6), (4, 3, 2, 2), 1, 1),  # 4 taps
+            ((2, 3, 7, 8), (4, 3, 5, 5), 1, 2),  # 25 taps: 9, 9 and 7
+            ((2, 1, 3, 5, 6), (2, 1, 2, 5, 5), (1, 2, 1), 2),  # C_in = 1: G = 27, 50 taps
+            ((5, 3, 34, 33), (4, 3, 3, 3), 1, 1),  # 5940 columns: one full chunk and one of 1844
+            ((3, 6, 7), (4, 3, 3, 3), 1, 1),  # unbatched
+        ],
+    )
+    def test_tap_stacking_edge_cases(self, x_shape, k_shape, stride, padding):
+        conv, x, k, b, w = self._data(x_shape, k_shape, stride, padding, np.float64, 127)
+        fused = _fused_conv_with_grads(conv, x, k, b, stride, padding, True, w)
+        ref = _fused_conv_with_grads(composite_conv(reference_conv), x, k, b, stride, padding, True, w)
+        for name, a, c in zip(("y", "gx", "gk", "gbias"), fused, ref):
+            assert a.shape == c.shape and np.abs(a - c).max() <= 1e-12 * np.abs(c).max(), name
+
+    @pytest.mark.parametrize("c_in,n_taps", [(3, 9), (3, 27), (3, 1), (3, 4), (3, 25), (8, 27), (16, 27), (64, 9)])
+    def test_tap_groups_cover_every_tap_once_in_order(self, c_in, n_taps):
+        groups = ad._tap_groups(c_in, n_taps)
+        assert [i for grp in groups for i in grp] == list(range(n_taps))
+        assert all(len(grp) == len(groups[0]) for grp in groups[:-1])
+        if c_in < ad._THIN_CHANNELS:
+            assert len(groups[0]) == min(n_taps, ad._STACK_ROWS // c_in)
+        else:
+            assert all(len(grp) == 1 for grp in groups)
+
+    def test_bias_of_the_wrong_length_is_rejected(self):
+        with pytest.raises(DimensionError, match="bias"):
+            ad.conv2d(Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((2, 3, 3, 3))), bias=Tensor(np.zeros(3)))
+
+    def test_one_tape_entry_for_a_layer(self):
+        from futuredistill import nn
+
+        layer = nn.Conv(3, 4, (3, 3), 2, 1, np.random.default_rng(0), relu=True)
+        x = Tensor(np.ones((2, 3, 6, 6), dtype=np.float32), requires_grad=True)
+        tape = Tape()
+        with tape:
+            y = layer(x)
+        assert len(tape) == 1 and tape.entries[0].inputs == (x, layer.kernels, layer.bias)
+        assert y.data.min() >= 0
+
+
 class TestRecurrentStep:
     def test_zero_weights_zero_output(self):
         h, c = ad.recurrent_step(
@@ -1038,8 +1157,8 @@ class TestFusedOpsMatchComposite:
         "family,t,loss,entries",
         [
             ("TemporalTransformer", 6, "cross_entropy", 69),
-            ("Conv3dResidual", 6, "cosine", 55),
-            ("Conv2dRecurrent", 12, "cosine", 36),
+            ("Conv3dResidual", 6, "cosine", 39),
+            ("Conv2dRecurrent", 12, "cosine", 30),
             ("PatchTransformerRecurrent", 12, "cosine", 54),
         ],
     )

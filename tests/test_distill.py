@@ -1,5 +1,7 @@
 """Distillation engine: downsampling rule, losses, EMA, schedule, pretrain loop."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -346,6 +348,29 @@ class TestPretrain:
         assert result.pair.student.projector is not None
         names = [name for name, _ in result.pair.student.named_parameters()]
         assert any(n.startswith("backbone.") for n in names) and any(n.startswith("projector.") for n in names)
+
+    def test_step_tape_is_freed_before_the_next_batch(self, tiny_dataset, monkeypatch):
+        # step k's tape holds every student activation; none may be alive while
+        # step k + 1 decodes its batch and runs the teacher forward
+        tapes, alive_at_sample = [], []
+
+        class TrackedTape(Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(weakref.ref(self))
+
+        sample = ds._sample_batch
+
+        def checking_sample(*args):
+            alive_at_sample.append(sum(ref() is not None for ref in tapes))
+            return sample(*args)
+
+        monkeypatch.setattr(ds, "Tape", TrackedTape)
+        monkeypatch.setattr(ds, "_sample_batch", checking_sample)
+        spec = BackboneSpec(family="Conv2dRecurrent", frames=6)
+        result = pretrain(spec, tiny_dataset, self.cfg(epochs=2), seed=0)
+        assert len(tapes) == result.pair.step >= 2
+        assert alive_at_sample == [0] * result.pair.step
 
     def test_training_log_csv(self, tiny_dataset, tmp_path):
         spec = BackboneSpec(family="Conv2dRecurrent", frames=6)

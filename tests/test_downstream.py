@@ -1,6 +1,7 @@
 """Protocols, macro-precision metric, and the evaluation plumbing."""
 
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from futuredistill import autodiff as ad
+from futuredistill import downstream
 from futuredistill.autodiff import SgdState, Tape, Tensor, backward, no_grad, sgd_step
 from futuredistill.downstream import (
     FinetuneConfig,
@@ -138,6 +140,30 @@ class TestFinetune:
         head = make_head(quick_cfg(), spec.embed_dim, np.random.default_rng(9))
         finetune(backbone, head, Protocol.FINE_TUNE, train, quick_cfg(), seed=0)
         assert params_hash(backbone) != before
+
+    def test_step_tape_is_freed_before_the_next_batch(self, small_world, monkeypatch):
+        # step k's tape holds every backbone activation; none may be alive while
+        # step k + 1 decodes its batch
+        tapes, alive_at_batch = [], []
+
+        class TrackedTape(Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(weakref.ref(self))
+
+        def checking_batch(*args):
+            alive_at_batch.append(sum(ref() is not None for ref in tapes))
+            return _batch_arrays(*args)
+
+        monkeypatch.setattr(downstream, "Tape", TrackedTape)
+        monkeypatch.setattr(downstream, "_batch_arrays", checking_batch)
+        train, _, _ = small_world
+        spec = BackboneSpec(family="Conv2dRecurrent", frames=6)
+        cfg = quick_cfg()
+        head = make_head(cfg, spec.embed_dim, np.random.default_rng(9))
+        finetune(build_backbone(spec, seed=0), head, Protocol.FINE_TUNE, train, cfg, seed=0)
+        assert len(tapes) == len(alive_at_batch) >= 2
+        assert alive_at_batch == [0] * len(tapes)
 
     def test_identical_model_evaluates_identically(self, small_world):
         _, _, test = small_world
