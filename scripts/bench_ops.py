@@ -3,11 +3,11 @@
 
 Each of the four backbone families is built at the config's [backbone] and
 [distill] settings and run once on a [batch_size, t, C, S, S] clip batch. That
-pass records every distinct call of conv2d, conv3d, lstm_sequence, layer_norm
-and gelu, and every attention matmul (both operands 4-D): the shapes and
-memory layouts of its Tensor arguments, positional or keyword (such as a conv
-layer's bias=), which of them need a gradient, and its other arguments (such as
-relu=). Each recorded call is then timed on random float32 data of the same
+pass records every distinct call of conv2d, conv3d, lstm_sequence, layer_norm,
+gelu, attention and linear: the shapes and memory layouts of its Tensor
+arguments, positional or keyword (such as a conv layer's bias=), which of them
+need a gradient, and its other arguments (such as relu= or attention's head
+count). Each recorded call is then timed on random float32 data of the same
 layout in two ways: one forward on a tape plus the backward rule of its one
 tape entry, and one forward under no_grad, as the teacher, probe and
 evaluation forwards run it. The table gives the median and the quartiles
@@ -40,7 +40,7 @@ from futuredistill.config import load_config  # noqa: E402
 from futuredistill.models import FAMILIES, build_backbone  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
-OPS = ("conv2d", "conv3d", "lstm_sequence", "layer_norm", "gelu", "matmul")
+OPS = ("conv2d", "conv3d", "lstm_sequence", "layer_norm", "gelu", "attention", "linear")
 WARMUP = 3
 
 
@@ -69,12 +69,10 @@ def record_calls(cfg) -> list[tuple[str, str, list, dict]]:
 
     def recorder(name):
         def call(*args, **kwargs):
-            args_t = [a for a in args if isinstance(a, Tensor)]
-            if name != "matmul" or all(a.ndim == 4 for a in args_t):
-                key = (name, tuple(map(_layout, args)), tuple((k, _layout(v)) for k, v in sorted(kwargs.items())))
-                if key not in seen:
-                    seen.add(key)
-                    calls.append((family, name, list(map(_spec, args)), {k: _spec(v) for k, v in kwargs.items()}))
+            key = (name, tuple(map(_layout, args)), tuple((k, _layout(v)) for k, v in sorted(kwargs.items())))
+            if key not in seen:
+                seen.add(key)
+                calls.append((family, name, list(map(_spec, args)), {k: _spec(v) for k, v in kwargs.items()}))
             return originals[name](*args, **kwargs)
 
         return call

@@ -3,7 +3,7 @@
 A define-by-run tape: while a Tape is active, every primitive op appends an
 entry holding its inputs, output and a backward rule. backward() replays the
 tape in reverse, which is a valid topological order by construction. Training
-math runs in float32; gradient oracles (finite_difference_gradient) run in
+math runs in float32; the test suite's finite-difference oracles run in
 float64.
 """
 
@@ -19,7 +19,6 @@ from .errors import (
     ConfigurationError,
     DimensionError,
     DivergenceError,
-    OracleError,
     UsageError,
 )
 
@@ -29,6 +28,7 @@ __all__ = [
     "backward",
     "no_grad",
     "matmul",
+    "linear",
     "conv3d",
     "conv2d",
     "recurrent_step",
@@ -36,6 +36,7 @@ __all__ = [
     "softmax",
     "log_softmax",
     "layer_norm",
+    "attention",
     "cross_entropy",
     "relu",
     "gelu",
@@ -45,8 +46,6 @@ __all__ = [
     "clip",
     "SgdState",
     "sgd_step",
-    "finite_difference_gradient",
-    "max_relative_error",
 ]
 
 
@@ -226,7 +225,10 @@ def add(a, b) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def rule(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (
+            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+        )
 
     _record(out, (a, b), rule)
     return out
@@ -238,7 +240,10 @@ def mul(a, b) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def rule(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
+        return (
+            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
+        )
 
     _record(out, (a, b), rule)
     return out
@@ -250,8 +255,8 @@ def div(a, b) -> Tensor:
     out = Tensor(a.data / b.data)
 
     def rule(g):
-        ga = _unbroadcast(g / b.data, a.data.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+        ga = _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None
+        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape) if b.requires_grad else None
         return ga, gb
 
     _record(out, (a, b), rule)
@@ -471,6 +476,41 @@ def matmul(a, b) -> Tensor:
         return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
 
     _record(out, (a, b), rule)
+    return out
+
+
+def linear(x, w, b) -> Tensor:
+    """x @ w + b as one tape entry; x is [..., d_in] (1-D promoted), w [d_in, d_out], b [d_out].
+
+    The bias is added in place to the fresh product. The rule computes
+    g @ w^T, _unbroadcast(x^T @ g) and _unbroadcast(g), the expressions of
+    the matmul and add rules, so output and gradients are bitwise those of
+    add(matmul(x, w), b). A gradient is skipped when its input needs none.
+    """
+    x = _as_tensor(x)
+    w = _as_tensor(w, like=x)
+    b = _as_tensor(b, like=x)
+    if w.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
+        raise DimensionError(f"linear: x {x.shape}, w {w.shape} and b {b.shape} do not fit x @ w + b")
+    vec = x.ndim == 1
+    xd = x.data[None] if vec else x.data
+    y = xd @ w.data
+    y += b.data
+    out = Tensor(y[0] if vec else y)
+
+    def rule(g):
+        gm = g[None] if vec else g
+        gx = gw = gb = None
+        if x.requires_grad:
+            gx = gm @ w.data.T
+            gx = gx[0] if vec else gx
+        if w.requires_grad:
+            gw = _unbroadcast(np.swapaxes(xd, -1, -2) @ gm, w.data.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(g, b.data.shape)
+        return gx, gw, gb
+
+    _record(out, (x, w, b), rule)
     return out
 
 
@@ -909,6 +949,59 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return out
 
 
+def attention(qkv, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention of a packed qkv [B, T, 3d]; returns [B, T, d].
+
+    One tape entry (Vaswani et al. 2017; fused in the spirit of Dao et al.
+    2022, arXiv 2205.14135). The last axis of qkv holds q, k and v, each
+    split into `heads` heads of d // heads channels; q, k and v are strided
+    views of qkv, not copies. The scores are kept keys-major,
+    P^T = softmax over keys of (k @ q^T * scale), [B, heads, T_key, T_query],
+    so the max and the sum reduce over axis -2, which numpy runs as
+    elementwise work across rows; scale, max-subtraction, exp and
+    normalisation run in place on that one array. The output is
+    P^T.swapaxes(-1, -2) @ v, which BLAS reads transposed in place, written
+    through a strided view straight into the [B, T, d] layout.
+
+    The rule keeps only P^T and the views of qkv and applies the closed form
+    dV = P^T @ dO, dP^T = v @ dO^T, dS^T = P^T * (dP^T - sum_keys(dP^T * P^T)) * scale,
+    dQ = (dS^T)^T @ k and dK = dS^T @ q, written into one [B, T, 3, heads, hd] buffer.
+    """
+    qkv = _as_tensor(qkv)
+    if qkv.ndim != 3 or heads < 1 or qkv.shape[-1] % (3 * heads):
+        raise DimensionError(f"attention: qkv {qkv.shape} is not [B, T, 3 * heads * head_dim] for {heads} heads")
+    batch, steps, width = qkv.shape
+    hd = width // (3 * heads)
+    dtype = qkv.dtype
+    scale = dtype.type(1.0 / math.sqrt(hd))
+    # [3, B, heads, T, hd] views of q, k and v
+    q, k, v = qkv.data.reshape(batch, steps, 3, heads, hd).transpose(2, 0, 3, 1, 4)
+    pt = k @ q.swapaxes(-1, -2)
+    pt *= scale
+    pt -= pt.max(axis=-2, keepdims=True)
+    np.exp(pt, out=pt)
+    pt /= pt.sum(axis=-2, keepdims=True)
+    y = np.empty((batch, steps, heads, hd), dtype=dtype)
+    np.matmul(pt.swapaxes(-1, -2), v, out=y.transpose(0, 2, 1, 3))
+    out = Tensor(y.reshape(batch, steps, heads * hd))
+
+    def rule(g):
+        do = g.reshape(batch, steps, heads, hd).transpose(0, 2, 1, 3)
+        grad = np.empty((batch, steps, 3, heads, hd), dtype=dtype)
+        gq, gk, gv = grad.transpose(2, 0, 3, 1, 4)
+        np.matmul(pt, do, out=gv)
+        ds = v @ do.swapaxes(-1, -2)
+        ds -= np.einsum("...kq,...kq->...q", ds, pt)[..., None, :]  # one pass, no ds * pt array
+        ds *= pt
+        ds *= scale
+        np.matmul(ds.swapaxes(-1, -2), k, out=gq)
+        np.matmul(ds, q, out=gk)
+        return (grad.reshape(qkv.shape),)
+
+    _record(out, (qkv,), rule)
+    return out
+
+
 def cross_entropy(logits, labels) -> Tensor:
     """Mean CE of integer labels against logits [N, C]."""
     logits = _as_tensor(logits)
@@ -959,42 +1052,3 @@ def sgd_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: SgdSt
             v = g.copy() if v is None else state.momentum * v + g
             state.velocities[idx] = v
             p.data = p.data - p.data.dtype.type(state.learning_rate) * v
-
-
-# ---------------------------------------------------------------------------
-# gradient oracle
-
-
-def finite_difference_gradient(f, x: Tensor, eps: float = 1e-4) -> Tensor:
-    """Central-difference gradient of scalar f at x, computed in float64."""
-    if eps <= 0:
-        raise ConfigurationError(f"finite differences need eps > 0, got {eps}")
-    base = x.data.astype(np.float64).copy()
-    grad = np.zeros_like(base)
-    flat = base.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = _scalar_eval(f, base)
-        flat[i] = orig - eps
-        lo = _scalar_eval(f, base)
-        flat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * eps)
-    return Tensor(grad, dtype=np.float64)
-
-
-def _scalar_eval(f, arr: np.ndarray) -> float:
-    out = f(Tensor(arr.copy(), dtype=np.float64))
-    val = float(out.item() if isinstance(out, Tensor) else out)
-    if not np.isfinite(val):
-        raise OracleError("finite_difference_gradient: objective returned a non-finite value")
-    return val
-
-
-def max_relative_error(approx: np.ndarray, exact: np.ndarray, floor: float = 1e-6) -> float:
-    """max |a - b| / max(|a|, |b|, floor); the floor absorbs exact zeros."""
-    a = np.asarray(approx, dtype=np.float64)
-    b = np.asarray(exact, dtype=np.float64)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0

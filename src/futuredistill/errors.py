@@ -17,10 +17,6 @@ class DivergenceError(RuntimeError):
     """Training produced non-finite values; the step was aborted."""
 
 
-class OracleError(RuntimeError):
-    """A verification oracle (finite differences) hit a non-finite evaluation."""
-
-
 class SamplingError(ValueError):
     """A clip request cannot be satisfied by the source video."""
 

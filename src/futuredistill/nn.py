@@ -67,12 +67,14 @@ class Module:
 
 
 class Linear(Module):
+    """Affine map x @ weight + bias, one autodiff.linear tape entry."""
+
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
         self.weight = uniform_init(rng, (d_in, d_out), d_in)
         self.bias = uniform_init(rng, (d_out,), d_in)
 
     def __call__(self, x) -> Tensor:
-        return ad.add(ad.matmul(x, self.weight), self.bias)
+        return ad.linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
@@ -123,7 +125,11 @@ class LstmCell(Module):
 
 
 class SelfAttention(Module):
-    """Multi-head scaled dot-product attention over [B, T, d]."""
+    """Multi-head scaled dot-product attention over [B, T, d].
+
+    The packed q/k/v projection, the attention core (autodiff.attention) and
+    the output projection are one tape entry each.
+    """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         if dim % heads != 0:
@@ -134,17 +140,7 @@ class SelfAttention(Module):
         self.dim = dim
 
     def __call__(self, x) -> Tensor:
-        b, t, d = x.shape
-        hd = d // self.heads
-        qkv = self.qkv(x)  # [B, T, 3d]
-        qkv = ad.reshape(qkv, (b, t, 3, self.heads, hd))
-        qkv = ad.transpose(qkv, (2, 0, 3, 1, 4))  # [3, B, heads, T, hd]
-        q, k, v = qkv[0], qkv[1], qkv[2]
-        scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
-        attn = ad.softmax(scores, axis=-1)
-        mixed = ad.matmul(attn, v)  # [B, heads, T, hd]
-        mixed = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (b, t, d))
-        return self.out(mixed)
+        return self.out(ad.attention(self.qkv(x), self.heads))
 
 
 class TransformerBlock(Module):

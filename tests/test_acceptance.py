@@ -18,8 +18,6 @@ from futuredistill.autodiff import (
     Tape,
     Tensor,
     backward,
-    finite_difference_gradient,
-    max_relative_error,
 )
 from futuredistill.checkpoint import read_checkpoint, save_checkpoint
 from futuredistill.distill import (
@@ -33,6 +31,8 @@ from futuredistill.distill import (
 from futuredistill.downstream import FinetuneConfig, evaluate_precision
 from futuredistill.errors import CheckpointError
 from futuredistill.models import BackboneSpec, build_backbone
+
+from oracles import finite_difference_gradient, max_relative_error
 
 
 def report(criterion: int, text: str) -> None:

@@ -11,17 +11,16 @@ from futuredistill.autodiff import (
     Tape,
     Tensor,
     backward,
-    finite_difference_gradient,
-    max_relative_error,
     sgd_step,
 )
 from futuredistill.errors import (
     ConfigurationError,
     DimensionError,
     DivergenceError,
-    OracleError,
     UsageError,
 )
+
+from oracles import OracleError, finite_difference_gradient, max_relative_error
 
 
 def fd_check(f, x: Tensor, tol: float = 1e-5, eps: float = 1e-4) -> float:
@@ -705,6 +704,69 @@ class TestBackward:
             assert max_relative_error(fd.data, p.grad) < 1e-4, name
 
 
+# add, mul and div as they were before their rules skipped constant operands:
+# both gradients are always computed, and backward() discards the unused one.
+
+
+def _reference_binary(forward, rule):
+    def op(a, b):
+        a = ad._as_tensor(a)
+        b = ad._as_tensor(b, like=a)
+        out = Tensor(forward(a.data, b.data))
+
+        def both(g):
+            ga, gb = rule(g, a.data, b.data)
+            return ad._unbroadcast(ga, a.data.shape), ad._unbroadcast(gb, b.data.shape)
+
+        ad._record(out, (a, b), both)
+        return out
+
+    return op
+
+
+REFERENCE_BINARY = {
+    "add": _reference_binary(np.add, lambda g, a, b: (g, g)),
+    "mul": _reference_binary(np.multiply, lambda g, a, b: (g * b, g * a)),
+    "div": _reference_binary(np.divide, lambda g, a, b: (g / b, -g * a / (b * b))),
+}
+
+
+class TestConstantOperands:
+    @pytest.mark.parametrize("name", ["add", "mul", "div"])
+    def test_rule_returns_none_for_the_constant(self, name):
+        x = Tensor(np.full((3, 4), 2.0), requires_grad=True)
+        c = Tensor(np.full(4, 0.5))
+        for args, const in (((x, c), 1), ((c, x), 0)):
+            tape = Tape()
+            with tape:
+                y = getattr(ad, name)(*args)
+            grads = tape.entries[0].backward_rule(np.ones_like(y.data))
+            assert grads[const] is None and grads[1 - const].shape == (3, 4)
+
+    @pytest.mark.parametrize("family,loss", [("TemporalTransformer", "cross_entropy"), ("Conv2dRecurrent", "cosine")])
+    def test_pretrain_step_gradients_are_bitwise_unchanged(self, family, loss, monkeypatch):
+        from futuredistill import nn
+        from futuredistill.distill import DistillConfig, DistillModel, fpd_loss
+        from futuredistill.models import BackboneSpec, build_backbone
+
+        def step_grads():
+            spec = BackboneSpec(family=family, frames=6, embed_dim=16, frame_size=16, recurrent_hidden=16)
+            student = DistillModel(build_backbone(spec, 0), nn.Mlp(16, 16, 16, np.random.default_rng(0)))
+            rng = np.random.default_rng(83)
+            clips = Tensor(rng.normal(size=(2, 6, 3, 16, 16)).astype(np.float32))
+            teacher = rng.normal(size=(2, 16)).astype(np.float32)
+            tape = Tape()
+            with tape:
+                out = fpd_loss(student.forward(clips), teacher, DistillConfig(t=6, t_pred=6, loss_variant=loss))
+            backward(out, tape)
+            return [p.grad.tobytes() for p in student.parameters()]
+
+        skipped = step_grads()
+        for name, op in REFERENCE_BINARY.items():
+            monkeypatch.setattr(ad, name, op)
+        assert step_grads() == skipped
+
+
 class TestSgd:
     def test_plain_step_arithmetic(self):
         p = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
@@ -1074,6 +1136,20 @@ def reference_lstm_sequence(xs, w_x, w_h, bias):
     return h
 
 
+def reference_attention(qkv, heads):
+    """The composite SelfAttention core that autodiff.attention replaced: 12 tape entries."""
+    b, t, width = qkv.shape
+    d = width // 3
+    hd = d // heads
+    qkv = ad.reshape(qkv, (b, t, 3, heads, hd))
+    qkv = ad.transpose(qkv, (2, 0, 3, 1, 4))  # [3, B, heads, T, hd]
+    q, k, v = qkv[0], qkv[1], qkv[2]
+    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
+    attn = ad.softmax(scores, axis=-1)
+    mixed = ad.matmul(attn, v)  # [B, heads, T, hd]
+    return ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (b, t, d))
+
+
 class TestFusedOpsMatchComposite:
     # max relative error of the gradients, with a 1e-3 floor for values near zero
     GRAD_TOL = {np.float32: 1e-3, np.float64: 1e-11}
@@ -1143,23 +1219,41 @@ class TestFusedOpsMatchComposite:
         gain, bias = Tensor(np.ones(4, dtype=np.float32)), Tensor(np.zeros(4, dtype=np.float32))
         xs = Tensor(np.ones((2, 3, 4), dtype=np.float32), requires_grad=True)
         w_x, w_h = Tensor(np.ones((4, 8), dtype=np.float32)), Tensor(np.ones((2, 8), dtype=np.float32))
+        qkv = Tensor(np.ones((2, 3, 12), dtype=np.float32), requires_grad=True)
         for op in (
             lambda: ad.layer_norm(x, gain, bias),
             lambda: ad.gelu(x),
             lambda: ad.lstm_sequence(xs, w_x, w_h, Tensor(np.zeros(8, dtype=np.float32))),
+            lambda: ad.attention(qkv, 2),
+            lambda: ad.linear(x, w_x, Tensor(np.zeros(8, dtype=np.float32))),
         ):
             tape = Tape()
             with tape:
                 op()
             assert len(tape) == 1
 
+    def test_self_attention_records_one_entry_per_linear_and_core(self):
+        from futuredistill import nn
+
+        rng = np.random.default_rng(0)
+        attn, layer = nn.SelfAttention(8, 2, rng), nn.Linear(8, 4, rng)
+        x = Tensor(np.ones((2, 3, 8), dtype=np.float32), requires_grad=True)
+        tape = Tape()
+        with tape:
+            attn(x)
+        assert len(tape) == 3  # qkv projection, attention core, output projection
+        tape = Tape()
+        with tape:
+            layer(x)
+        assert len(tape) == 1
+
     @pytest.mark.parametrize(
         "family,t,loss,entries",
         [
-            ("TemporalTransformer", 6, "cross_entropy", 69),
-            ("Conv3dResidual", 6, "cosine", 39),
-            ("Conv2dRecurrent", 12, "cosine", 30),
-            ("PatchTransformerRecurrent", 12, "cosine", 54),
+            ("TemporalTransformer", 6, "cross_entropy", 35),
+            ("Conv3dResidual", 6, "cosine", 36),
+            ("Conv2dRecurrent", 12, "cosine", 27),
+            ("PatchTransformerRecurrent", 12, "cosine", 35),
         ],
     )
     def test_pretrain_step_tape_length(self, family, t, loss, entries):
@@ -1178,6 +1272,109 @@ class TestFusedOpsMatchComposite:
         with tape:
             fpd_loss(student.forward(clips), teacher, DistillConfig(t=t, t_pred=t, loss_variant=loss))
         assert len(tape) == entries
+
+
+class TestAttentionAndLinear:
+    """The single-entry attention core and linear against their composites and finite differences."""
+
+    # max |fused - composite| over the largest composite magnitude
+    ATTENTION_TOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+    def test_attention_gradient_vs_finite_differences(self):
+        rng = np.random.default_rng(97)
+        w = Tensor(rng.normal(size=(2, 5, 4)))
+        fd_check(lambda t: ad.sum_(ad.mul(ad.attention(t, 2), w)), Tensor(rng.normal(size=(2, 5, 12))))
+
+    @pytest.mark.parametrize("x_shape", [(5,), (4, 5), (2, 3, 5)], ids=["1d", "2d", "3d"])
+    def test_linear_gradients_vs_finite_differences(self, x_shape):
+        rng = np.random.default_rng(101)
+        x, w, b = Tensor(rng.normal(size=x_shape)), Tensor(rng.normal(size=(5, 3))), Tensor(rng.normal(size=3))
+        r = Tensor(rng.normal(size=(*x_shape[:-1], 3)))
+        fd_check(lambda t: ad.sum_(ad.mul(ad.linear(t, w, b), r)), x)
+        fd_check(lambda t: ad.sum_(ad.mul(ad.linear(x, t, b), r)), w)
+        fd_check(lambda t: ad.sum_(ad.mul(ad.linear(x, w, t), r)), b)
+
+    def _run_attention(self, op, qkv_data, heads):
+        b, t, width = qkv_data.shape
+        qkv = Tensor(qkv_data, requires_grad=True)
+        w = Tensor(np.random.default_rng(103).normal(size=(b, t, width // 3)).astype(qkv_data.dtype))
+        tape = Tape()
+        with tape:
+            y = op(qkv, heads)
+            loss = ad.sum_(ad.mul(y, w))
+        backward(loss, tape)
+        return y.data, qkv.grad
+
+    # TemporalTransformer at t = 6 and batch 16; PatchTransformerRecurrent at t = 12, batch 2
+    @pytest.mark.parametrize("shape", [(16, 96, 192), (24, 16, 192)], ids=["temporal", "patch"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_attention_matches_composite(self, shape, dtype):
+        qkv = np.random.default_rng(107).normal(size=shape).astype(dtype)
+        y_ref, g_ref = self._run_attention(reference_attention, qkv, 2)
+        y, g = self._run_attention(ad.attention, qkv, 2)
+        assert y.dtype == dtype and g.dtype == dtype and y.shape == y_ref.shape
+        for got, ref in ((y, y_ref), (g, g_ref)):
+            err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+            assert err < self.ATTENTION_TOL[dtype], f"{err:.2e}"
+
+    def test_attention_of_saturated_scores_is_finite(self):
+        qkv = (80.0 * np.random.default_rng(109).normal(size=(2, 6, 3, 2, 4))).astype(np.float32)
+        scores = np.einsum("bqhc,bkhc->bhqk", qkv[:, :, 0], qkv[:, :, 1]) / 2.0  # q . k / sqrt(hd)
+        assert np.abs(scores).max() > 1e4  # exp overflows float32 here without the max subtraction
+        y, g = self._run_attention(ad.attention, qkv.reshape(2, 6, 24), 2)
+        assert np.all(np.isfinite(y)) and np.all(np.isfinite(g))
+
+    def test_attention_rule_keeps_only_the_scores_and_views_of_qkv(self):
+        qkv = Tensor(np.random.default_rng(113).normal(size=(2, 5, 12)).astype(np.float32), requires_grad=True)
+        tape = Tape()
+        with tape:
+            ad.attention(qkv, 2)
+        kept = [c.cell_contents for c in tape.entries[0].backward_rule.__closure__]
+        arrays = [a for a in kept if isinstance(a, np.ndarray)]
+        scores = [a for a in arrays if not np.shares_memory(a, qkv.data)]
+        assert len(scores) == 1 and scores[0].shape == (2, 2, 5, 5)
+
+    @pytest.mark.parametrize("shape,heads", [((1, 2, 190), 2), ((1, 2, 16), 2), ((1, 2, 12), 0), ((2, 12), 2)])
+    def test_attention_rejects_a_width_not_divisible_by_three_heads(self, shape, heads):
+        with pytest.raises(DimensionError):
+            ad.attention(Tensor(np.zeros(shape)), heads)
+
+    @pytest.mark.parametrize("x_shape", [(5,), (7, 5), (2, 3, 5)], ids=["1d", "2d", "3d"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_linear_is_bitwise_add_of_matmul(self, x_shape, dtype):
+        def run(op):
+            rng = np.random.default_rng(107)
+            x = Tensor(rng.normal(size=x_shape).astype(dtype), requires_grad=True)
+            w = Tensor(rng.normal(size=(5, 6)).astype(dtype), requires_grad=True)
+            b = Tensor(rng.normal(size=6).astype(dtype), requires_grad=True)
+            r = Tensor(rng.normal(size=(*x_shape[:-1], 6)).astype(dtype))
+            tape = Tape()
+            with tape:
+                y = op(x, w, b)
+                loss = ad.sum_(ad.mul(y, r))
+            backward(loss, tape)
+            return y.data, x.grad, w.grad, b.grad
+
+        fused = run(ad.linear)
+        composite = run(lambda x, w, b: ad.add(ad.matmul(x, w), b))
+        for got, ref in zip(fused, composite):
+            assert got.dtype == dtype and got.tobytes() == ref.tobytes()
+
+    def test_linear_skips_gradients_nobody_needs(self):
+        x = Tensor(np.ones((2, 3), dtype=np.float32))
+        w = Tensor(np.ones((3, 4), dtype=np.float32), requires_grad=True)
+        b = Tensor(np.zeros(4, dtype=np.float32))
+        tape = Tape()
+        with tape:
+            y = ad.linear(x, w, b)
+        gx, gw, gb = tape.entries[0].backward_rule(np.ones_like(y.data))
+        assert gx is None and gb is None and gw.shape == (3, 4)
+
+    def test_linear_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
+        with pytest.raises(DimensionError):
+            ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 5))), Tensor(np.zeros(4)))
 
 
 def test_star_import_binds_every_public_name():

@@ -14,8 +14,6 @@ from futuredistill.autodiff import (
     Tape,
     Tensor,
     backward,
-    finite_difference_gradient,
-    max_relative_error,
 )
 from futuredistill.distill import (
     DistillConfig,
@@ -30,6 +28,8 @@ from futuredistill.distill import (
 from futuredistill.errors import ConfigurationError, DimensionError, DivergenceError
 from futuredistill.models import BackboneSpec, build_backbone
 from futuredistill.synthdata import make_dataset
+
+from oracles import finite_difference_gradient, max_relative_error
 
 
 class TestDownsampling:

@@ -1023,7 +1023,7 @@ class TestCli:
         lines = proc.stdout.splitlines()
         assert lines[0].startswith("cores: ") and "BLAS threads: 1;" in lines[0]
         rows = [line.split() for line in lines[3:]]
-        assert {row[1] for row in rows} == {"conv2d", "conv3d", "lstm_sequence", "layer_norm", "gelu", "matmul"}
+        assert {row[1] for row in rows} == {"conv2d", "conv3d", "lstm_sequence", "layer_norm", "gelu", "attention", "linear"}
         for row in rows:
             median, q1, q3 = float(row[-3]), float(row[-2].strip("[,")), float(row[-1].strip("]"))
             assert 0 < q1 <= median <= q3

@@ -10,8 +10,6 @@ from futuredistill.autodiff import (
     Tape,
     Tensor,
     backward,
-    finite_difference_gradient,
-    max_relative_error,
     sgd_step,
 )
 from futuredistill.errors import ConfigurationError, DimensionError
@@ -21,6 +19,8 @@ from futuredistill.models import (
     PredictionHead,
     build_backbone,
 )
+
+from oracles import finite_difference_gradient, max_relative_error
 
 
 def random_clip(rng, t, size=32):
