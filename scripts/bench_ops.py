@@ -11,7 +11,9 @@ count). Each recorded call is then timed on random float32 data of the same
 layout in two ways: one forward on a tape plus the backward rule of its one
 tape entry, and one forward under no_grad, as the teacher, probe and
 evaluation forwards run it. The table gives the median and the quartiles
-[q1, q3] in ms of each.
+[q1, q3] in ms of each. For a conv it also gives the columns its chunk loop
+computes (grid positions times batch items) and the share of them that are
+valid outputs, from autodiff._conv_grid; other ops print "-" there.
 
 BLAS is pinned to one thread before numpy loads; the core and BLAS thread
 counts are printed above the table.
@@ -136,6 +138,16 @@ def _describe(args: list, kwargs: dict) -> str:
     return " ".join(parts)
 
 
+def conv_columns(args: list, kwargs: dict) -> tuple[int, float]:
+    """(computed columns, valid share) of a recorded conv2d/conv3d call, as its phase grid lays them out."""
+    x, k = args[0].template, args[1].template
+    n = k.ndim - 2
+    strides, pads = ((v,) * n if isinstance(v, int) else tuple(v) for v in (kwargs["stride"], kwargs["padding"]))
+    out_dims, _, computed = ad._conv_grid(x.shape[-n:], k.shape[2:], strides, pads)
+    batch = x.shape[0] if x.ndim == n + 2 else 1
+    return computed * batch, np.prod(out_dims) / computed
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--config", default=str(ROOT / "configs" / "default.ini"))
@@ -146,7 +158,10 @@ def main(argv=None) -> int:
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
     print(f"cores: {os.cpu_count()} (usable {usable}); BLAS threads: {BLAS_THREADS}; numpy {np.__version__}")
     print(f"config: {args.config}; batch {cfg.distill.batch_size}, t {cfg.distill.t}; {args.repeats} repeats")
-    print(f"{'family':<26} {'op':<14} {'inputs':<44} {'fwd+bwd ms':>10}  {'[q1, q3]':<18} {'no-grad fwd ms':>14}  [q1, q3]")
+    print(
+        f"{'family':<26} {'op':<14} {'inputs':<44} {'fwd+bwd ms':>10}  {'[q1, q3]':<18} {'no-grad fwd ms':>14}  "
+        f"{'[q1, q3]':<18} {'columns':>8} {'valid':>6}"
+    )
     rng = np.random.default_rng(0)
     for family, name, call_args, kwargs in record_calls(cfg):
         cols = []
@@ -154,7 +169,14 @@ def main(argv=None) -> int:
             q1, med, q3 = np.percentile(ms * 1e3, [25, 50, 75])
             cols.append((med, f"[{q1:.3f}, {q3:.3f}]"))
         (g_med, g_iqr), (f_med, f_iqr) = cols
-        print(f"{family:<26} {name:<14} {_describe(call_args, kwargs):<44} {g_med:>10.3f}  {g_iqr:<18} {f_med:>14.3f}  {f_iqr}")
+        n_cols, valid = "-", "-"
+        if name in ("conv2d", "conv3d"):
+            n_cols, share = conv_columns(call_args, kwargs)
+            valid = f"{share:.1%}"
+        print(
+            f"{family:<26} {name:<14} {_describe(call_args, kwargs):<44} {g_med:>10.3f}  {g_iqr:<18} "
+            f"{f_med:>14.3f}  {f_iqr:<18} {n_cols:>8} {valid:>6}"
+        )
     return 0
 
 

@@ -529,13 +529,40 @@ _THIN_CHANNELS = 8
 _STACK_ROWS = 27
 
 
+def _conv_grid(spatial, ksize, strides, pads) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(out_dims, grid, computed) of one item's polyphase grid; strides >= 1, pads >= 0.
+
+    Phase r of an axis with stride s and padding p holds padded position
+    g * s + r at grid index g (see `_phase_slices`). The outermost axis and
+    every strided axis get ceil((d + 2p) / s) entries, so each row carries its
+    own left and right padding. A stride-1 axis inside the outermost one gets
+    d + p entries: p zeros, then the d inputs, so each row's right padding is
+    the next row's left padding. The reads for output w reach at most index
+    d + 2p - 1, which is index p - 1 of the next row, inside its leading
+    zeros whatever the kernel size. Such a read carries at most one row into
+    the axis outside, so when some axis shares, one more all-zero plane of
+    the outermost axis keeps the reads past the last row inside the buffer.
+
+    The valid outputs lie at grid positions [0, computed), computed being
+    1 + the flat index of the last one; the conv computes those positions and
+    crops the out_dims box out of them.
+    """
+    out_dims = tuple((d + 2 * p - kd) // s + 1 for d, kd, s, p in zip(spatial, ksize, strides, pads))
+    shared = [i > 0 and s == 1 and p > 0 for i, (s, p) in enumerate(zip(strides, pads))]
+    grid = [d + p if sh else -(-(d + 2 * p) // s) for d, s, p, sh in zip(spatial, strides, pads, shared)]
+    grid[0] += any(shared)
+    computed = 1 + sum((m - 1) * math.prod(grid[i + 1 :]) for i, m in enumerate(out_dims))
+    return out_dims, tuple(grid), computed
+
+
 def _phase_slices(spatial, strides, pads):
     """Yield (phase, grid slices, input slices) for each phase of a polyphase buffer.
 
     Phase r of an axis with stride s and padding p holds padded position
     g * s + r at grid index g; the slices say which input positions land on
-    which grid indices. Phases come in np.ndindex(*strides) order, which is
-    the flat phase index.
+    which grid indices, and every grid index outside them holds a zero (the
+    extents come from `_conv_grid`). Phases come in np.ndindex(*strides)
+    order, which is the flat phase index.
     """
     for phase, rs in enumerate(np.ndindex(*strides)):
         grid_idx, x_idx = [], []
@@ -550,7 +577,8 @@ def _phase_slices(spatial, strides, pads):
 def _polyphase(xd: np.ndarray, strides, pads, grid, dtype) -> np.ndarray:
     """Zero-padded phase buffer [C, prod(strides), prod(grid) * B] of xd [B, C, *spatial].
 
-    The batch axis is innermost: column q * B + b holds grid position q of item b.
+    grid is the per-phase extent from `_conv_grid`. The batch axis is
+    innermost: column q * B + b holds grid position q of item b.
     """
     batch, c = xd.shape[:2]
     buf = np.zeros((c, math.prod(strides), *grid, batch), dtype=dtype)
@@ -590,16 +618,17 @@ def _conv_nd(name: str, x: Tensor, k: Tensor, stride, padding, bias: Tensor | No
 
     x is [C_in, *spatial] or [B, C_in, *spatial]; k is [C_out, C_in, *ksize];
     bias, if given, is [C_out]. x is padded once into a batch-innermost
-    polyphase buffer [C_in, prod(stride), prod(grid) * B] with
-    grid = ceil(padded / stride) per axis (see `_phase_slices`). Tap o reads
-    phase o % stride at the constant flat column shift
+    polyphase buffer [C_in, prod(stride), prod(grid) * B]; the grid's extents
+    are ceil((d + 2p) / s) per axis, except d + p for a stride-1 axis inside
+    the outermost one, whose rows share their padding (see `_conv_grid`). Tap
+    o reads phase o % stride at the constant flat column shift
     B * sum((o // stride) * grid_stride), so every tap's operand is a 2-D
     slice BLAS reads in place, and the output is accumulated as
     sum_o K[:, :, o] @ slice over column chunks. A thin input stacks the
     slices of a group of consecutive taps into one [G * C_in, chunk] operand
     and runs one GEMM per group (see `_tap_groups`). With the batch
     innermost, the valid outputs of all items lie in the columns
-    [0, (q_last + 1) * B), where q_last is the flat grid index of the last
+    [0, computed * B), computed being 1 + the flat grid index of the last
     valid output; only those columns are computed. Each chunk's epilogue adds
     the bias and, with relu, clamps at zero while the [C_out, chunk]
     accumulator is in cache, so no separate add or ReLU array is made. The
@@ -626,17 +655,17 @@ def _conv_nd(name: str, x: Tensor, k: Tensor, stride, padding, bias: Tensor | No
     pads = (padding,) * n if isinstance(padding, int) else tuple(padding)
     if len(strides) != n or len(pads) != n:
         raise ConfigurationError(f"{name}: stride {stride} and padding {padding} need {n} entries each")
+    if min(strides) < 1 or min(pads) < 0:
+        raise ConfigurationError(f"{name}: stride {stride} needs entries >= 1 and padding {padding} entries >= 0")
     batch, c_in, c_out = xd.shape[0], xd.shape[1], k.shape[0]
     ksize = k.shape[2:]
     spatial = xd.shape[2:]
-    padded = tuple(d + 2 * p for d, p in zip(spatial, pads))
-    out_dims = tuple((d - kd) // s + 1 for d, kd, s in zip(padded, ksize, strides))
+    out_dims, grid, computed = _conv_grid(spatial, ksize, strides, pads)
     if min(out_dims) < 1:
         raise ConfigurationError(
             f"{name}: non-positive output dims ({','.join(map(str, out_dims))}) for input {x.shape}, "
             f"kernel {k.shape}, stride {strides}, padding {pads}"
         )
-    grid = tuple(-(-d // s) for d, s in zip(padded, strides))
     grid_strides = [math.prod(grid[i + 1 :]) for i in range(n)]
     phase_strides = [math.prod(strides[i + 1 :]) for i in range(n)]
     taps = [
@@ -647,9 +676,9 @@ def _conv_nd(name: str, x: Tensor, k: Tensor, stride, padding, bias: Tensor | No
         for offset in np.ndindex(*ksize)
     ]
     n_phases, n_cols = math.prod(strides), math.prod(grid) * batch
-    # Every valid output lies at or before grid index q_last, and every tap it
-    # reads stays inside the grid: (out - 1) + (ksize - 1) // stride < grid per axis.
-    n_valid = (1 + sum((m - 1) * gs for m, gs in zip(out_dims, grid_strides))) * batch
+    # Every tap a computed column reads lies inside the buffer, and a read past
+    # the end of a shared-padding row lands on the next row's leading zeros.
+    n_valid = computed * batch
     # The output grid needs only the first out_dims[0] planes of the first axis.
     out_grid = (out_dims[0], *grid[1:], batch)
     crop = (slice(None), *(slice(0, m) for m in out_dims))

@@ -122,6 +122,18 @@ class TestConv3d:
         with pytest.raises(ConfigurationError, match="conv2d: stride"):
             ad.conv2d(x[:, 0], k[:, :, 0], padding=(1, 1, 1))
 
+    @pytest.mark.parametrize(
+        "name,stride,padding",
+        [("conv3d", 0, 0), ("conv3d", (1, 0, 1), 1), ("conv3d", 1, (0, 0, -1)), ("conv2d", -1, 0), ("conv2d", 1, -1)],
+    )
+    def test_stride_below_one_or_negative_padding_is_rejected(self, name, stride, padding):
+        # unchecked, stride 0 divides by zero and a negative padding shrinks the grid
+        x, k = np.zeros((1, 3, 8, 8)), np.zeros((1, 1, 2, 2, 2))
+        if name == "conv2d":
+            x, k = x[:, 0], k[:, :, 0]
+        with pytest.raises(ConfigurationError, match=rf"{name}: stride .* >= 1 and padding .* >= 0"):
+            getattr(ad, name)(Tensor(x), Tensor(k), stride=stride, padding=padding)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_conv2d_is_conv3d_with_singleton_time(self, dtype):
         rng = np.random.default_rng(11)
@@ -233,6 +245,25 @@ class TestConvMatchesIm2colReference:
             assert a.dtype == dtype and a.shape == b.shape
             err = np.abs(a - b).max() / np.abs(b).max()
             assert err <= self.TOL[dtype], f"{name}: {err:.2e}"
+
+    # (grid, computed columns, valid outputs) of each backbone conv; the block
+    # convs' H and W rows share their padding, so their T axis has one extra plane
+    BACKBONE_GRIDS = {
+        "c2d_conv1": ((17, 17), 52032, 49152),
+        "c2d_conv2": ((9, 9), 13632, 12288),
+        "c3d_stem": ((8, 17, 17), 27456, 24576),
+        "c3d_block1": ((9, 17, 17), 27456, 24576),
+        "c3d_down": ((4, 9, 9), 3728, 3072),
+        "c3d_block2": ((6, 9, 9), 3728, 3072),
+    }
+
+    @pytest.mark.parametrize("shape", list(BACKBONE_CONVS))
+    def test_backbone_grids(self, shape):
+        x_shape, k_shape, stride, padding = self.BACKBONE_CONVS[shape]
+        n = len(k_shape) - 2
+        strides, pads = ((v,) * n if isinstance(v, int) else v for v in (stride, padding))
+        out_dims, grid, computed = ad._conv_grid(x_shape[2:], k_shape[2:], strides, pads)
+        assert (grid, computed * x_shape[0], np.prod(out_dims) * x_shape[0]) == self.BACKBONE_GRIDS[shape]
 
     @pytest.mark.parametrize(
         "x_shape,k_shape,stride,padding",
@@ -411,6 +442,7 @@ class TestFusedConv:
             ((2, 3, 5, 6), (4, 3, 3, 3), 2, 1),
             ((2, 2, 3, 5, 6), (3, 2, 2, 3, 3), (1, 2, 2), 1),
             ((3, 5, 6), (2, 3, 2, 2), 1, 0),  # unbatched
+            ((2, 2, 3, 4, 5), (3, 2, 3, 3, 3), 1, 1),  # H and W rows share their padding
         ],
     )
     def test_gradient_vs_finite_differences(self, x_shape, k_shape, stride, padding, relu):
@@ -444,6 +476,35 @@ class TestFusedConv:
         ref = _fused_conv_with_grads(composite_conv(reference_conv), x, k, b, stride, padding, True, w)
         for name, a, c in zip(("y", "gx", "gk", "gbias"), fused, ref):
             assert a.shape == c.shape and np.abs(a - c).max() <= 1e-12 * np.abs(c).max(), name
+
+    @pytest.mark.parametrize("relu", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "x_shape,k_shape,stride,padding",
+        [
+            ((2, 3, 4, 5, 6), (4, 3, 3, 3, 3), 1, (1, 0, 1)),  # unpadded H between shared T and W
+            ((2, 8, 5, 6), (4, 8, 2, 2), 1, 1),  # even kernel: the last tap reads index 0 of the next row
+            ((2, 8, 5, 6), (4, 8, 3, 3), 1, 2),  # reads reach index 1 of the next row
+            ((2, 3, 6, 7), (4, 3, 5, 5), 1, 2),
+            ((2, 8, 4, 7, 8), (4, 8, 3, 3, 3), (1, 2, 2), 1),  # no shared axis
+            ((2, 2, 5, 6, 7), (4, 2, 3, 3, 3), (2, 1, 1), 1),  # extra plane on a strided outermost axis
+            ((2, 8, 4, 5, 8), (4, 8, 3, 3, 3), (1, 1, 2), 1),  # shared H rows, strided W
+            ((8, 4, 5, 6), (4, 8, 3, 3, 3), 1, 1),  # unbatched
+            ((8, 8, 4, 12, 12), (2, 8, 3, 3, 3), 1, 1),  # 5296 columns: two chunks
+        ],
+    )
+    def test_shared_row_padding_matches_reference(self, x_shape, k_shape, stride, padding, dtype, relu):
+        conv, x, k, b, w = self._data(x_shape, k_shape, stride, padding, dtype, 131)
+        if relu:  # no pre-activation close enough to zero for rounding to flip its mask
+            pre = reference_conv(Tensor(x), Tensor(k), stride, padding).data
+            pre += b.reshape(-1, *(1,) * (len(k_shape) - 2))
+            assert np.abs(pre).min() > 1e-5 * np.abs(pre).max()
+        fused = _fused_conv_with_grads(conv, x, k, b, stride, padding, relu, w)
+        ref = _fused_conv_with_grads(composite_conv(reference_conv), x, k, b, stride, padding, relu, w)
+        tol = TestConvMatchesIm2colReference.TOL[dtype]
+        for name, a, c in zip(("y", "gx", "gk", "gbias"), fused, ref):
+            assert a.dtype == dtype and a.shape == c.shape, name
+            assert np.abs(a - c).max() <= tol * np.abs(c).max(), name
 
     @pytest.mark.parametrize("c_in,n_taps", [(3, 9), (3, 27), (3, 1), (3, 4), (3, 25), (8, 27), (16, 27), (64, 9)])
     def test_tap_groups_cover_every_tap_once_in_order(self, c_in, n_taps):

@@ -1025,8 +1025,17 @@ class TestCli:
         rows = [line.split() for line in lines[3:]]
         assert {row[1] for row in rows} == {"conv2d", "conv3d", "lstm_sequence", "layer_norm", "gelu", "attention", "linear"}
         for row in rows:
-            median, q1, q3 = float(row[-3]), float(row[-2].strip("[,")), float(row[-1].strip("]"))
+            median, q1, q3 = float(row[-5]), float(row[-4].strip("[,")), float(row[-3].strip("]"))
             assert 0 < q1 <= median <= q3
+            if row[1] in ("conv2d", "conv3d"):
+                assert int(row[-2]) > 0 and 0 < float(row[-1].rstrip("%")) <= 100
+            else:
+                assert row[-2:] == ["-", "-"]
+        # the residual block's convs: 2 clips of 3 frames at 8 x 8, stride 1, padding 1. The
+        # H and W rows share their padding on a (3 + 2 + 1, 9, 9) grid, so the chunk loop
+        # computes 2 * (1 + 2 * 81 + 7 * 9 + 7) columns for 2 * 3 * 8 * 8 outputs
+        block = [row for row in rows if row[1:4] == ["conv3d", "2x2x3x8x8", "2x2x3x3x3"]]
+        assert len(block) == 2 and {tuple(row[-2:]) for row in block} == {("466", "82.4%")}
 
     def test_console_entry_point(self):
         # the child imports the same package as this process, installed or not
