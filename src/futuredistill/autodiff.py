@@ -183,35 +183,25 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """
     if loss.data.size != 1:
         raise UsageError(f"backward() needs a scalar loss, got shape {loss.shape}")
-    # transient per-sweep accumulators keyed by object identity
-    sweep: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    keepalive: dict[int, Tensor] = {id(loss): loss}
+    # transient per-sweep accumulators; a Tensor hashes by identity
+    sweep: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
     touched = False
     for entry in reversed(tape.entries):
-        g_out = sweep.get(id(entry.output))
+        g_out = sweep.get(entry.output)
         if g_out is None:
             continue
         if entry.output is loss:
             touched = True
         grads = entry.backward_rule(g_out)
         for inp, g in zip(entry.inputs, grads):
-            if g is None or not inp.requires_grad:
-                continue
-            key = id(inp)
-            if key in sweep:
-                sweep[key] = sweep[key] + g
-            else:
-                sweep[key] = g
-                keepalive[key] = inp
+            if g is not None and inp.requires_grad:
+                sweep[inp] = sweep[inp] + g if inp in sweep else g
         if entry.output is not loss:
-            del sweep[id(entry.output)], keepalive[id(entry.output)]
+            del sweep[entry.output]
     if not touched and tape.entries:
         raise UsageError("loss tensor was not produced on the given tape")
-    for key, g in sweep.items():
-        t = keepalive[key]
-        if t.requires_grad and t is not loss:
-            t.accumulate_grad(g)
-        elif t is loss and t.requires_grad and not tape.entries:
+    for t, g in sweep.items():
+        if t.requires_grad and (t is not loss or not tape.entries):
             t.accumulate_grad(g)
 
 
@@ -409,30 +399,18 @@ def transpose(a, axes=None) -> Tensor:
     return out
 
 
-def _is_basic_index(idx) -> bool:
-    """True when idx is int/slice/Ellipsis (or a tuple of them): a view, no repeats."""
-    parts = idx if isinstance(idx, tuple) else (idx,)
-    return all(
-        i is Ellipsis or isinstance(i, slice) or (isinstance(i, int) and not isinstance(i, bool)) for i in parts
-    )
-
-
 def getitem(a, idx) -> Tensor:
     """a[idx] for any numpy index.
 
-    Backward writes g into a zero buffer: by plain assignment for basic
-    indices, by np.add.at for advanced ones, whose positions may repeat.
+    Backward adds g into a zero buffer with np.add.at, so positions an
+    advanced index repeats accumulate.
     """
     a = _as_tensor(a)
     out = Tensor(a.data[idx])
-    basic = _is_basic_index(idx)
 
     def rule(g):
         full = np.zeros_like(a.data)
-        if basic:
-            full[idx] = g
-        else:
-            np.add.at(full, idx, g)
+        np.add.at(full, idx, g)
         return (full,)
 
     _record(out, (a,), rule)
@@ -649,6 +627,8 @@ def _conv_nd(name: str, x: Tensor, k: Tensor, stride, padding, bias: Tensor | No
     xd = x.data[None] if squeeze else x.data
     if xd.shape[1] != k.shape[1]:
         raise DimensionError(f"{name}: channel mismatch, input {x.shape} vs kernels {k.shape}")
+    if 0 in k.shape:
+        raise DimensionError(f"{name}: kernels {k.shape} have a zero-size axis")
     if bias is not None and bias.shape != k.shape[:1]:
         raise DimensionError(f"{name}: bias {bias.shape} does not match kernels {k.shape}")
     strides = (stride,) * n if isinstance(stride, int) else tuple(stride)
@@ -1074,10 +1054,7 @@ def sgd_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: SgdSt
         g = np.asarray(g, dtype=p.dtype)
         if g.shape != p.data.shape:
             raise DimensionError(f"sgd_step: grad shape {g.shape} vs param {p.data.shape}")
-        if state.momentum == 0.0:
-            p.data = p.data - p.data.dtype.type(state.learning_rate) * g
-        else:
-            v = state.velocities[idx]
-            v = g.copy() if v is None else state.momentum * v + g
-            state.velocities[idx] = v
-            p.data = p.data - p.data.dtype.type(state.learning_rate) * v
+        v = state.velocities[idx]
+        v = g.copy() if v is None else state.momentum * v + g
+        state.velocities[idx] = v
+        p.data = p.data - p.data.dtype.type(state.learning_rate) * v

@@ -248,7 +248,7 @@ def cmd_ablate(args) -> int:
 def cmd_report(args) -> int:
     out_dir = Path(args.out) if args.out else Path(args.metrics).parent / "report"
     try:
-        written = generate_report(args.metrics, out_dir, logs_dir=args.logs)
+        written = generate_report(args.metrics, out_dir)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY_METRICS
@@ -292,7 +292,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="aggregate a metrics CSV into tables and plot data")
     p.add_argument("--metrics", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--logs", default=None)
     p.set_defaults(fn=cmd_report)
     return parser
 

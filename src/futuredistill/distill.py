@@ -202,12 +202,7 @@ def ema_update(pair: StudentTeacherPair, m: float) -> None:
         sp = student.get(name)
         if sp is None or sp.data.shape != tp.data.shape:
             raise RuntimeError(f"student/teacher structure mismatch at {name}")
-        if m == 0.0:
-            tp.data = sp.data.copy()
-        elif m != 1.0:
-            mm = tp.data.dtype.type(m)
-            one_minus = tp.data.dtype.type(1.0 - m)
-            tp.data = mm * tp.data + one_minus * sp.data
+        tp.data = tp.data.dtype.type(m) * tp.data + tp.data.dtype.type(1.0 - m) * sp.data
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Metrics CSV handling and report generation.
 
-The metrics file is append-only: a version line, a header, then one row per
-(protocol, seed) evaluation. A rerun appends a second row for the same cell
-and seed; reports count only the last one, which belongs to the checkpoint the
-rerun overwrote. Reports aggregate seeds as mean and std and emit
-two tables (backbone x interval, backbone x loss variant) plus loss-curve
-plot data as CSV and SVG. Reports are pure functions of their inputs.
+The metrics file is append-only: a version line, a header of the MetricsRow
+fields, then one row per (protocol, seed) evaluation. A rerun appends a second
+row for the same cell and seed; reports count only the last one, which belongs
+to the checkpoint the rerun overwrote. Reports aggregate seeds as mean and std
+per Protocol and emit the REPORT_TABLES (a missing arm reads `-`, or an empty
+CSV cell) plus loss-curve plot data as CSV and SVG. Reports are pure functions
+of their inputs.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from __future__ import annotations
 import csv
 import io
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -22,20 +24,14 @@ from .downstream import MetricsRow, Protocol
 from .errors import ConfigurationError
 
 METRICS_VERSION_LINE = "#metrics-v1"
-METRICS_HEADER = ["backbone", "interval", "protocol", "loss_variant", "seed", "macro_precision", "n_frames"]
-_COLUMN_TYPES = (str, int, str, str, int, float, int)  # of METRICS_HEADER, in MetricsRow field order
+METRICS_HEADER = [f.name for f in fields(MetricsRow)]
+_COLUMN_TYPES = [get_type_hints(MetricsRow)[name] for name in METRICS_HEADER]  # each column's parser
 
 
 def format_row(row: MetricsRow) -> list[str]:
-    return [
-        row.backbone,
-        str(row.interval),
-        row.protocol,
-        row.loss_variant,
-        str(row.seed),
-        f"{row.macro_precision:.6f}",
-        str(row.n_frames),
-    ]
+    """One CSV record: a float field with 6 decimals, any other field by str."""
+    values = (getattr(row, name) for name in METRICS_HEADER)
+    return [f"{v:.6f}" if kind is float else str(v) for kind, v in zip(_COLUMN_TYPES, values)]
 
 
 def append_metrics(path: str | Path, rows: list[MetricsRow]) -> None:
@@ -101,45 +97,51 @@ def read_metrics(path: str | Path) -> list[MetricsRow]:
 # ---------------------------------------------------------------------------
 # aggregated tables
 
+# (file stem, key fields, title) of each report table
+REPORT_TABLES = (
+    (
+        "table_backbone_interval",
+        ("backbone", "interval"),
+        "Macro precision by backbone and input length (mean over seeds)",
+    ),
+    (
+        "table_loss_variants",
+        ("backbone", "loss_variant"),
+        "Macro precision by backbone and pretraining loss (mean over seeds)",
+    ),
+)
+
 
 @dataclass
 class TableRow:
-    """One table row; each protocol column is the field named by its Protocol value."""
+    """One table row; arms maps each Protocol, in order, to (mean or nan without rows, std or None for one seed)."""
 
     key: tuple
-    linear_probe: tuple[float, float | None]  # (mean, std or None for single seed)
-    fine_tune: tuple[float, float | None]
-    supervised: tuple[float, float | None]
-    improvement: float  # fine_tune mean - supervised mean
+    arms: dict[Protocol, tuple[float, float | None]]
+
+    @property
+    def improvement(self) -> float:
+        return self.arms[Protocol.FINE_TUNE][0] - self.arms[Protocol.FULL_SUPERVISED][0]
 
 
-def _aggregate(rows: list[MetricsRow], key_fn) -> list[TableRow]:
+def aggregate(rows: list[MetricsRow], key_names: Sequence[str]) -> list[TableRow]:
+    """One TableRow per distinct value of the key_names fields, sorted by it."""
     grouped: dict[tuple, dict[str, list[float]]] = defaultdict(lambda: defaultdict(list))
     # a rerun's row replaces the earlier one of its (backbone, interval, protocol, loss, seed)
     latest = {(r.backbone, r.interval, r.protocol, r.loss_variant, r.seed): r for r in rows}
     for row in latest.values():
-        grouped[key_fn(row)][row.protocol].append(row.macro_precision)
-    out = []
-    for key in sorted(grouped):
-        stats = {}
-        for protocol in Protocol:
-            vals = grouped[key].get(protocol.value, [])
-            if vals:
-                stats[protocol.value] = (float(np.mean(vals)), float(np.std(vals)) if len(vals) > 1 else None)
-            else:
-                stats[protocol.value] = (float("nan"), None)
-        out.append(TableRow(key=key, **stats, improvement=stats["fine_tune"][0] - stats["supervised"][0]))
-    return out
+        grouped[tuple(getattr(row, name) for name in key_names)][row.protocol].append(row.macro_precision)
+    return [TableRow(key, {p: _mean_std(grouped[key][p.value]) for p in Protocol}) for key in sorted(grouped)]
 
 
-def table_by_interval(rows: list[MetricsRow]) -> list[TableRow]:
-    """Backbone x interval table (one loss variant assumed per group)."""
-    return _aggregate(rows, lambda r: (r.backbone, r.interval))
+def _mean_std(vals: list[float]) -> tuple[float, float | None]:
+    if not vals:
+        return float("nan"), None
+    return float(np.mean(vals)), float(np.std(vals)) if len(vals) > 1 else None
 
 
-def table_by_loss(rows: list[MetricsRow]) -> list[TableRow]:
-    """Backbone x loss-variant table."""
-    return _aggregate(rows, lambda r: (r.backbone, r.loss_variant))
+def _csv_cell(v: float | None) -> str:
+    return "" if v is None or np.isnan(v) else f"{v:.6f}"
 
 
 def _fmt_cell(ms: tuple[float, float | None]) -> str:
@@ -149,31 +151,26 @@ def _fmt_cell(ms: tuple[float, float | None]) -> str:
     return f"{mean:.4f}" if std is None else f"{mean:.4f} +- {std:.4f}"
 
 
-def write_table_csv(path: str | Path, table: list[TableRow], key_names: list[str]) -> None:
+def write_table_csv(path: str | Path, table: list[TableRow], key_names: Sequence[str]) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        header = key_names[:]
+        header = list(key_names)
         for protocol in Protocol:
             header += [f"{protocol.value}_mean", f"{protocol.value}_std"]
-        header.append("improvement")
-        writer.writerow(header)
+        writer.writerow(header + ["improvement"])
         for row in table:
             rec = [str(k) for k in row.key]
-            for ms in (getattr(row, p.value) for p in Protocol):
-                rec += [f"{ms[0]:.6f}", "" if ms[1] is None else f"{ms[1]:.6f}"]
-            rec.append(f"{row.improvement:.6f}")
-            writer.writerow(rec)
+            for mean, std in row.arms.values():
+                rec += [_csv_cell(mean), _csv_cell(std)]
+            writer.writerow(rec + [_csv_cell(row.improvement)])
 
 
-def write_table_text(path: str | Path, table: list[TableRow], key_names: list[str], title: str) -> None:
-    cols = key_names + [p.value for p in Protocol] + ["improvement"]
+def write_table_text(path: str | Path, table: list[TableRow], key_names: Sequence[str], title: str) -> None:
+    cols = list(key_names) + [p.value for p in Protocol] + ["improvement"]
     body = []
     for row in table:
-        body.append(
-            [str(k) for k in row.key]
-            + [_fmt_cell(getattr(row, p.value)) for p in Protocol]
-            + [f"{row.improvement:+.4f}"]
-        )
+        gain = "-" if np.isnan(row.improvement) else f"{row.improvement:+.4f}"
+        body.append([str(k) for k in row.key] + [_fmt_cell(ms) for ms in row.arms.values()] + [gain])
     widths = [max(len(c), *(len(r[i]) for r in body)) if body else len(c) for i, c in enumerate(cols)]
     lines = [title, ""]
     lines.append("  ".join(c.ljust(w) for c, w in zip(cols, widths)))
@@ -265,43 +262,27 @@ def _write_curves(out_dir: Path, name: str, series, x_key: str, title: str) -> l
     return [svg_path, csv_path]
 
 
-def generate_report(metrics_path: str | Path, out_dir: str | Path, logs_dir: str | Path | None = None) -> list[Path]:
-    """Emit both tables plus the pretrain and fine-tune loss curves found; returns the files written."""
+def generate_report(metrics_path: str | Path, out_dir: str | Path) -> list[Path]:
+    """Emit the REPORT_TABLES plus the loss curves of the logs beside metrics_path; returns the files written."""
     rows = read_metrics(metrics_path)
     if not rows:
         raise ConfigurationError(f"{metrics_path}: no metrics rows to report")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
+    for stem, key_names, title in REPORT_TABLES:
+        table = aggregate(rows, key_names)
+        write_table_csv(out_dir / f"{stem}.csv", table, key_names)
+        write_table_text(out_dir / f"{stem}.txt", table, key_names, title)
+        written += [out_dir / f"{stem}.csv", out_dir / f"{stem}.txt"]
 
-    interval_table = table_by_interval(rows)
-    write_table_csv(out_dir / "table_backbone_interval.csv", interval_table, ["backbone", "interval"])
-    write_table_text(
-        out_dir / "table_backbone_interval.txt",
-        interval_table,
-        ["backbone", "interval"],
-        "Macro precision by backbone and input length (mean over seeds)",
-    )
-    written += [out_dir / "table_backbone_interval.csv", out_dir / "table_backbone_interval.txt"]
-
-    loss_table = table_by_loss(rows)
-    write_table_csv(out_dir / "table_loss_variants.csv", loss_table, ["backbone", "loss_variant"])
-    write_table_text(
-        out_dir / "table_loss_variants.txt",
-        loss_table,
-        ["backbone", "loss_variant"],
-        "Macro precision by backbone and pretraining loss (mean over seeds)",
-    )
-    written += [out_dir / "table_loss_variants.csv", out_dir / "table_loss_variants.txt"]
-
-    logs_dir = Path(logs_dir) if logs_dir else Path(metrics_path).parent
     # "*train_log.csv" does not match the fine-tune arms' "*_finetune_log.csv".
     curves = (
         ("train_log", "step", "loss_curves", "Pretraining loss"),
         ("finetune_log", "epoch", "finetune_curves", "Fine-tune train loss"),
     )
     for tag, x_key, name, title in curves:
-        series = collect_logs(logs_dir, tag, x_key)
+        series = collect_logs(Path(metrics_path).parent, tag, x_key)
         if series:
             written += _write_curves(out_dir, name, series, x_key, title)
     return written

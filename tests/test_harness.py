@@ -36,12 +36,13 @@ from futuredistill.downstream import MetricsRow, Protocol
 from futuredistill.errors import CheckpointError, ConfigurationError, DivergenceError
 from futuredistill.models import BackboneSpec, build_backbone
 from futuredistill.reporting import (
+    aggregate,
     append_metrics,
     generate_report,
     read_metrics,
     svg_line_plot,
-    table_by_interval,
-    table_by_loss,
+    write_table_csv,
+    write_table_text,
 )
 from futuredistill.synthdata import make_dataset, split_dataset
 
@@ -366,7 +367,7 @@ class TestMetricsAndReport:
 
     def test_improvement_recomputed_matches(self, tmp_path):
         rows = sample_rows()
-        table = table_by_interval(rows)
+        table = aggregate(rows, ("backbone", "interval"))
         assert len(table) == 1
         row = table[0]
         ft = np.mean([r.macro_precision for r in rows if r.protocol == "fine_tune"])
@@ -378,25 +379,36 @@ class TestMetricsAndReport:
         for r in sample_rows():
             r.loss_variant = "mse"
             rows.append(r)
-        table = table_by_loss(rows)
+        table = aggregate(rows, ("backbone", "loss_variant"))
         assert {r.key for r in table} == {("Conv2dRecurrent", "cosine"), ("Conv2dRecurrent", "mse")}
 
     def test_single_seed_omits_std(self, tmp_path):
         rows = [r for r in sample_rows() if r.seed == 0]
-        table = table_by_interval(rows)
-        assert table[0].fine_tune[1] is None  # no std with one seed
+        table = aggregate(rows, ("backbone", "interval"))
+        assert table[0].arms[Protocol.FINE_TUNE][1] is None  # no std with one seed
         out = tmp_path / "t.csv"
-        from futuredistill.reporting import write_table_csv
-
         write_table_csv(out, table, ["backbone", "interval"])
         rec = out.read_text().splitlines()[1].split(",")
         assert rec[3] == ""  # empty std cell
+
+    def test_missing_arm_reads_empty_and_dash(self, tmp_path):
+        rows = [r for r in sample_rows() if r.protocol != "fine_tune"]
+        table = aggregate(rows, ("backbone", "interval"))
+        write_table_csv(tmp_path / "t.csv", table, ["backbone", "interval"])
+        write_table_text(tmp_path / "t.txt", table, ["backbone", "interval"], "title")
+        # the fine_tune mean and std and the improvement that needs the mean are all empty
+        assert (tmp_path / "t.csv").read_text().splitlines()[1] == (
+            "Conv2dRecurrent,12,0.305000,0.005000,,,0.505000,0.005000,"
+        )
+        # and read "-" in text
+        rec = (tmp_path / "t.txt").read_text().splitlines()[-1].split()
+        assert rec == ["Conv2dRecurrent", "12", "0.3050", "+-", "0.0050", "-", "0.5050", "+-", "0.0050", "-"]
 
     def test_report_files_written(self, tmp_path):
         path = tmp_path / "metrics.csv"
         append_metrics(path, sample_rows())
         (tmp_path / "a_train_log.csv").write_text("step,loss,momentum,embed_std\n0,1.0,0.996,0.1\n1,0.8,0.996,0.1\n")
-        written = generate_report(path, tmp_path / "report", logs_dir=tmp_path)
+        written = generate_report(path, tmp_path / "report")
         names = {p.name for p in written}
         assert names == {
             "table_backbone_interval.csv",
@@ -416,7 +428,7 @@ class TestMetricsAndReport:
         for arm, losses in (("fine_tune", (1.95, 1.7)), ("supervised", (1.9, 1.8))):
             rows = "".join(f"{e},{loss!r}\n" for e, loss in enumerate(losses))
             (tmp_path / f"a_seed0_{arm}_finetune_log.csv").write_text("epoch,loss\n" + rows)
-        written = {p.name for p in generate_report(path, tmp_path / "report", logs_dir=tmp_path)}
+        written = {p.name for p in generate_report(path, tmp_path / "report")}
         assert {"loss_curves.csv", "finetune_curves.svg", "finetune_curves.csv"} <= written
         report = tmp_path / "report"
         assert (report / "finetune_curves.csv").read_text().splitlines() == [
@@ -746,7 +758,7 @@ class TestCli:
         # the partial run still reports the arm that finished
         with (tmp_path / "grid" / "report" / "table_backbone_interval.csv").open(newline="") as fh:
             (rec,) = list(csv.DictReader(fh))
-        assert rec["linear_probe_mean"] == f"{rows[0].macro_precision:.6f}" and rec["fine_tune_mean"] == "nan"
+        assert rec["linear_probe_mean"] == f"{rows[0].macro_precision:.6f}" and rec["fine_tune_mean"] == ""
 
         calls = []
 
