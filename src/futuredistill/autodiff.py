@@ -308,20 +308,38 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 
 
 def gelu(a) -> Tensor:
-    """tanh-approximation GELU, 0.5 x (1 + tanh(c (x + 0.044715 x^3))), c = sqrt(2/pi).
+    """tanh-approximation GELU, 0.5 x (1 + tanh(x (c + 0.044715 c x^2))), c = sqrt(2/pi).
 
-    One tape entry; the rule keeps only the tanh and applies the closed-form
-    derivative 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2).
+    One tape entry. The tanh is evaluated in place in the one array the rule
+    keeps; the rule builds the closed-form derivative
+    0.5 (1 + t + x (1 - t^2) (c + 3 * 0.044715 c x^2)) in place in two buffers.
     """
     a = _as_tensor(a)
     x = a.data
     dt = x.dtype.type
-    t = np.tanh((x + x * x * x * dt(0.044715)) * dt(_GELU_C))
-    out = Tensor(x * (t + dt(1.0)) * dt(0.5))
+    t = x * x
+    t *= dt(0.044715 * _GELU_C)
+    t += dt(_GELU_C)
+    t *= x
+    np.tanh(t, out=t)
+    y = t + dt(1.0)
+    y *= x
+    y *= dt(0.5)
+    out = Tensor(y)
 
     def rule(g):
-        dinner = dt(_GELU_C) * (dt(1.0) + dt(3 * 0.044715) * x * x)
-        return (g * (dt(0.5) * (t + dt(1.0)) + dt(0.5) * x * (dt(1.0) - t * t) * dinner),)
+        d = x * x
+        d *= dt(3 * 0.044715 * _GELU_C)
+        d += dt(_GELU_C)
+        d *= x
+        one_minus_t2 = t * t
+        np.subtract(dt(1.0), one_minus_t2, out=one_minus_t2)
+        d *= one_minus_t2
+        d += t
+        d += dt(1.0)
+        d *= dt(0.5)
+        d *= g
+        return (d,)
 
     _record(out, (a,), rule)
     return out
@@ -460,9 +478,10 @@ def matmul(a, b) -> Tensor:
 def linear(x, w, b) -> Tensor:
     """x @ w + b as one tape entry; x is [..., d_in] (1-D promoted), w [d_in, d_out], b [d_out].
 
-    The bias is added in place to the fresh product. The rule computes
-    g @ w^T, _unbroadcast(x^T @ g) and _unbroadcast(g), the expressions of
-    the matmul and add rules, so output and gradients are bitwise those of
+    The bias is added in place to the fresh product. The rule computes the
+    input gradient g @ w^T as one 2-D GEMM over the flattened leading axes of
+    g, and _unbroadcast(x^T @ g) and _unbroadcast(g), the expressions of the
+    matmul and add rules, so output and gradients are bitwise those of
     add(matmul(x, w), b). A gradient is skipped when its input needs none.
     """
     x = _as_tensor(x)
@@ -477,12 +496,11 @@ def linear(x, w, b) -> Tensor:
     out = Tensor(y[0] if vec else y)
 
     def rule(g):
-        gm = g[None] if vec else g
         gx = gw = gb = None
         if x.requires_grad:
-            gx = gm @ w.data.T
-            gx = gx[0] if vec else gx
+            gx = (g.reshape(-1, g.shape[-1]) @ w.data.T).reshape(x.shape)
         if w.requires_grad:
+            gm = g[None] if vec else g
             gw = _unbroadcast(np.swapaxes(xd, -1, -2) @ gm, w.data.shape)
         if b.requires_grad:
             gb = _unbroadcast(g, b.data.shape)
@@ -922,36 +940,53 @@ def log_softmax(logits, temperature: float = 1.0, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift (Ba et al. 2016).
+    """Normalize over the last axis of x, then scale by gain [d] and shift by bias [d] (Ba et al. 2016).
 
-    One tape entry. The rule keeps only xhat = (x - mean) * inv and
-    inv = (var + eps)^-1/2, and applies the closed form
-    dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = g * gain.
+    One tape entry over the [rows, d] view of x. The row mean and variance,
+    and the rule's two row means, are row-wise einsum reductions ("ij->i",
+    "ij,ij->i"): each row is summed by the same loop however many rows share
+    the call, so a window gets the same bits in any batch, which the
+    embed-once linear probe and the evaluation rely on. Row sums as a BLAS
+    GEMV (x @ ones) would be faster, but OpenBLAS rounds a row differently
+    depending on the number of rows. The centred rows are scaled in place by
+    inv = 1 / sqrt(var + eps).
+
+    The rule keeps only xhat and inv and applies the closed form
+    dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = g * gain;
+    the gain and bias gradients are one einsum each over the rows.
     """
     x = _as_tensor(x)
     gain = _as_tensor(gain, like=x)
     bias = _as_tensor(bias, like=x)
-    xd = x.data
-    scale = xd.dtype.type(1.0 / xd.shape[-1])
-    centered = xd - xd.sum(axis=-1, keepdims=True) * scale
-    var = (centered * centered).sum(axis=-1, keepdims=True) * scale
-    inv = (var + xd.dtype.type(eps)) ** -0.5
-    xhat = centered * inv
-    out = Tensor(xhat * gain.data + bias.data)
+    width = x.shape[-1:]
+    if not width or gain.shape != width or bias.shape != width:
+        raise DimensionError(f"layer_norm: gain {gain.shape} and bias {bias.shape} must be [d] for x {x.shape}")
+    d = width[0]
+    dt = x.dtype.type
+    scale = dt(1.0 / d)
+    rows = x.data.reshape(-1, d)
+    xhat = rows - (np.einsum("ij->i", rows) * scale)[:, None]
+    inv = dt(1.0) / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) * scale + dt(eps))
+    xhat *= inv[:, None]
+    y = xhat * gain.data
+    y += bias.data
+    out = Tensor(y.reshape(x.shape))
 
     def rule(g):
+        g = g.reshape(-1, d)
         gx = ggain = gbias = None
         if x.requires_grad:
-            dxhat = g * gain.data
-            gx = inv * (
-                dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            )
+            gx = g * gain.data
+            mean_dxhat = np.einsum("ij->i", gx) * scale
+            mean_dxhat_xhat = np.einsum("ij,ij->i", gx, xhat) * scale
+            gx -= mean_dxhat[:, None]
+            gx -= xhat * mean_dxhat_xhat[:, None]
+            gx *= inv[:, None]
+            gx = gx.reshape(x.shape)
         if gain.requires_grad:
-            ggain = _unbroadcast(g * xhat, gain.data.shape)
+            ggain = np.einsum("ij,ij->j", g, xhat)
         if bias.requires_grad:
-            gbias = _unbroadcast(g, bias.data.shape)
+            gbias = np.einsum("ij->j", g)
         return gx, ggain, gbias
 
     _record(out, (x, gain, bias), rule)
@@ -1042,7 +1077,12 @@ class SgdState:
 
 
 def sgd_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: SgdState) -> None:
-    """In-place SGD update; with zero momentum this is exactly p -= lr * g."""
+    """SGD with momentum: v <- momentum * v + g, then p.data -= lr * v.
+
+    Velocities and parameter arrays are updated in place; the first step's
+    velocity is a copy of g, so the caller's gradient arrays are never
+    written. With zero momentum this is exactly p -= lr * g.
+    """
     if len(params) != len(grads):
         raise DimensionError(f"sgd_step: {len(params)} params vs {len(grads)} grads")
     for g in grads:
@@ -1055,6 +1095,9 @@ def sgd_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: SgdSt
         if g.shape != p.data.shape:
             raise DimensionError(f"sgd_step: grad shape {g.shape} vs param {p.data.shape}")
         v = state.velocities[idx]
-        v = g.copy() if v is None else state.momentum * v + g
-        state.velocities[idx] = v
-        p.data = p.data - p.data.dtype.type(state.learning_rate) * v
+        if v is None:
+            v = state.velocities[idx] = g.copy()
+        else:
+            v *= state.momentum
+            v += g
+        p.data -= p.data.dtype.type(state.learning_rate) * v

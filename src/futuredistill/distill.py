@@ -194,7 +194,7 @@ class StudentTeacherPair:
 
 
 def ema_update(pair: StudentTeacherPair, m: float) -> None:
-    """Teacher <- m * teacher + (1 - m) * student, elementwise, no gradients."""
+    """Teacher <- m * teacher + (1 - m) * student, elementwise and in place, no gradients."""
     if not 0.0 <= m <= 1.0:
         raise ConfigurationError(f"EMA momentum must be in [0, 1], got {m}")
     student = dict(pair.student.named_parameters())
@@ -202,7 +202,8 @@ def ema_update(pair: StudentTeacherPair, m: float) -> None:
         sp = student.get(name)
         if sp is None or sp.data.shape != tp.data.shape:
             raise RuntimeError(f"student/teacher structure mismatch at {name}")
-        tp.data = tp.data.dtype.type(m) * tp.data + tp.data.dtype.type(1.0 - m) * sp.data
+        tp.data *= tp.data.dtype.type(m)
+        tp.data += tp.data.dtype.type(1.0 - m) * sp.data
 
 
 # ---------------------------------------------------------------------------

@@ -268,6 +268,21 @@ class TestEmaUpdate:
         for sp, tp in zip(pair.student.parameters(), pair.teacher.parameters()):
             assert np.array_equal(sp.data, tp.data)
 
+    def test_in_place_bitwise_as_out_of_place_and_never_aliases_the_student(self):
+        pair = StudentTeacherPair.from_student(build_backbone(BackboneSpec(family="Conv2dRecurrent", frames=3), seed=0))
+        pairs = list(zip(pair.student.parameters(), pair.teacher.parameters()))
+        for sp, tp in pairs:
+            assert not np.shares_memory(sp.data, tp.data)
+            sp.data += 0.25
+        for m in (0.996, 0.5, 0.0):
+            arrays = [tp.data for _, tp in pairs]
+            expect = [np.float32(m) * tp.data + np.float32(1.0 - m) * sp.data for sp, tp in pairs]
+            ema_update(pair, m)
+            for (sp, tp), arr, e in zip(pairs, arrays, expect):
+                assert tp.data is arr
+                assert tp.data.tobytes() == e.tobytes()
+                assert not np.shares_memory(sp.data, tp.data)
+
     def test_structure_mismatch_detected(self):
         pair = self.make_pair()
         pair.teacher.parameters()[0].data = np.zeros((2, 2), dtype=np.float32)
