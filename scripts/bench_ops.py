@@ -13,7 +13,9 @@ tape entry, and one forward under no_grad, as the teacher, probe and
 evaluation forwards run it. The table gives the median and the quartiles
 [q1, q3] in ms of each. For a conv it also gives the columns its chunk loop
 computes (grid positions times batch items) and the share of them that are
-valid outputs, from autodiff._conv_grid; other ops print "-" there.
+valid outputs, from autodiff._conv_grid, and the GEMMs of one forward: its
+tap groups (autodiff._tap_groups) times its column chunks. Other ops print
+"-" there.
 
 BLAS is pinned to one thread before numpy loads; the core and BLAS thread
 counts are printed above the table.
@@ -138,14 +140,18 @@ def _describe(args: list, kwargs: dict) -> str:
     return " ".join(parts)
 
 
-def conv_columns(args: list, kwargs: dict) -> tuple[int, float]:
-    """(computed columns, valid share) of a recorded conv2d/conv3d call, as its phase grid lays them out."""
+def conv_columns(args: list, kwargs: dict) -> tuple[int, float, int]:
+    """(computed columns, valid share, forward GEMMs) of a recorded conv2d/conv3d call.
+
+    Columns as its phase grid lays them out; one GEMM per tap group and column chunk.
+    """
     x, k = args[0].template, args[1].template
     n = k.ndim - 2
     strides, pads = ((v,) * n if isinstance(v, int) else tuple(v) for v in (kwargs["stride"], kwargs["padding"]))
     out_dims, _, computed = ad._conv_grid(x.shape[-n:], k.shape[2:], strides, pads)
-    batch = x.shape[0] if x.ndim == n + 2 else 1
-    return computed * batch, np.prod(out_dims) / computed
+    n_cols = computed * (x.shape[0] if x.ndim == n + 2 else 1)
+    groups, _ = ad._tap_groups(k.shape[1], k.shape[2:], strides)
+    return n_cols, np.prod(out_dims) / computed, len(groups) * -(-n_cols // ad._CONV_CHUNK)
 
 
 def main(argv=None) -> int:
@@ -160,7 +166,7 @@ def main(argv=None) -> int:
     print(f"config: {args.config}; batch {cfg.distill.batch_size}, t {cfg.distill.t}; {args.repeats} repeats")
     print(
         f"{'family':<26} {'op':<14} {'inputs':<44} {'fwd+bwd ms':>10}  {'[q1, q3]':<18} {'no-grad fwd ms':>14}  "
-        f"{'[q1, q3]':<18} {'columns':>8} {'valid':>6}"
+        f"{'[q1, q3]':<18} {'columns':>8} {'valid':>6} {'gemms':>6}"
     )
     rng = np.random.default_rng(0)
     for family, name, call_args, kwargs in record_calls(cfg):
@@ -169,13 +175,13 @@ def main(argv=None) -> int:
             q1, med, q3 = np.percentile(ms * 1e3, [25, 50, 75])
             cols.append((med, f"[{q1:.3f}, {q3:.3f}]"))
         (g_med, g_iqr), (f_med, f_iqr) = cols
-        n_cols, valid = "-", "-"
+        n_cols, valid, gemms = "-", "-", "-"
         if name in ("conv2d", "conv3d"):
-            n_cols, share = conv_columns(call_args, kwargs)
+            n_cols, share, gemms = conv_columns(call_args, kwargs)
             valid = f"{share:.1%}"
         print(
             f"{family:<26} {name:<14} {_describe(call_args, kwargs):<44} {g_med:>10.3f}  {g_iqr:<18} "
-            f"{f_med:>14.3f}  {f_iqr:<18} {n_cols:>8} {valid:>6}"
+            f"{f_med:>14.3f}  {f_iqr:<18} {n_cols:>8} {valid:>6} {gemms:>6}"
         )
     return 0
 

@@ -154,8 +154,13 @@ def _as_tensor(x, like: Tensor | None = None) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+def _recording(inputs: tuple[Tensor, ...]) -> bool:
+    """Whether an op on `inputs` records a tape entry now."""
+    return bool(_TAPE_STACK) and _GRAD_ENABLED[-1] and any(t.requires_grad for t in inputs)
+
+
 def _record(out: Tensor, inputs: tuple[Tensor, ...], rule) -> None:
-    if _TAPE_STACK and _GRAD_ENABLED[-1] and any(t.requires_grad for t in inputs):
+    if _recording(inputs):
         out.requires_grad = True
         _TAPE_STACK[-1].entries.append(TapeEntry(inputs, out, rule))
 
@@ -531,11 +536,12 @@ def _conv_grid(spatial, ksize, strides, pads) -> tuple[tuple[int, ...], tuple[in
     Phase r of an axis with stride s and padding p holds padded position
     g * s + r at grid index g (see `_phase_slices`). The outermost axis and
     every strided axis get ceil((d + 2p) / s) entries, so each row carries its
-    own left and right padding. A stride-1 axis inside the outermost one gets
-    d + p entries: p zeros, then the d inputs, so each row's right padding is
-    the next row's left padding. The reads for output w reach at most index
-    d + 2p - 1, which is index p - 1 of the next row, inside its leading
-    zeros whatever the kernel size. Such a read carries at most one row into
+    own left and right padding. A stride-1 axis inside the outermost one with
+    a padding 0 < p < k gets d + p entries: p zeros, then the d inputs, so
+    each row's right padding is the next row's left padding. Its
+    d + 2p - k + 1 outputs fit in the row because p < k. The reads for output
+    w reach at most index d + 2p - 1, which is index p - 1 of the next row,
+    inside its leading zeros. Such a read carries at most one row into
     the axis outside, so when some axis shares, one more all-zero plane of
     the outermost axis keeps the reads past the last row inside the buffer.
 
@@ -544,7 +550,7 @@ def _conv_grid(spatial, ksize, strides, pads) -> tuple[tuple[int, ...], tuple[in
     crops the out_dims box out of them.
     """
     out_dims = tuple((d + 2 * p - kd) // s + 1 for d, kd, s, p in zip(spatial, ksize, strides, pads))
-    shared = [i > 0 and s == 1 and p > 0 for i, (s, p) in enumerate(zip(strides, pads))]
+    shared = [i > 0 and s == 1 and 0 < p < kd for i, (kd, s, p) in enumerate(zip(ksize, strides, pads))]
     grid = [d + p if sh else -(-(d + 2 * p) // s) for d, s, p, sh in zip(spatial, strides, pads, shared)]
     grid[0] += any(shared)
     computed = 1 + sum((m - 1) * math.prod(grid[i + 1 :]) for i, m in enumerate(out_dims))
@@ -591,22 +597,37 @@ def _polyphase(xd: np.ndarray, strides, pads, grid, dtype) -> np.ndarray:
     return buf.reshape(c, math.prod(strides), -1)
 
 
-def _tap_groups(c_in: int, n_taps: int) -> list[range]:
-    """Consecutive runs of the flat tap indices whose operands one forward GEMM stacks.
+def _tap_groups(c_in: int, ksize, strides) -> tuple[list[range], bool]:
+    """Consecutive runs of the flat tap indices whose operands one forward GEMM stacks,
+    and whether those operands are slices of one row stack built per call.
 
-    A thin input (C_in < _THIN_CHANNELS) has groups of
-    G = _STACK_ROWS // C_in taps, the last one the n_taps % G leftover taps
-    when G does not divide n_taps; a wider input has one tap per group. A
-    per-tap GEMM [C_out, C_in] @ [C_in, chunk] of a thin input does a few
-    multiply-adds per output and is bound by its pass over the accumulator, so
-    a 3-channel frame runs one [C_out, 27] GEMM per 3 x 3 plane of taps instead
-    of nine [C_out, 3] ones. On one core in float32 that cut the forward of
-    the backbones' first conv by 25% (conv2d) and 42% (conv3d stem) against
-    one GEMM per tap; at C_in = 8 the copy into the stacked operand costs what
-    the fewer GEMMs save, and G = 3 measured level or slower.
+    - A thin input (C_in < _THIN_CHANNELS) has groups of G = _STACK_ROWS // C_in
+      taps, the last one the leftover taps when G does not divide the tap
+      count, and each chunk copies a group's operands into one
+      [G * C_in, chunk] block. A per-tap GEMM [C_out, C_in] @ [C_in, chunk] of
+      a thin input does a few multiply-adds per output and is bound by its
+      pass over the accumulator, so a 3-channel frame runs one [C_out, 27]
+      GEMM per 3 x 3 plane of taps instead of nine [C_out, 3] ones. On one
+      core in float32 that cut the forward of the backbones' first conv by
+      25% (conv2d) and 42% (conv3d stem) against one GEMM per tap.
+    - A wider input whose innermost axis has stride 1 and whose kernel row
+      fits the stack (k_w > 1, C_in * k_w <= _STACK_ROWS) has one group per
+      kernel row. The k_w taps of a row read one phase at column shifts B
+      apart, so their stacked operand is a slice of one
+      [phases, k_w * C_in, cols] row stack that `_conv_nd` copies once per
+      call; the Conv3dResidual block1 convs (C_in = 8, k_w = 3) run 9 GEMMs
+      per chunk instead of 27. Copied per chunk and group instead, as the
+      thin path does, the stacked operand costs what the fewer GEMMs save at
+      C_in = 8: G = 3 measured level or slower.
+    - Every other input has one tap per group.
     """
-    size = _STACK_ROWS // c_in if c_in < _THIN_CHANNELS else 1
-    return [range(i, min(i + size, n_taps)) for i in range(0, n_taps, size)]
+    if c_in < _THIN_CHANNELS:
+        size = _STACK_ROWS // c_in
+    else:
+        k_w = ksize[-1]
+        size = k_w if strides[-1] == 1 and c_in * k_w <= _STACK_ROWS else 1
+    n_taps = math.prod(ksize)
+    return [range(i, min(i + size, n_taps)) for i in range(0, n_taps, size)], c_in >= _THIN_CHANNELS and size > 1
 
 
 def _conv_nd(name: str, x: Tensor, k: Tensor, stride, padding, bias: Tensor | None, relu: bool) -> Tensor:
@@ -616,16 +637,25 @@ def _conv_nd(name: str, x: Tensor, k: Tensor, stride, padding, bias: Tensor | No
     bias, if given, is [C_out]. x is padded once into a batch-innermost
     polyphase buffer [C_in, prod(stride), prod(grid) * B]; the grid's extents
     are ceil((d + 2p) / s) per axis, except d + p for a stride-1 axis inside
-    the outermost one, whose rows share their padding (see `_conv_grid`). Tap
-    o reads phase o % stride at the constant flat column shift
-    B * sum((o // stride) * grid_stride), so every tap's operand is a 2-D
-    slice BLAS reads in place, and the output is accumulated as
-    sum_o K[:, :, o] @ slice over column chunks. A thin input stacks the
-    slices of a group of consecutive taps into one [G * C_in, chunk] operand
-    and runs one GEMM per group (see `_tap_groups`). With the batch
-    innermost, the valid outputs of all items lie in the columns
-    [0, computed * B), computed being 1 + the flat grid index of the last
-    valid output; only those columns are computed. Each chunk's epilogue adds
+    the outermost one, whose rows share their padding when 0 < p < k (see
+    `_conv_grid`). Tap o reads phase o % stride at the constant flat column
+    shift B * sum((o // stride) * grid_stride), so every tap's operand is a
+    2-D slice BLAS reads in place, and the output is accumulated as
+    sum_o K[:, :, o] @ slice over column chunks. `_tap_groups` picks how
+    taps share a GEMM. A thin input copies the slices of a group of
+    consecutive taps into one [G * C_in, chunk] operand per chunk. An input
+    whose innermost axis has stride 1 and whose kernel row fits
+    _STACK_ROWS runs one GEMM per kernel row instead: the k_w taps of a row
+    read one phase at shifts B apart, so a row stack
+    [phases, k_w * C_in, cols], whose row block w is the phase buffer
+    shifted by w * B columns, is copied once per call, and each row's
+    operand is the [k_w * C_in, chunk] slice at its first tap's shift (the
+    shifted-input copies of kn2row). The stack is freed when the call
+    returns; a forward that keeps no phase buffer for the backward drops it
+    as soon as the stack is built. With the batch innermost, the valid outputs
+    of all items lie in the columns [0, computed * B), computed being 1 + the
+    flat grid index of the last valid output; only those columns are
+    computed. Each chunk's epilogue adds
     the bias and, with relu, clamps at zero while the [C_out, chunk]
     accumulator is in cache, so no separate add or ReLU array is made. The
     result is a [B, C_out, *out] view cropped from that [C_out, *grid, B]
@@ -682,24 +712,37 @@ def _conv_nd(name: str, x: Tensor, k: Tensor, stride, padding, bias: Tensor | No
     crop = (slice(None), *(slice(0, m) for m in out_dims))
     dtype = np.result_type(xd, k.data)
     k_taps = np.ascontiguousarray(k.data.reshape(c_out, c_in, -1).transpose(2, 0, 1))
+    tap_groups, per_call = _tap_groups(c_in, ksize, strides)
     groups = [
         (grp, np.ascontiguousarray(k_taps[grp.start : grp.stop].transpose(1, 0, 2).reshape(c_out, -1)))
-        for grp in _tap_groups(c_in, len(taps))
+        for grp in tap_groups
     ]
     inputs = (x, k) if bias is None else (x, k, bias)
     b_col = None if bias is None else bias.data[:, None]
 
     buf = _polyphase(xd, strides, pads, grid, dtype)
+    if per_call:
+        # Row block w holds buf shifted by w * B columns, where tap w of a kernel row
+        # reads; the last kernel row, at the largest shift, reads up to column width.
+        k_w = ksize[-1]
+        width = n_valid + taps[-1][1] - (k_w - 1) * batch
+        rows = np.empty((n_phases, k_w * c_in, width), dtype=dtype)
+        for w in range(k_w):
+            rows[:, w * c_in : (w + 1) * c_in] = buf[:, :, w * batch : w * batch + width].transpose(1, 0, 2)
+        if not (k.requires_grad and _recording(inputs)):  # only the kernel gradient reads buf
+            buf = None
     y_grid = np.empty((c_out, *out_grid), dtype=dtype)
     y = y_grid.reshape(c_out, -1)
     part = np.empty((c_out, _CONV_CHUNK), dtype=dtype)
-    stack = np.empty((max(len(grp) for grp, _ in groups) * c_in, _CONV_CHUNK), dtype=dtype)
+    stack = None if per_call else np.empty((len(tap_groups[0]) * c_in, _CONV_CHUNK), dtype=dtype)
     for lo in range(0, n_valid, _CONV_CHUNK):
         hi = min(lo + _CONV_CHUNK, n_valid)
         acc, tmp = y[:, lo:hi], part[:, : hi - lo]
         for j, (grp, k_grp) in enumerate(groups):
-            if len(grp) == 1:
-                phase, shift = taps[grp.start]
+            phase, shift = taps[grp.start]
+            if per_call:
+                cols = rows[phase, :, lo + shift : hi + shift]
+            elif len(grp) == 1:
                 cols = buf[:, phase, lo + shift : hi + shift]
             else:
                 cols = stack[: len(grp) * c_in, : hi - lo]

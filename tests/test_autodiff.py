@@ -505,6 +505,10 @@ class TestFusedConv:
             ((2, 8, 4, 5, 8), (4, 8, 3, 3, 3), (1, 1, 2), 1),  # shared H rows, strided W
             ((8, 4, 5, 6), (4, 8, 3, 3, 3), 1, 1),  # unbatched
             ((8, 8, 4, 12, 12), (2, 8, 3, 3, 3), 1, 1),  # 5296 columns: two chunks
+            # padding not below the kernel: a row of outputs is longer than a shared
+            # row, so the rows keep their own padding
+            ((2, 3, 4, 5), (2, 3, 1, 1), 1, 1),
+            ((2, 2, 3, 4, 5), (3, 2, 2, 2, 2), 1, 2),
         ],
     )
     def test_shared_row_padding_matches_reference(self, x_shape, k_shape, stride, padding, dtype, relu):
@@ -520,15 +524,91 @@ class TestFusedConv:
             assert a.dtype == dtype and a.shape == c.shape, name
             assert np.abs(a - c).max() <= tol * np.abs(c).max(), name
 
-    @pytest.mark.parametrize("c_in,n_taps", [(3, 9), (3, 27), (3, 1), (3, 4), (3, 25), (8, 27), (16, 27), (64, 9)])
-    def test_tap_groups_cover_every_tap_once_in_order(self, c_in, n_taps):
-        groups = ad._tap_groups(c_in, n_taps)
-        assert [i for grp in groups for i in grp] == list(range(n_taps))
-        assert all(len(grp) == len(groups[0]) for grp in groups[:-1])
-        if c_in < ad._THIN_CHANNELS:
-            assert len(groups[0]) == min(n_taps, ad._STACK_ROWS // c_in)
-        else:
-            assert all(len(grp) == 1 for grp in groups)
+    # (x shape, kernel shape, stride, padding, stacked once per call): convs whose
+    # kernel rows run as one GEMM each over a per-call row stack, and one conv
+    # just past the stack's _STACK_ROWS
+    ROW_STACK_CONVS = {
+        "24_rows": ((2, 8, 2, 3, 4), (2, 8, 3, 3, 3), 1, 1, True),
+        "27_rows_unpadded": ((2, 9, 3, 3, 4), (2, 9, 2, 2, 3), 1, 0, True),
+        "k_w_2_padding_2": ((2, 12, 3, 4), (3, 12, 2, 2), 1, 2, True),
+        "30_rows_per_tap": ((2, 10, 2, 3, 4), (2, 10, 3, 3, 3), 1, 1, False),
+        "strided_outer_t": ((2, 8, 4, 3, 4), (2, 8, 3, 3, 3), (2, 1, 1), 1, True),
+        "strided_outer_h": ((2, 8, 2, 5, 4), (2, 8, 3, 3, 3), (1, 2, 1), 2, True),
+        "unbatched": ((8, 3, 4), (3, 8, 3, 3), 1, 1, True),
+    }
+    # 5296 computed columns: the stack spans two column chunks
+    TWO_CHUNKS = {"two_chunks": ((8, 9, 4, 12, 12), (3, 9, 3, 3, 3), 1, 1, True)}
+
+    @classmethod
+    def _row_stack_case(cls, case, dtype, seed):
+        x_shape, k_shape, stride, padding, stacked = {**cls.ROW_STACK_CONVS, **cls.TWO_CHUNKS}[case]
+        n = len(k_shape) - 2
+        strides = (stride,) * n if isinstance(stride, int) else stride
+        assert ad._tap_groups(k_shape[1], k_shape[2:], strides)[1] == stacked
+        return (*cls._data(x_shape, k_shape, stride, padding, dtype, seed), stride, padding)
+
+    @pytest.mark.parametrize("relu", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", [*ROW_STACK_CONVS, *TWO_CHUNKS])
+    def test_row_stack_matches_reference(self, case, dtype, relu):
+        conv, x, k, b, w, stride, padding = self._row_stack_case(case, dtype, 137)
+        if case in self.TWO_CHUNKS:
+            assert ad._conv_grid(x.shape[2:], k.shape[2:], (1, 1, 1), (1, 1, 1))[2] * len(x) > ad._CONV_CHUNK
+        if relu:  # no pre-activation close enough to zero for rounding to flip its mask
+            pre = reference_conv(Tensor(x), Tensor(k), stride, padding).data
+            pre += b.reshape(-1, *(1,) * (k.ndim - 2))
+            assert np.abs(pre).min() > 1e-5 * np.abs(pre).max()
+        fused = _fused_conv_with_grads(conv, x, k, b, stride, padding, relu, w)
+        ref = _fused_conv_with_grads(composite_conv(reference_conv), x, k, b, stride, padding, relu, w)
+        tol = TestConvMatchesIm2colReference.TOL[dtype]
+        for name, a, c in zip(("y", "gx", "gk", "gbias"), fused, ref):
+            assert a.dtype == dtype and a.shape == c.shape, name
+            assert np.abs(a - c).max() <= tol * np.abs(c).max(), name
+
+    @pytest.mark.parametrize("relu", [True, False])
+    @pytest.mark.parametrize("case", list(ROW_STACK_CONVS))
+    def test_row_stack_gradient_vs_finite_differences(self, case, relu):
+        conv, x, k, b, w, stride, padding = self._row_stack_case(case, np.float64, 139)
+        x, k, b = Tensor(x), Tensor(k), Tensor(b)
+
+        def loss(xt, kt, bt):
+            return ad.sum_(ad.mul(conv(xt, kt, stride, padding, bias=bt, relu=relu), w))
+
+        if relu:  # no pre-activation within the difference step of the kink
+            pre = conv(x, k, stride, padding, bias=b).data
+            assert np.abs(pre).min() > 1e-3 and (pre < 0).any()
+        fd_check(lambda t: loss(t, k, b), x, tol=1e-6)
+        fd_check(lambda t: loss(x, t, b), k, tol=1e-6)
+        fd_check(lambda t: loss(x, k, t), b, tol=1e-6)
+
+    @pytest.mark.parametrize(
+        "c_in,ksize,strides,size,per_call",
+        [
+            (3, (3, 3), (1, 1), 9, False),  # thin: 27 // C_in taps, copied per chunk
+            (3, (3, 3, 3), (1, 2, 2), 9, False),
+            (3, (1, 1), (1, 1), 1, False),  # one group shorter than G
+            (3, (2, 2), (1, 1), 4, False),
+            (3, (5, 5), (1, 1), 9, False),  # 9, 9 and 7
+            (8, (3, 3, 3), (1, 1, 1), 3, True),  # one kernel row per group: C_in * k_w = 24
+            (9, (3, 3, 3), (1, 1, 1), 3, True),  # 27
+            (12, (2, 2), (1, 1), 2, True),  # k_w = 2: 24
+            (8, (3, 3, 3), (2, 1, 1), 3, True),  # strided outer axes, stride-1 inner axis
+            (8, (3, 3, 3), (1, 2, 1), 3, True),
+            (10, (3, 3, 3), (1, 1, 1), 1, False),  # 30 rows do not fit
+            (8, (3, 3, 3), (1, 2, 2), 1, False),  # strided inner axis
+            (8, (3, 3, 3), 2, 1, False),
+            (8, (3, 1), (1, 1), 1, False),  # k_w = 1: nothing to stack
+            (16, (3, 3, 3), (1, 1, 1), 1, False),
+            (64, (3, 3), (1, 1), 1, False),
+        ],
+        ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v),
+    )
+    def test_tap_groups_cover_every_tap_once_in_order(self, c_in, ksize, strides, size, per_call):
+        strides = (strides,) * len(ksize) if isinstance(strides, int) else strides
+        groups, stacked_per_call = ad._tap_groups(c_in, ksize, strides)
+        assert [i for grp in groups for i in grp] == list(range(int(np.prod(ksize))))
+        assert all(len(grp) == size for grp in groups[:-1]) and 0 < len(groups[-1]) <= size
+        assert stacked_per_call == per_call
 
     def test_bias_of_the_wrong_length_is_rejected(self):
         with pytest.raises(DimensionError, match="bias"):
@@ -1494,7 +1574,8 @@ class TestBatchInvariance:
     batch it falls into, so these ops must not round a row by the number of
     rows that share the call (as a BLAS GEMV row sum would). Shapes are the
     TemporalTransformer t = 6 ([16, 96, d]), Conv2dRecurrent ([16, 12, 256])
-    and Conv3dResidual ([16, 256]) inputs of each op. A single-row 2-D linear
+    and Conv3dResidual ([16, 256]) inputs of each op, and the six backbone
+    convs with bias and ReLU. A single-row 2-D linear
     is left out: numpy runs [1, d] @ [d, k] as a GEMV, which rounds
     differently from the GEMM of more rows.
     """
@@ -1528,12 +1609,24 @@ class TestBatchInvariance:
         ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else v,
     )
     def test_rows_equal_in_any_sub_batch(self, name, shape):
-        op = self._op(name, shape[-1])
-        x = np.random.default_rng(131).normal(size=shape).astype(np.float32)
+        self._assert_items_equal(self._op(name, shape[-1]), np.random.default_rng(131).normal(size=shape))
+
+    @pytest.mark.parametrize("shape", list(TestConvMatchesIm2colReference.BACKBONE_CONVS))
+    def test_conv_items_equal_in_any_sub_batch(self, shape):
+        # a sub-batch moves every column chunk boundary of the conv's GEMMs
+        x_shape, k_shape, stride, padding = TestConvMatchesIm2colReference.BACKBONE_CONVS[shape]
+        conv = ad.conv3d if len(k_shape) == 5 else ad.conv2d
+        rng = np.random.default_rng(137)
+        k, b = (Tensor(rng.normal(size=size).astype(np.float32)) for size in (k_shape, k_shape[:1]))
+        self._assert_items_equal(lambda x: conv(x, k, stride, padding, bias=b, relu=True), rng.normal(size=x_shape))
+
+    @staticmethod
+    def _assert_items_equal(op, x):
+        x = x.astype(np.float32)
         with ad.no_grad():
             full = op(Tensor(x)).data
             for size in (1, 2, 3, 5, 7):
-                for lo in sorted({0, 1, 6, shape[0] - size}):
+                for lo in sorted({0, 1, 6, len(x) - size}):
                     part = op(Tensor(x[lo : lo + size])).data
                     assert part.tobytes() == full[lo : lo + size].tobytes(), f"items {lo}:{lo + size}"
 

@@ -1023,7 +1023,7 @@ class TestCli:
     def test_bench_ops_times_every_op_at_tiny_shapes(self, tmp_path):
         config = tmp_path / "tiny.ini"
         config.write_text(
-            QUICK_CONFIG.replace("embed_dim = 32", "embed_dim = 16\nframe_size = 16\nconv_widths = 2,4")
+            QUICK_CONFIG.replace("embed_dim = 32", "embed_dim = 16\nframe_size = 16\nconv_widths = 8,16")
             .replace("t = 6\nt_pred = 6", "t = 3\nt_pred = 3")
             .replace("batch_size = 4", "batch_size = 2")
         )
@@ -1037,17 +1037,21 @@ class TestCli:
         rows = [line.split() for line in lines[3:]]
         assert {row[1] for row in rows} == {"conv2d", "conv3d", "lstm_sequence", "layer_norm", "gelu", "attention", "linear"}
         for row in rows:
-            median, q1, q3 = float(row[-5]), float(row[-4].strip("[,")), float(row[-3].strip("]"))
+            median, q1, q3 = float(row[-6]), float(row[-5].strip("[,")), float(row[-4].strip("]"))
             assert 0 < q1 <= median <= q3
             if row[1] in ("conv2d", "conv3d"):
-                assert int(row[-2]) > 0 and 0 < float(row[-1].rstrip("%")) <= 100
+                assert int(row[-3]) > 0 and 0 < float(row[-2].rstrip("%")) <= 100 and int(row[-1]) > 0
             else:
-                assert row[-2:] == ["-", "-"]
+                assert row[-3:] == ["-", "-", "-"]
         # the residual block's convs: 2 clips of 3 frames at 8 x 8, stride 1, padding 1. The
         # H and W rows share their padding on a (3 + 2 + 1, 9, 9) grid, so the chunk loop
-        # computes 2 * (1 + 2 * 81 + 7 * 9 + 7) columns for 2 * 3 * 8 * 8 outputs
-        block = [row for row in rows if row[1:4] == ["conv3d", "2x2x3x8x8", "2x2x3x3x3"]]
-        assert len(block) == 2 and {tuple(row[-2:]) for row in block} == {("466", "82.4%")}
+        # computes 2 * (1 + 2 * 81 + 7 * 9 + 7) columns for 2 * 3 * 8 * 8 outputs, in one
+        # chunk of one GEMM per kernel row (C_in * k_w = 24)
+        block = [row for row in rows if row[1:4] == ["conv3d", "2x8x3x8x8", "8x8x3x3x3"]]
+        assert len(block) == 2 and {tuple(row[-3:]) for row in block} == {("466", "82.4%", "9")}
+        # the thin stem stacks 9 taps per GEMM, the strided downsampling conv runs one per tap
+        gemms = {tuple(row[2:4]): row[-1] for row in rows if row[1] == "conv3d"}
+        assert gemms[("2x3x3x16x16", "8x3x3x3x3")] == "3" and gemms[("2x8x3x8x8", "16x8x3x3x3")] == "27"
 
     def test_console_entry_point(self):
         # the child imports the same package as this process, installed or not
