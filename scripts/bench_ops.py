@@ -2,9 +2,11 @@
 """Time single autodiff ops, forward plus backward and no-grad forward, at the shapes the backbones run.
 
 Each of the four backbone families is built at the config's [backbone] and
-[distill] settings and run once on a [batch_size, t, C, S, S] clip batch. That
-pass records every distinct call of conv2d, conv3d, lstm_sequence, layer_norm,
-gelu, attention and linear: the shapes and memory layouts of its Tensor
+[distill] settings and run once on a [batch_size, t, C, S, S] clip batch, and
+its [batch_size, embed_dim] output goes through the cosine fpd_loss, as in a
+pretrain step. That pass records every distinct call of conv2d, conv3d,
+lstm_sequence, layer_norm, gelu, attention, linear and the loss's
+cosine_similarity: the shapes and memory layouts of its Tensor
 arguments, positional or keyword (such as a conv layer's bias=), which of them
 need a gradient, and its other arguments (such as relu= or attention's head
 count). Each recorded call is then timed on random float32 data of the same
@@ -41,10 +43,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from futuredistill import autodiff as ad  # noqa: E402
 from futuredistill.autodiff import Tape, Tensor, no_grad  # noqa: E402
 from futuredistill.config import load_config  # noqa: E402
+from futuredistill.distill import DistillConfig, fpd_loss  # noqa: E402
 from futuredistill.models import FAMILIES, build_backbone  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
-OPS = ("conv2d", "conv3d", "lstm_sequence", "layer_norm", "gelu", "attention", "linear")
+OPS = ("conv2d", "conv3d", "lstm_sequence", "layer_norm", "gelu", "attention", "linear", "cosine_similarity")
 WARMUP = 3
 
 
@@ -64,7 +67,7 @@ def _layout(a):
 
 
 def record_calls(cfg) -> list[tuple[str, str, list, dict]]:
-    """(family, op, args, kwargs) of each distinct op call in one forward of every family.
+    """(family, op, args, kwargs) of each distinct op call in one forward and cosine loss of every family.
 
     Each Tensor argument, positional or keyword, is kept as a TensorSpec.
     """
@@ -89,7 +92,8 @@ def record_calls(cfg) -> list[tuple[str, str, list, dict]]:
         for family in FAMILIES:
             spec.family = family
             with Tape():
-                build_backbone(spec, seed=0)(clips)
+                z = build_backbone(spec, seed=0)(clips)
+                fpd_loss(z, z.data, DistillConfig(loss_variant="cosine"))
     finally:
         for name, fn in originals.items():
             setattr(ad, name, fn)
@@ -165,7 +169,7 @@ def main(argv=None) -> int:
     print(f"cores: {os.cpu_count()} (usable {usable}); BLAS threads: {BLAS_THREADS}; numpy {np.__version__}")
     print(f"config: {args.config}; batch {cfg.distill.batch_size}, t {cfg.distill.t}; {args.repeats} repeats")
     print(
-        f"{'family':<26} {'op':<14} {'inputs':<44} {'fwd+bwd ms':>10}  {'[q1, q3]':<18} {'no-grad fwd ms':>14}  "
+        f"{'family':<26} {'op':<17} {'inputs':<44} {'fwd+bwd ms':>10}  {'[q1, q3]':<18} {'no-grad fwd ms':>14}  "
         f"{'[q1, q3]':<18} {'columns':>8} {'valid':>6} {'gemms':>6}"
     )
     rng = np.random.default_rng(0)
@@ -180,7 +184,7 @@ def main(argv=None) -> int:
             n_cols, share, gemms = conv_columns(call_args, kwargs)
             valid = f"{share:.1%}"
         print(
-            f"{family:<26} {name:<14} {_describe(call_args, kwargs):<44} {g_med:>10.3f}  {g_iqr:<18} "
+            f"{family:<26} {name:<17} {_describe(call_args, kwargs):<44} {g_med:>10.3f}  {g_iqr:<18} "
             f"{f_med:>14.3f}  {f_iqr:<18} {n_cols:>8} {valid:>6} {gemms:>6}"
         )
     return 0

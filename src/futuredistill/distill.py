@@ -107,20 +107,13 @@ def downsample_indices(t: int, t_pred: int) -> np.ndarray:
 # distillation losses
 
 
-def _cosine_rows(s: Tensor, tch_data: np.ndarray, rows: np.ndarray) -> Tensor:
-    """Clipped cosine similarity of the selected batch rows."""
-    s_rows = s[rows]
-    t_rows = Tensor(tch_data[rows])
-    dot = ad.sum_(ad.mul(s_rows, t_rows), axis=1)
-    s_norm = ad.sqrt(ad.sum_(ad.mul(s_rows, s_rows), axis=1))
-    t_norm = np.linalg.norm(tch_data[rows], axis=1)
-    return ad.clip(ad.div(dot, ad.mul(s_norm, Tensor(t_norm.astype(s.dtype)))), -1.0, 1.0)
-
-
 def fpd_loss(student_emb, teacher_emb, cfg: DistillConfig, center: np.ndarray | None = None) -> Tensor:
     """Embedding-matching loss between student and detached teacher batches.
 
-    cosine: mean(1 - cos), in [0, 2]; zero-norm rows contribute exactly 1.
+    cosine: mean(1 - cos), in [0, 2], with cos the clipped per-row cosine of
+    autodiff.cosine_similarity; five tape entries. A row whose student or
+    teacher embedding has zero norm has cos 0, so it adds exactly 1 / B and
+    no gradient; such rows raise one RuntimeWarning per call.
     mse: mean squared elementwise difference.
     cross_entropy: H(softmax((teacher - center)/tau_t), log_softmax(student/tau_s)).
     """
@@ -128,7 +121,6 @@ def fpd_loss(student_emb, teacher_emb, cfg: DistillConfig, center: np.ndarray | 
     tch = teacher_emb.detach() if isinstance(teacher_emb, Tensor) else Tensor(np.asarray(teacher_emb))
     if s.ndim != 2 or s.shape != tch.shape:
         raise DimensionError(f"expected matching [B, d] embeddings, got {s.shape} vs {tch.shape}")
-    batch = s.shape[0]
     if cfg.loss_variant == "mse":
         diff = ad.add(s, ad.mul(tch, -1.0))
         return ad.mean(ad.mul(diff, diff))
@@ -141,21 +133,15 @@ def fpd_loss(student_emb, teacher_emb, cfg: DistillConfig, center: np.ndarray | 
         log_q = ad.log_softmax(s, temperature=cfg.temperature_student, axis=-1)
         per_row = ad.sum_(ad.mul(log_q, Tensor(p.astype(s.dtype))), axis=1)
         return ad.mul(ad.mean(per_row), -1.0)
-    # cosine
-    s_norm_sq = np.einsum("bd,bd->b", s.data, s.data)
-    t_norm_sq = np.einsum("bd,bd->b", tch.data, tch.data)
-    ok = (s_norm_sq > 0) & (t_norm_sq > 0)
-    n_zero = int((~ok).sum())
-    cos = _cosine_rows(s, tch.data, np.nonzero(ok)[0])
-    total = ad.sum_(ad.add(ad.mul(cos, -1.0), 1.0))
+    # cosine; n_zero counts the rows whose norm product cosine_similarity finds zero
+    n_zero = np.count_nonzero(np.linalg.norm(s.data, axis=1) * np.linalg.norm(tch.data, axis=1) == 0)
     if n_zero:
         warnings.warn(
             f"cosine loss: {n_zero} zero-norm embedding rows contribute loss 1",
             RuntimeWarning,
             stacklevel=2,
         )
-        total = ad.add(total, float(n_zero))
-    return ad.mul(total, 1.0 / batch)
+    return ad.mean(ad.add(ad.mul(ad.cosine_similarity(s, tch), -1.0), 1.0))
 
 
 def update_center(center: np.ndarray | None, teacher_batch: np.ndarray, momentum: float) -> np.ndarray:

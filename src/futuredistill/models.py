@@ -48,6 +48,16 @@ class BackboneSpec:
             raise ConfigurationError(f"unknown backbone family {self.family!r}; pick one of {FAMILIES}")
         if self.frames < 1 or self.embed_dim < 1:
             raise ConfigurationError(f"frames and embed_dim must be positive, got {self.frames}, {self.embed_dim}")
+        if len(self.conv_widths) != 2 or min(self.conv_widths) < 1:
+            raise ConfigurationError(f"backbone.conv_widths must be two ints >= 1, got {self.conv_widths}")
+        for key in ("patch_size", "recurrent_hidden"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError(f"backbone.{key} must be >= 1, got {getattr(self, key)}")
+        attention = self.family in ("TemporalTransformer", "PatchTransformerRecurrent")
+        if attention and (self.heads < 1 or self.embed_dim % self.heads):
+            raise ConfigurationError(
+                f"backbone.heads must be >= 1 and divide embed_dim {self.embed_dim} for {self.family}, got {self.heads}"
+            )
         if self.frame_size % self.patch_size != 0:
             raise ConfigurationError(
                 f"frame_size {self.frame_size} not divisible by patch_size {self.patch_size}"

@@ -137,7 +137,6 @@ class SelfAttention(Module):
         self.qkv = Linear(dim, 3 * dim, rng)
         self.out = Linear(dim, dim, rng)
         self.heads = heads
-        self.dim = dim
 
     def __call__(self, x) -> Tensor:
         return self.out(ad.attention(self.qkv(x), self.heads))

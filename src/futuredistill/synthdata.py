@@ -95,16 +95,8 @@ class ClipSample:
     t_pred: int
 
     @property
-    def source(self) -> tuple[int, int]:
-        return self.video.video_id, self.start
-
-    @property
     def past(self) -> np.ndarray:  # [t, 3, 32, 32]
         return self.video.decode(slice(self.start, self.start + self.t))
-
-    @property
-    def combined(self) -> np.ndarray:  # [t + t_pred, 3, 32, 32]
-        return self.video.decode(slice(self.start, self.start + self.t + self.t_pred))
 
     @property
     def future_labels(self) -> np.ndarray:  # [t_pred]
@@ -263,7 +255,7 @@ def split_dataset(
 
 
 def sample_clip(video: SyntheticVideo, t: int, t_pred: int, rng: np.random.Generator) -> ClipSample:
-    """Uniform random start; past/combined/labels share one frame indexing."""
+    """Uniform random start; past and future_labels share one frame indexing."""
     span = t + t_pred
     if len(video) < span:
         raise SamplingError(f"video of {len(video)} frames cannot fit a clip of {span}")

@@ -172,6 +172,39 @@ class TestConfig:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
+        "family, key, value",
+        [
+            ("Conv2dRecurrent", "conv_widths", "8"),
+            ("Conv2dRecurrent", "conv_widths", "8,0"),
+            ("Conv2dRecurrent", "patch_size", "0"),
+            ("Conv2dRecurrent", "recurrent_hidden", "0"),
+            ("TemporalTransformer", "heads", "0"),
+            ("TemporalTransformer", "heads", "3"),
+            ("PatchTransformerRecurrent", "heads", "3"),
+        ],
+    )
+    def test_backbone_value_that_cannot_build_exits_2_before_any_work(self, tmp_path, capsys, family, key, value):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(QUICK_CONFIG)
+        parser.set("backbone", "family", family)
+        parser.set("backbone", key, value)
+        out_dir = tmp_path / "out"
+        parser.set("run", "out_dir", str(out_dir))
+        path = tmp_path / "bad.ini"
+        with path.open("w") as fh:
+            parser.write(fh)
+        with pytest.raises(ConfigurationError, match=f"backbone.{key}"):
+            load_config(path)
+        assert cli.main(["ablate", "--config", str(path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"backbone.{key}" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_heads_need_not_divide_embed_dim_without_attention(self):
+        cfg = parse_config(QUICK_CONFIG.replace("recurrent_hidden = 32", "recurrent_hidden = 32\nheads = 3"))
+        assert cfg.backbone.heads == 3
+
+    @pytest.mark.parametrize(
         "grid",
         ["foo = 1", "intervals = 3,x", "backbones = Conv2dRecurrent, Nope"],
         ids=["unknown_key", "bad_interval", "bad_cell"],
@@ -1035,7 +1068,8 @@ class TestCli:
         lines = proc.stdout.splitlines()
         assert lines[0].startswith("cores: ") and "BLAS threads: 1;" in lines[0]
         rows = [line.split() for line in lines[3:]]
-        assert {row[1] for row in rows} == {"conv2d", "conv3d", "lstm_sequence", "layer_norm", "gelu", "attention", "linear"}
+        ops = {"conv2d", "conv3d", "lstm_sequence", "layer_norm", "gelu", "attention", "linear", "cosine_similarity"}
+        assert {row[1] for row in rows} == ops
         for row in rows:
             median, q1, q3 = float(row[-6]), float(row[-5].strip("[,")), float(row[-4].strip("]"))
             assert 0 < q1 <= median <= q3

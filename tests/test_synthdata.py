@@ -197,18 +197,18 @@ class TestClips:
     def test_only_valid_start_when_exact_fit(self):
         video = sd.generate_video(seed=1, length=24)
         clip = sd.sample_clip(video, t=12, t_pred=12, rng=np.random.default_rng(0))
-        assert clip.source[1] == 0
+        assert clip.start == 0
 
-    def test_combined_prefix_equals_past(self, video):
+    def test_past_is_the_window_at_start(self, video):
         rng = np.random.default_rng(2)
         clip = sd.sample_clip(video, t=6, t_pred=6, rng=rng)
-        assert np.array_equal(clip.combined[:6], clip.past)
+        assert np.array_equal(clip.past, video.decode(slice(0, len(video)))[clip.start : clip.start + 6])
 
     def test_label_alignment_100_samples(self, video):
         rng = np.random.default_rng(3)
         for _ in range(100):
             clip = sd.sample_clip(video, t=6, t_pred=6, rng=rng)
-            start = clip.source[1]
+            start = clip.start
             assert np.array_equal(clip.future_labels, video.labels[start + 6 : start + 12])
 
     def test_too_long_clip_rejected(self):
