@@ -3,20 +3,24 @@
 
 Each of the four backbone families is built at the config's [backbone] and
 [distill] settings and run once on a [batch_size, t, C, S, S] clip batch, and
-its [batch_size, embed_dim] output goes through the cosine fpd_loss, as in a
-pretrain step. That pass records every distinct call of conv2d, conv3d,
-lstm_sequence, layer_norm, gelu, attention, linear and the loss's
-cosine_similarity: the shapes and memory layouts of its Tensor
-arguments, positional or keyword (such as a conv layer's bias=), which of them
-need a gradient, and its other arguments (such as relu= or attention's head
-count). Each recorded call is then timed on random float32 data of the same
-layout in two ways: one forward on a tape plus the backward rule of its one
-tape entry, and one forward under no_grad, as the teacher, probe and
-evaluation forwards run it. The table gives the median and the quartiles
-[q1, q3] in ms of each. For a conv it also gives the columns its chunk loop
-computes (grid positions times batch items) and the share of them that are
-valid outputs, from autodiff._conv_grid, and the GEMMs of one forward: its
-tap groups (autodiff._tap_groups) times its column chunks. Other ops print
+its [batch_size, embed_dim] output goes through the cosine and the
+cross_entropy fpd_loss, as in a pretrain step. Then [downstream] batch_size x
+t_pred x n_classes logits go through cross_entropy with labels, as in a
+fine-tune step. That pass records every distinct call of conv2d, conv3d,
+lstm_sequence, layer_norm, gelu, attention, linear and the losses'
+cosine_similarity and cross_entropy: the shapes and memory layouts of its
+Tensor arguments, positional or keyword (such as a conv layer's bias=), which
+of them need a gradient, the shape and dtype of an array argument (the
+cross_entropy target, whose recorded values are reused), and its other
+arguments (such as relu= or attention's head count). Each recorded call is
+then timed on random float32 data of the same layout in two ways: one
+forward on a tape plus the backward rule of its one tape entry, and one
+forward under no_grad, as the teacher, probe and evaluation forwards run it.
+The table gives the median and the quartiles [q1, q3] in ms of each. For a
+conv it also gives the columns its chunk loop computes (grid positions times
+batch items) and the share of them that are valid outputs, from
+autodiff._conv_grid, and the GEMMs of one forward: its tap groups
+(autodiff._tap_groups) times its column chunks. Other ops print
 "-" there.
 
 BLAS is pinned to one thread before numpy loads; the core and BLAS thread
@@ -47,7 +51,17 @@ from futuredistill.distill import DistillConfig, fpd_loss  # noqa: E402
 from futuredistill.models import FAMILIES, build_backbone  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
-OPS = ("conv2d", "conv3d", "lstm_sequence", "layer_norm", "gelu", "attention", "linear", "cosine_similarity")
+OPS = (
+    "conv2d",
+    "conv3d",
+    "lstm_sequence",
+    "layer_norm",
+    "gelu",
+    "attention",
+    "linear",
+    "cosine_similarity",
+    "cross_entropy",
+)
 WARMUP = 3
 
 
@@ -63,12 +77,15 @@ def _spec(a):
 
 
 def _layout(a):
-    return (a.shape, a.data.strides, a.requires_grad) if isinstance(a, Tensor) else repr(a)
+    if isinstance(a, Tensor):
+        return (a.shape, a.data.strides, a.requires_grad)
+    return (a.shape, a.dtype.str) if isinstance(a, np.ndarray) else repr(a)
 
 
 def record_calls(cfg) -> list[tuple[str, str, list, dict]]:
-    """(family, op, args, kwargs) of each distinct op call in one forward and cosine loss of every family.
+    """(family, op, args, kwargs) of each distinct op call in one pretrain forward and loss of every family.
 
+    The fine-tune loss on a prediction head's logits is recorded as family PredictionHead.
     Each Tensor argument, positional or keyword, is kept as a TensorSpec.
     """
     calls, seen = [], set()
@@ -93,7 +110,12 @@ def record_calls(cfg) -> list[tuple[str, str, list, dict]]:
             spec.family = family
             with Tape():
                 z = build_backbone(spec, seed=0)(clips)
-                fpd_loss(z, z.data, DistillConfig(loss_variant="cosine"))
+                for variant in ("cosine", "cross_entropy"):
+                    fpd_loss(z, z.data, DistillConfig(loss_variant=variant))
+        family = "PredictionHead"
+        tune = cfg.downstream
+        logits = Tensor(np.zeros((tune.batch_size, tune.t_pred, tune.n_classes)), requires_grad=True)
+        ad.cross_entropy(logits, np.zeros((tune.batch_size, tune.t_pred), np.int64))
     finally:
         for name, fn in originals.items():
             setattr(ad, name, fn)
@@ -134,8 +156,9 @@ def time_call(name: str, args: list, kwargs: dict, repeats: int, rng) -> tuple[n
 
 
 def _describe(args: list, kwargs: dict) -> str:
-    """Tensor shapes, then each keyword Tensor by name and each keyword set to True, e.g. `bias=8 relu`."""
-    parts = ["x".join(map(str, a.template.shape)) for a in args if isinstance(a, TensorSpec)]
+    """Tensor and array shapes, then each keyword Tensor by name and each keyword set to True, e.g. `bias=8 relu`."""
+    arrays = [a.template if isinstance(a, TensorSpec) else a for a in args]
+    parts = ["x".join(map(str, a.shape)) for a in arrays if isinstance(a, np.ndarray)]
     for k, v in kwargs.items():
         if isinstance(v, TensorSpec):
             parts.append(f"{k}=" + "x".join(map(str, v.template.shape)))

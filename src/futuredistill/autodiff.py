@@ -34,7 +34,6 @@ __all__ = [
     "recurrent_step",
     "lstm_sequence",
     "softmax",
-    "log_softmax",
     "layer_norm",
     "attention",
     "cross_entropy",
@@ -929,23 +928,6 @@ def softmax(logits, temperature: float = 1.0, axis: int = -1) -> Tensor:
     return out
 
 
-def log_softmax(logits, temperature: float = 1.0, axis: int = -1) -> Tensor:
-    if temperature <= 0:
-        raise ConfigurationError(f"log_softmax: temperature must be positive, got {temperature}")
-    a = _as_tensor(logits)
-    z = a.data / temperature
-    z = z - z.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    out = Tensor(z - lse)
-
-    def rule(g):
-        y = np.exp(out.data)
-        return ((g - y * g.sum(axis=axis, keepdims=True)) / temperature,)
-
-    _record(out, (a,), rule)
-    return out
-
-
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis of x, then scale by gain [d] and shift by bias [d] (Ba et al. 2016).
 
@@ -1053,15 +1035,43 @@ def attention(qkv, heads: int) -> Tensor:
     return out
 
 
-def cross_entropy(logits, labels) -> Tensor:
-    """Mean CE of integer labels against logits [N, C]."""
+def cross_entropy(logits, target, temperature: float = 1.0) -> Tensor:
+    """Mean cross-entropy of the N rows of logits [..., C] against a fixed target, as one tape entry.
+
+    target is integer labels [...], read as one-hot rows, or probabilities
+    [..., C]. With z = rows / temperature less the row max and
+    logq = z - log sum_c exp(z), the loss is -(1/N) sum p logq; the rule is
+    p' = p * (-g / N), then (p' - exp(logq) * sum_c p') / temperature. Both
+    keep the order of operations of the log_softmax, weighted row sum and
+    mean they replaced, so loss and gradient are bitwise that composite's
+    (for labels, the one-hot row sums add exact zeros).
+    """
+    if temperature <= 0:
+        raise ConfigurationError(f"cross_entropy: temperature must be positive, got {temperature}")
     logits = _as_tensor(logits)
-    labels = np.asarray(labels)
-    if logits.ndim != 2 or labels.shape != (logits.shape[0],):
-        raise DimensionError(f"cross_entropy: logits {logits.shape} vs labels {labels.shape}")
-    lp = log_softmax(logits, axis=-1)
-    picked = getitem(lp, (np.arange(logits.shape[0]), labels))
-    return mul(mean(picked), -1.0)
+    target = np.asarray(target)
+    labels = np.issubdtype(target.dtype, np.integer)
+    if logits.ndim < 1 or target.shape != (logits.shape[:-1] if labels else logits.shape):
+        kind = "labels [...]" if labels else "probabilities [..., C]"
+        raise DimensionError(f"cross_entropy: logits {logits.shape} vs {kind} {target.shape}")
+    dt = logits.dtype.type
+    n_classes = logits.shape[-1]
+    p = np.eye(n_classes, dtype=dt)[target] if labels else target.astype(dt, copy=False)
+    p = p.reshape(-1, n_classes)
+    z = logits.data.reshape(-1, n_classes) / temperature
+    z = z - z.max(axis=1, keepdims=True)
+    logq = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    scale = dt(1.0 / len(p))
+    out = Tensor((logq * p).sum(axis=1).sum() * scale * dt(-1.0))
+
+    def rule(g):
+        gz = p * ((g * dt(-1.0)) * scale)
+        gz -= np.exp(logq) * gz.sum(axis=1, keepdims=True)
+        gz /= temperature
+        return (gz.reshape(logits.shape),)
+
+    _record(out, (logits,), rule)
+    return out
 
 
 def cosine_similarity(a, b) -> Tensor:

@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .downstream import FinetuneConfig, StandardizedHead, make_head
+from .downstream import FinetuneConfig, StandardizedHead
 from .errors import CheckpointError, ConfigurationError
-from .models import BackboneSpec, build_backbone
+from .models import BackboneSpec, PredictionHead, build_backbone
 from .nn import Module
 
 MAGIC = b"FDCK"
@@ -213,7 +213,7 @@ def restore_head(
     wanted = {"task": head_cfg.task, "t_pred": head_cfg.t_pred, "n_classes": head_cfg.n_classes}
     if stored != wanted:
         raise CheckpointError(f"{path}: checkpoint head {stored} does not match config head {wanted}")
-    head = make_head(FinetuneConfig(**stored), spec.embed_dim, np.random.default_rng(0))
+    head = PredictionHead(spec.embed_dim, head_cfg.t_pred, head_cfg.n_classes, np.random.default_rng(0))
     std = info.get("standardizer")
     if std:
         fits = isinstance(std, dict) and all(np.shape(std.get(key)) == (spec.embed_dim,) for key in ("mu", "sigma"))

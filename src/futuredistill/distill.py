@@ -115,7 +115,9 @@ def fpd_loss(student_emb, teacher_emb, cfg: DistillConfig, center: np.ndarray | 
     teacher embedding has zero norm has cos 0, so it adds exactly 1 / B and
     no gradient; such rows raise one RuntimeWarning per call.
     mse: mean squared elementwise difference.
-    cross_entropy: H(softmax((teacher - center)/tau_t), log_softmax(student/tau_s)).
+    cross_entropy: the mean over rows of H(softmax((teacher - center)/tau_t),
+    softmax(student/tau_s)) as one autodiff.cross_entropy tape entry, whose
+    probability target is the teacher softmax, computed here in float64.
     """
     s = student_emb if isinstance(student_emb, Tensor) else Tensor(student_emb)
     tch = teacher_emb.detach() if isinstance(teacher_emb, Tensor) else Tensor(np.asarray(teacher_emb))
@@ -130,9 +132,7 @@ def fpd_loss(student_emb, teacher_emb, cfg: DistillConfig, center: np.ndarray | 
         shifted -= shifted.max(axis=1, keepdims=True)
         p = np.exp(shifted)
         p /= p.sum(axis=1, keepdims=True)
-        log_q = ad.log_softmax(s, temperature=cfg.temperature_student, axis=-1)
-        per_row = ad.sum_(ad.mul(log_q, Tensor(p.astype(s.dtype))), axis=1)
-        return ad.mul(ad.mean(per_row), -1.0)
+        return ad.cross_entropy(s, p, temperature=cfg.temperature_student)
     # cosine; n_zero counts the rows whose norm product cosine_similarity finds zero
     n_zero = np.count_nonzero(np.linalg.norm(s.data, axis=1) * np.linalg.norm(tch.data, axis=1) == 0)
     if n_zero:

@@ -139,10 +139,6 @@ def _batch_arrays(windows: list[_Window], cfg: FinetuneConfig) -> tuple[np.ndarr
     return clips, labels
 
 
-def make_head(cfg: FinetuneConfig, embed_dim: int, rng) -> PredictionHead:
-    return PredictionHead(embed_dim, cfg.t_pred, cfg.n_classes, rng)
-
-
 class StandardizedHead(nn.Module):
     """Fixed affine feature standardization in front of a trainable head.
 
@@ -214,6 +210,9 @@ def finetune(
 ) -> tuple[ModelWithHead, list[FinetuneLogRow]]:
     """Cross-entropy training; LINEAR_PROBE leaves every backbone bit untouched.
 
+    Each step's loss is autodiff.cross_entropy of the [N, t_pred, C] logits
+    against the [N, t_pred] future labels: the mean over every predicted frame.
+
     Only LINEAR_PROBE standardizes the head's input: a frozen backbone needs
     the fixed affine feature conditioning, while trainable backbones adapt on
     their own and the amplified 1/sigma backprop would destabilize them.
@@ -243,7 +242,7 @@ def finetune(
                 inputs, labels = _batch_arrays([windows[i] for i in batch], cfg)
             tape = Tape()
             with tape:
-                loss = _task_loss(trained(Tensor(inputs)), labels, cfg)
+                loss = ad.cross_entropy(trained(Tensor(inputs)), labels)
             val = loss.item()
             if not math.isfinite(val):
                 raise DivergenceError(f"fine-tuning diverged at epoch {epoch} (loss={val!r})")
@@ -255,12 +254,6 @@ def finetune(
             del tape, loss  # the step's activations, freed before the next batch is decoded
         log.append(FinetuneLogRow(epoch=epoch, loss=float(np.mean(epoch_losses))))
     return model, log
-
-
-def _task_loss(logits: Tensor, labels: np.ndarray, cfg: FinetuneConfig) -> Tensor:
-    """Cross-entropy over every predicted frame of the [N, t_pred, C] logits."""
-    flat = ad.reshape(logits, (-1, cfg.n_classes))
-    return ad.cross_entropy(flat, labels.reshape(-1))
 
 
 def evaluate_model(backbone, head, videos: list[SyntheticVideo], cfg: FinetuneConfig) -> EvalResult:
@@ -309,7 +302,8 @@ def run_single_protocol(
         raise ConfigurationError(f"protocol {protocol.value} needs a pretrained student")
     else:
         arm_backbone = student.copy()
-    head = make_head(tune_cfg, backbone_spec.embed_dim, np.random.default_rng(seed + 1000))
+    rng = np.random.default_rng(seed + 1000)
+    head = PredictionHead(backbone_spec.embed_dim, tune_cfg.t_pred, tune_cfg.n_classes, rng)
     model, tune_log = finetune(arm_backbone, head, protocol, train_videos, tune_cfg, seed=seed)
     result_eval = evaluate_model(model.backbone, model.head, test_videos, tune_cfg)
     row = MetricsRow(

@@ -58,12 +58,11 @@ class BackboneSpec:
             raise ConfigurationError(
                 f"backbone.heads must be >= 1 and divide embed_dim {self.embed_dim} for {self.family}, got {self.heads}"
             )
-        if self.frame_size % self.patch_size != 0:
+        unit = self.patch_size if attention else 8  # conv: two stride-2 stages, then 2x2 pooling
+        if self.frame_size < 1 or self.frame_size % unit:
             raise ConfigurationError(
-                f"frame_size {self.frame_size} not divisible by patch_size {self.patch_size}"
+                f"backbone.frame_size must be a positive multiple of {unit} for {self.family}, got {self.frame_size}"
             )
-        if self.frame_size % 4 != 0:
-            raise ConfigurationError(f"frame_size must be divisible by 4 for the conv stacks, got {self.frame_size}")
 
 
 class Backbone(nn.Module):

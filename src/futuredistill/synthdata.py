@@ -49,7 +49,6 @@ _CUE_CODES = np.searchsorted(LEVELS, CUE_PALETTE).astype(np.uint8)
 _BYTE_LEVELS = LEVELS[np.minimum(np.arange(256), len(LEVELS) - 1)]
 _PAIR_LEVELS = np.stack(np.meshgrid(_BYTE_LEVELS, _BYTE_LEVELS), axis=-1).reshape(-1, 2)
 _CUE_SLICE = (slice(1, 4), slice(1, 4))  # rows/cols of the indicator block
-_CUE_PROBE = (2, 2)  # center pixel used to test for cue presence
 
 # relative preference for switching into each action (self-transitions excluded)
 _ACTION_WEIGHTS = np.array([0.26, 0.12, 0.11, 0.11, 0.12, 0.14, 0.14])
@@ -168,15 +167,6 @@ def _render_video(x: np.ndarray, y: np.ndarray, heading: np.ndarray, cue: np.nda
     shown = cue >= 0
     codes[shown, :, _CUE_SLICE[0], _CUE_SLICE[1]] = _CUE_CODES[cue[shown]][:, :, None, None]
     return codes
-
-
-def cue_visible(frame: np.ndarray) -> int | None:
-    """Return the signalled upcoming action id, or None when no cue is shown."""
-    probe = frame[:, _CUE_PROBE[0], _CUE_PROBE[1]]
-    for action, color in enumerate(CUE_PALETTE):
-        if np.array_equal(probe, color):
-            return action
-    return None
 
 
 def generate_video(seed: int, length: int) -> SyntheticVideo:

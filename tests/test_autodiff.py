@@ -1054,7 +1054,8 @@ class TestStructuralOps:
         x = Tensor(rng.normal(size=(3, 4)) * 100)
         for out in (
             ad.softmax(x),
-            ad.log_softmax(x),
+            ad.cross_entropy(x, np.array([0, 1, 3])),
+            ad.cross_entropy(x, np.full((3, 4), 0.25), temperature=0.1),
             ad.sigmoid(ad.mul(x, 100.0)),
             ad.tanh(x),
             ad.gelu(x),
@@ -1345,6 +1346,33 @@ class TestCosineSimilarity:
             ad.cosine_similarity(Tensor(np.ones(3)), Tensor(np.ones(3)))
 
 
+class TestCrossEntropy:
+    """The single-entry cross-entropy: finite differences and argument checks."""
+
+    def test_soft_target_gradient_vs_finite_differences_on_3d_logits(self):
+        rng = np.random.default_rng(163)
+        p = rng.dirichlet(np.ones(5), size=(2, 3))
+        fd_check(lambda t: ad.cross_entropy(t, p, temperature=0.1), Tensor(rng.normal(size=(2, 3, 5)) * 0.3), eps=1e-6)
+
+    def test_target_of_the_wrong_shape_raises(self):
+        logits = Tensor(np.zeros((4, 3, 5)))
+        for target in (
+            np.zeros((4, 3, 5), dtype=np.int64),  # labels need the shape without the class axis
+            np.zeros(12, dtype=np.int64),
+            np.full((4, 3), 0.2),  # probabilities need the logits' shape
+            np.full((4, 15), 1.0 / 15),
+        ):
+            with pytest.raises(DimensionError):
+                ad.cross_entropy(logits, target)
+        with pytest.raises(DimensionError):
+            ad.cross_entropy(Tensor(np.float64(1.0)), np.int64(0))
+
+    @pytest.mark.parametrize("temperature", [0.0, -0.1])
+    def test_non_positive_temperature_raises(self, temperature):
+        with pytest.raises(ConfigurationError):
+            ad.cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 1]), temperature=temperature)
+
+
 # The layer_norm and gelu that autodiff composed from primitives before each
 # became one tape entry; kept as the reference for outputs and gradients.
 
@@ -1436,6 +1464,33 @@ def reference_cosine_loss(s, tch):
     if n_zero:
         total = ad.add(total, float(n_zero))
     return ad.mul(total, 1.0 / s.shape[0])
+
+
+def reference_log_softmax(logits, temperature=1.0):
+    """The log_softmax op that autodiff.cross_entropy replaced, over the last axis."""
+    z = logits.data / temperature
+    z = z - z.max(axis=-1, keepdims=True)
+    out = Tensor(z - np.log(np.exp(z).sum(axis=-1, keepdims=True)))
+
+    def rule(g):
+        return ((g - np.exp(out.data) * g.sum(axis=-1, keepdims=True)) / temperature,)
+
+    ad._record(out, (logits,), rule)
+    return out
+
+
+def reference_label_cross_entropy(logits, labels):
+    """The labelled CE before the fused op: reshape, log_softmax, gather, mean, negate; 6 tape entries."""
+    flat = ad.reshape(logits, (-1, logits.shape[-1]))
+    picked = ad.getitem(reference_log_softmax(flat), (np.arange(flat.shape[0]), labels.reshape(-1)))
+    return ad.mul(ad.mean(picked), -1.0)
+
+
+def reference_soft_cross_entropy(logits, p, temperature):
+    """The distillation CE before the fused op: weighted row sums of log_softmax, mean, negate; 6 tape entries."""
+    log_q = reference_log_softmax(logits, temperature)
+    per_row = ad.sum_(ad.mul(log_q, Tensor(p.astype(logits.dtype))), axis=1)
+    return ad.mul(ad.mean(per_row), -1.0)
 
 
 class TestFusedOpsMatchComposite:
@@ -1533,6 +1588,46 @@ class TestFusedOpsMatchComposite:
         assert g.dtype == dtype and max_relative_error(g, g_ref, floor=1e-3) < self.GRAD_TOL[dtype]
         assert not g[3].any() and not g[9].any()
 
+    @staticmethod
+    def _loss_step(loss_fn, logits0):
+        logits = Tensor(logits0.copy(), requires_grad=True)
+        tape = Tape()
+        with tape:
+            loss = loss_fn(logits)
+        backward(loss, tape)
+        return loss.data, logits.grad, len(tape)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_label_cross_entropy_is_bitwise_the_composite(self, dtype):
+        # the downstream shape: [batch, t_pred, classes] logits of a prediction head; a
+        # few draws, since one draw's loss can match under a different summation order
+        rng = np.random.default_rng(167)
+        for _ in range(5):
+            logits0 = (3.0 * rng.normal(size=(32, 12, 7))).astype(dtype)
+            labels = rng.integers(0, 7, size=(32, 12))
+            ref, g_ref, n_ref = self._loss_step(lambda t: reference_label_cross_entropy(t, labels), logits0)
+            got, g, n = self._loss_step(lambda t: ad.cross_entropy(t, labels), logits0)
+            assert (n_ref, n) == (6, 1)
+            assert got.dtype == g.dtype == dtype
+            assert got.tobytes() == ref.tobytes() and g.tobytes() == g_ref.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_soft_cross_entropy_is_bitwise_the_composite(self, dtype):
+        # the pretrain shape: [batch, embed_dim] student embeddings against a sharpened
+        # float64 teacher softmax with exact zeros, at the default student temperature
+        rng = np.random.default_rng(173)
+        for _ in range(5):
+            logits0 = rng.normal(size=(16, 64)).astype(dtype)
+            shifted = rng.normal(size=(16, 64)) / 0.04
+            p = np.exp(shifted - shifted.max(axis=1, keepdims=True))
+            p[:, :8] = 0.0
+            p /= p.sum(axis=1, keepdims=True)
+            ref, g_ref, n_ref = self._loss_step(lambda t: reference_soft_cross_entropy(t, p, 0.1), logits0)
+            got, g, n = self._loss_step(lambda t: ad.cross_entropy(t, p, temperature=0.1), logits0)
+            assert (n_ref, n) == (6, 1)
+            assert got.dtype == g.dtype == dtype
+            assert got.tobytes() == ref.tobytes() and g.tobytes() == g_ref.tobytes()
+
     def test_each_op_records_one_entry(self):
         x = Tensor(np.ones((2, 4), dtype=np.float32), requires_grad=True)
         gain, bias = Tensor(np.ones(4, dtype=np.float32)), Tensor(np.zeros(4, dtype=np.float32))
@@ -1546,6 +1641,8 @@ class TestFusedOpsMatchComposite:
             lambda: ad.attention(qkv, 2),
             lambda: ad.linear(x, w_x, Tensor(np.zeros(8, dtype=np.float32))),
             lambda: ad.cosine_similarity(x, Tensor(np.ones((2, 4), dtype=np.float32))),
+            lambda: ad.cross_entropy(x, np.array([0, 3])),
+            lambda: ad.cross_entropy(x, np.full((2, 4), 0.25), temperature=0.1),
         ):
             tape = Tape()
             with tape:
@@ -1570,7 +1667,7 @@ class TestFusedOpsMatchComposite:
     @pytest.mark.parametrize(
         "family,t,loss,entries",
         [
-            ("TemporalTransformer", 6, "cross_entropy", 35),
+            ("TemporalTransformer", 6, "cross_entropy", 30),
             ("Conv3dResidual", 6, "cosine", 28),
             ("Conv2dRecurrent", 12, "cosine", 19),
             ("PatchTransformerRecurrent", 12, "cosine", 27),
@@ -1591,6 +1688,22 @@ class TestFusedOpsMatchComposite:
         tape = Tape()
         with tape:
             fpd_loss(student.forward(clips), teacher, DistillConfig(t=t, t_pred=t, loss_variant=loss))
+        assert len(tape) == entries
+
+    @pytest.mark.parametrize("family,t,entries", [("Conv2dRecurrent", 12, 14), ("TemporalTransformer", 6, 29)])
+    def test_downstream_step_tape_length(self, family, t, entries):
+        # a fine-tune step as downstream.finetune records it: backbone, prediction
+        # head and the labelled cross-entropy over the [B, t_pred, C] logits
+        from futuredistill.downstream import ModelWithHead
+        from futuredistill.models import BackboneSpec, PredictionHead, build_backbone
+
+        spec = BackboneSpec(family=family, frames=t, embed_dim=16, frame_size=16, recurrent_hidden=16)
+        model = ModelWithHead(build_backbone(spec, 0), PredictionHead(16, t, 7, np.random.default_rng(0)))
+        rng = np.random.default_rng(83)
+        clips = Tensor(rng.normal(size=(2, t, 3, 16, 16)).astype(np.float32))
+        tape = Tape()
+        with tape:
+            ad.cross_entropy(model.forward(clips), rng.integers(0, 7, size=(2, t)))
         assert len(tape) == entries
 
 

@@ -16,15 +16,13 @@ from futuredistill.downstream import (
     Protocol,
     StandardizedHead,
     _batch_arrays,
-    _task_loss,
     _windows,
     evaluate_model,
     evaluate_precision,
     finetune,
-    make_head,
 )
 from futuredistill.errors import ConfigurationError, DimensionError
-from futuredistill.models import BackboneSpec, build_backbone
+from futuredistill.models import BackboneSpec, PredictionHead, build_backbone
 from futuredistill.synthdata import make_dataset, split_dataset
 
 
@@ -117,9 +115,10 @@ class TestFinetune:
         spec = BackboneSpec(family="Conv2dRecurrent", frames=6)
         backbone = build_backbone(spec, seed=0)
         before = params_hash(backbone)
-        head = make_head(quick_cfg(), spec.embed_dim, np.random.default_rng(9))
+        cfg = quick_cfg()
+        head = PredictionHead(spec.embed_dim, cfg.t_pred, cfg.n_classes, np.random.default_rng(9))
         head_before = params_hash(head)
-        finetune(backbone, head, Protocol.LINEAR_PROBE, train, quick_cfg(), seed=0)
+        finetune(backbone, head, Protocol.LINEAR_PROBE, train, cfg, seed=0)
         assert params_hash(backbone) == before
         assert params_hash(head) != head_before  # the head did train
 
@@ -127,9 +126,10 @@ class TestFinetune:
         train, _, _ = small_world
         spec = BackboneSpec(family="Conv2dRecurrent", frames=6)
         backbone = build_backbone(spec, seed=0)
-        head = make_head(quick_cfg(), spec.embed_dim, np.random.default_rng(9))
+        cfg = quick_cfg(epochs=0)
+        head = PredictionHead(spec.embed_dim, cfg.t_pred, cfg.n_classes, np.random.default_rng(9))
         before = params_hash(backbone), params_hash(head)
-        finetune(backbone, head, Protocol.FINE_TUNE, train, quick_cfg(epochs=0), seed=0)
+        finetune(backbone, head, Protocol.FINE_TUNE, train, cfg, seed=0)
         assert (params_hash(backbone), params_hash(head)) == before
 
     def test_fine_tune_updates_backbone(self, small_world):
@@ -137,8 +137,9 @@ class TestFinetune:
         spec = BackboneSpec(family="Conv2dRecurrent", frames=6)
         backbone = build_backbone(spec, seed=0)
         before = params_hash(backbone)
-        head = make_head(quick_cfg(), spec.embed_dim, np.random.default_rng(9))
-        finetune(backbone, head, Protocol.FINE_TUNE, train, quick_cfg(), seed=0)
+        cfg = quick_cfg()
+        head = PredictionHead(spec.embed_dim, cfg.t_pred, cfg.n_classes, np.random.default_rng(9))
+        finetune(backbone, head, Protocol.FINE_TUNE, train, cfg, seed=0)
         assert params_hash(backbone) != before
 
     def test_step_tape_is_freed_before_the_next_batch(self, small_world, monkeypatch):
@@ -160,7 +161,7 @@ class TestFinetune:
         train, _, _ = small_world
         spec = BackboneSpec(family="Conv2dRecurrent", frames=6)
         cfg = quick_cfg()
-        head = make_head(cfg, spec.embed_dim, np.random.default_rng(9))
+        head = PredictionHead(spec.embed_dim, cfg.t_pred, cfg.n_classes, np.random.default_rng(9))
         finetune(build_backbone(spec, seed=0), head, Protocol.FINE_TUNE, train, cfg, seed=0)
         assert len(tapes) == len(alive_at_batch) >= 2
         assert alive_at_batch == [0] * len(tapes)
@@ -169,9 +170,10 @@ class TestFinetune:
         _, _, test = small_world
         spec = BackboneSpec(family="Conv2dRecurrent", frames=6)
         backbone = build_backbone(spec, seed=1)
-        head = make_head(quick_cfg(), spec.embed_dim, np.random.default_rng(5))
-        a = evaluate_model(backbone, head, test, quick_cfg())
-        b = evaluate_model(backbone, head, test, quick_cfg())
+        cfg = quick_cfg()
+        head = PredictionHead(spec.embed_dim, cfg.t_pred, cfg.n_classes, np.random.default_rng(5))
+        a = evaluate_model(backbone, head, test, cfg)
+        b = evaluate_model(backbone, head, test, cfg)
         assert a.macro_precision == b.macro_precision
         assert np.array_equal(a.confusion, b.confusion)
 
@@ -217,7 +219,7 @@ def reference_linear_probe(backbone, head, train_videos, cfg, seed):
                 z = backbone.forward(Tensor(clips))
             tape = Tape()
             with tape:
-                loss = _task_loss(head(z.detach()), labels, cfg)
+                loss = ad.cross_entropy(head(z.detach()), labels)
             for p in params:
                 p.zero_grad()
             backward(loss, tape)
@@ -254,7 +256,8 @@ class TestEmbedOnce:
             return forward(clips)
 
         monkeypatch.setattr(backbone, "forward", counting_forward)
-        finetune(backbone, make_head(cfg, spec.embed_dim, np.random.default_rng(9)), Protocol.LINEAR_PROBE, train, cfg)
+        head = PredictionHead(spec.embed_dim, cfg.t_pred, cfg.n_classes, np.random.default_rng(9))
+        finetune(backbone, head, Protocol.LINEAR_PROBE, train, cfg)
         n_windows = len(_windows(train, cfg))
         assert sum(rows) == n_windows
 
@@ -264,7 +267,7 @@ class TestEmbedOnce:
         cfg = quick_cfg(epochs=2)
         spec = BackboneSpec(family=family, frames=6)
         backbone = build_backbone(spec, seed=0)
-        head = make_head(cfg, spec.embed_dim, np.random.default_rng(9))
+        head = PredictionHead(spec.embed_dim, cfg.t_pred, cfg.n_classes, np.random.default_rng(9))
         ref_head, ref_losses = reference_linear_probe(backbone, head.copy(), train, cfg, seed=0)
         model, log = finetune(backbone, head, Protocol.LINEAR_PROBE, train, cfg, seed=0)
         assert [row.loss for row in log] == ref_losses

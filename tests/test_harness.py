@@ -1068,8 +1068,16 @@ class TestCli:
         lines = proc.stdout.splitlines()
         assert lines[0].startswith("cores: ") and "BLAS threads: 1;" in lines[0]
         rows = [line.split() for line in lines[3:]]
-        ops = {"conv2d", "conv3d", "lstm_sequence", "layer_norm", "gelu", "attention", "linear", "cosine_similarity"}
+        ops = {
+            "conv2d", "conv3d", "lstm_sequence", "layer_norm", "gelu", "attention", "linear",
+            "cosine_similarity", "cross_entropy",
+        }
         assert {row[1] for row in rows} == ops
+        # one pretrain row (every family's [2, 16] output) and one fine-tune row: the
+        # [downstream batch, t_pred, classes] logits of the prediction head with their labels
+        losses = {tuple(row[:4]) for row in rows if row[1] == "cross_entropy"}
+        assert losses == {("Conv3dResidual", "cross_entropy", "2x16", "2x16"),
+                          ("PredictionHead", "cross_entropy", "16x3x7", "16x3")}
         for row in rows:
             median, q1, q3 = float(row[-6]), float(row[-5].strip("[,")), float(row[-4].strip("]"))
             assert 0 < q1 <= median <= q3

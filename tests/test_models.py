@@ -87,6 +87,27 @@ def test_unknown_family_rejected():
         build_backbone(BackboneSpec(family="Resnet50", frames=6), seed=0)
 
 
+# the conv families halve the frame twice, then pool 2x2; attention cuts it into 4x4 patches here
+FITTING_FRAME_SIZES = {
+    "Conv3dResidual": {16, 24, 32},
+    "Conv2dRecurrent": {16, 24, 32},
+    "TemporalTransformer": {4, 12, 16, 20, 24, 32},
+    "PatchTransformerRecurrent": {4, 12, 16, 20, 24, 32},
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("frame_size", [0, 4, 12, 16, 20, 24, 32])
+def test_frame_size_the_family_cannot_pool_is_rejected(family, frame_size):
+    spec = BackboneSpec(family=family, frames=3, embed_dim=16, frame_size=frame_size, patch_size=4, recurrent_hidden=16)
+    if frame_size not in FITTING_FRAME_SIZES[family]:
+        with pytest.raises(ConfigurationError, match="backbone.frame_size"):
+            build_backbone(spec, seed=0)
+        return
+    z = build_backbone(spec, seed=0).forward(random_clip(np.random.default_rng(4), 3, size=frame_size))
+    assert z.shape == (1, 16) and np.all(np.isfinite(z.data))
+
+
 def test_parameter_count_hand_audit():
     # Conv2dRecurrent, widths (8, 16), 4x4 feature grid, hidden 64, embed 64:
     feat_dim = 16 * 4 * 4
