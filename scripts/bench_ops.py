@@ -23,8 +23,14 @@ autodiff._conv_grid, and the GEMMs of one forward: its tap groups
 (autodiff._tap_groups) times its column chunks. Other ops print
 "-" there.
 
-BLAS is pinned to one thread before numpy loads; the core and BLAS thread
-counts are printed above the table.
+A second table times the clip-batch builders on the config's train split,
+median and quartiles [q1, q3] in ms per call: distill._sample_batch at the
+[distill] batch (past and teacher clips), and downstream._batch_arrays at
+the [downstream] batch and at the 64-window batch that embed_windows reads.
+
+BLAS is pinned to one thread before numpy loads, and glibc's malloc
+thresholds are fixed as every futuredistill command fixes them; the core and
+BLAS thread counts are printed above the tables.
 Usage: python scripts/bench_ops.py [--config PATH] [--repeats N]
 """
 
@@ -45,6 +51,7 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from futuredistill import autodiff as ad  # noqa: E402
+from futuredistill import cli, distill, downstream  # noqa: E402
 from futuredistill.autodiff import Tape, Tensor, no_grad  # noqa: E402
 from futuredistill.config import load_config  # noqa: E402
 from futuredistill.distill import DistillConfig, fpd_loss  # noqa: E402
@@ -181,6 +188,33 @@ def conv_columns(args: list, kwargs: dict) -> tuple[int, float, int]:
     return n_cols, np.prod(out_dims) / computed, len(groups) * -(-n_cols // ad._CONV_CHUNK)
 
 
+def time_batch_builders(cfg, repeats: int) -> list[tuple[str, str, np.ndarray]]:
+    """(builder, batch, seconds per call) of each clip-batch builder on the config's train split, after a warm-up."""
+    train = cli.build_splits(cfg, "train")[0]
+    pre, tune = cfg.distill, cfg.downstream
+    windows = downstream._windows(train, tune)
+    embed = windows[:64]  # embed_windows' batch, or every window of a smaller split
+    rng = np.random.default_rng(0)
+    tune_batch = windows[: tune.batch_size]
+    cases = [
+        ("distill._sample_batch", f"{pre.batch_size} x {pre.t} frames, twice",
+         lambda: distill._sample_batch(train, pre, rng)),
+        ("downstream._batch_arrays", f"{len(tune_batch)} x {tune.t} frames",
+         lambda: downstream._batch_arrays(tune_batch, tune)),
+        ("downstream._batch_arrays", f"{len(embed)} x {tune.t} frames (embed)",
+         lambda: downstream._batch_arrays(embed, tune)),
+    ]
+    rows = []
+    for name, batch, build in cases:
+        seconds = []
+        for _ in range(WARMUP + repeats):
+            t0 = time.perf_counter()
+            build()
+            seconds.append(time.perf_counter() - t0)
+        rows.append((name, batch, np.array(seconds[WARMUP:])))
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--config", default=str(ROOT / "configs" / "default.ini"))
@@ -188,6 +222,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     cfg = load_config(args.config)
+    cli._retain_freed_heap()
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
     print(f"cores: {os.cpu_count()} (usable {usable}); BLAS threads: {BLAS_THREADS}; numpy {np.__version__}")
     print(f"config: {args.config}; batch {cfg.distill.batch_size}, t {cfg.distill.t}; {args.repeats} repeats")
@@ -210,6 +245,10 @@ def main(argv=None) -> int:
             f"{family:<26} {name:<17} {_describe(call_args, kwargs):<44} {g_med:>10.3f}  {g_iqr:<18} "
             f"{f_med:>14.3f}  {f_iqr:<18} {n_cols:>8} {valid:>6} {gemms:>6}"
         )
+    print(f"\n{'clip-batch builder':<26} {'batch':<30} {'ms':>8}  [q1, q3]")
+    for name, batch, seconds in time_batch_builders(cfg, args.repeats):
+        q1, med, q3 = np.percentile(seconds * 1e3, [25, 50, 75])
+        print(f"{name:<26} {batch:<30} {med:>8.3f}  [{q1:.3f}, {q3:.3f}]")
     return 0
 
 

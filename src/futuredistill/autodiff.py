@@ -446,7 +446,10 @@ def linear(x, w, b) -> Tensor:
     """x @ w + b as one tape entry; x is [..., d_in] (1-D promoted), w [d_in, d_out], b [d_out].
 
     The bias is added in place to the fresh product, so the output is bitwise
-    add(matmul(x, w), b). The rule works on the [rows, d] views x2 and g2 of
+    add(matmul(x, w), b). One row of a batch (x of ndim >= 2 and one row) is
+    the exception: numpy would run it as a GEMV, which rounds unlike a row of
+    a GEMM, so it runs as row 0 of a two-row GEMM and rounds as in any larger
+    batch. The rule works on the [rows, d] views x2 and g2 of
     x and g over their flattened leading axes: the input gradient g2 @ w^T
     and the weight gradient x2^T @ g2 are one 2-D GEMM each, the bias
     gradient one row sum of g2. The input gradient is bitwise that of
@@ -459,7 +462,10 @@ def linear(x, w, b) -> Tensor:
     b = _as_tensor(b, like=x)
     if w.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
         raise DimensionError(f"linear: x {x.shape}, w {w.shape} and b {b.shape} do not fit x @ w + b")
-    y = x.data @ w.data
+    if x.ndim > 1 and x.data.size == x.shape[-1]:
+        y = (np.concatenate([x.data.reshape(1, -1)] * 2) @ w.data)[:1].reshape(*x.shape[:-1], w.shape[1])
+    else:
+        y = x.data @ w.data
     y += b.data
     out = Tensor(y)
 

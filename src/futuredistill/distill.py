@@ -22,7 +22,7 @@ from . import nn
 from .autodiff import SgdState, Tape, Tensor, backward, no_grad, sgd_step
 from .errors import ConfigurationError, DimensionError, DivergenceError
 from .models import BackboneSpec, build_backbone
-from .synthdata import CHANNELS, FRAME_SIZE, SyntheticVideo, sample_clip
+from .synthdata import CHANNELS, FRAME_SIZE, SyntheticVideo, render, sample_clip
 
 LOSS_VARIANTS = ("cosine", "cross_entropy", "mse")
 
@@ -283,21 +283,21 @@ def pretrain(
             )
         )
         # the tape holds every activation of the student forward; freed here, it
-        # does not live through the next step's batch decode and teacher forward
+        # does not live through the next step's batch render and teacher forward
         del tape, loss, s
     return PretrainResult(pair=pair, log=log)
 
 
 def _sample_batch(dataset, cfg: DistillConfig, rng) -> tuple[np.ndarray, np.ndarray]:
-    """One batch of (past, downsampled-combined) clips, each decoded straight into its batch row."""
+    """One batch of (past, downsampled-combined) clips; each of the two batches is rendered by one call."""
     idx = downsample_indices(cfg.t, cfg.t_pred)
-    shape = (cfg.batch_size, cfg.t, CHANNELS, FRAME_SIZE, FRAME_SIZE)
-    past, combined = np.empty(shape, np.float32), np.empty(shape, np.float32)
-    for i in range(cfg.batch_size):
+    clips = []
+    for _ in range(cfg.batch_size):
         video = dataset[int(rng.integers(len(dataset)))]
-        clip = sample_clip(video, cfg.t, cfg.t_pred, rng)
-        video.decode(slice(clip.start, clip.start + cfg.t), out=past[i])
-        video.decode(clip.start + idx, out=combined[i])
+        clips.append(sample_clip(video, cfg.t, cfg.t_pred, rng))
+    shape = (cfg.batch_size, cfg.t, CHANNELS, FRAME_SIZE, FRAME_SIZE)
+    past = render([(c.video, slice(c.start, c.start + cfg.t)) for c in clips], np.empty(shape, np.float32))
+    combined = render([(c.video, c.start + idx) for c in clips], np.empty(shape, np.float32))
     return past, combined
 
 

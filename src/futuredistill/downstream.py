@@ -20,7 +20,7 @@ from . import nn
 from .autodiff import SgdState, Tape, Tensor, backward, no_grad, sgd_step
 from .errors import ConfigurationError, DimensionError, DivergenceError
 from .models import BackboneSpec, PredictionHead, build_backbone
-from .synthdata import CHANNELS, FRAME_SIZE, N_ACTIONS, SyntheticVideo, clip_at, eval_clip_starts
+from .synthdata import CHANNELS, FRAME_SIZE, N_ACTIONS, SyntheticVideo, clip_at, eval_clip_starts, render
 
 
 class Protocol(Enum):
@@ -129,12 +129,12 @@ def _windows(videos: list[SyntheticVideo], cfg: FinetuneConfig) -> list[_Window]
 
 
 def _batch_arrays(windows: list[_Window], cfg: FinetuneConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The windows' past frames [N, t, 3, 32, 32], each decoded straight into its row, and future labels [N, t_pred]."""
+    """The windows' past frames [N, t, 3, 32, 32], rendered by one call, and future labels [N, t_pred]."""
+    samples = [clip_at(w.video, w.start, cfg.t, cfg.t_pred) for w in windows]
     clips = np.empty((len(windows), cfg.t, CHANNELS, FRAME_SIZE, FRAME_SIZE), np.float32)
+    render([(c.video, slice(c.start, c.start + cfg.t)) for c in samples], clips)
     labels = np.empty((len(windows), cfg.t_pred), np.int64)
-    for i, w in enumerate(windows):
-        clip = clip_at(w.video, w.start, cfg.t, cfg.t_pred)
-        w.video.decode(slice(clip.start, clip.start + cfg.t), out=clips[i])
+    for i, clip in enumerate(samples):
         labels[i] = clip.future_labels
     return clips, labels
 
@@ -251,7 +251,7 @@ def finetune(
             backward(loss, tape)
             sgd_step(params, [p.grad for p in params], opt)
             epoch_losses.append(val)
-            del tape, loss  # the step's activations, freed before the next batch is decoded
+            del tape, loss  # the step's activations, freed before the next batch is rendered
         log.append(FinetuneLogRow(epoch=epoch, loss=float(np.mean(epoch_losses))))
     return model, log
 

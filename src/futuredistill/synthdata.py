@@ -5,8 +5,9 @@ sequence over the seven ego actions. A colored indicator block appears exactly
 CUE_LEAD frames before every action change, colored by the upcoming action, so
 near-future actions are genuinely predictable from past frames.
 
-Every pixel-channel takes one of the six LEVELS, so a video stores uint8
-indices into LEVELS and decodes float32 frames only when a clip is read.
+A frame is a function of five small integers: the agent's centre cell, its
+heading tick's cell and the cue id. A video stores those per frame, five
+bytes, and `render` paints float32 frames from them only when a clip is read.
 """
 
 from __future__ import annotations
@@ -39,16 +40,14 @@ CUE_PALETTE = np.array(
     ],
     dtype=np.float32,
 )
-# every value the renderer paints, ascending; a video's codes index this table
-LEVELS = np.array([0.0, 0.08, 0.25, 0.5, 0.7, 1.0], dtype=np.float32)
-_BACKGROUND, _LANE, _TICK, _AGENT = 1, 2, 4, 5  # the codes of 0.08, 0.25, 0.7 and 1.0
-_CUE_CODES = np.searchsorted(LEVELS, CUE_PALETTE).astype(np.uint8)
-# row i holds the levels of the two codes a little-endian uint16 i packs,
-# (i & 255, i >> 8), so decoding looks up two pixel-channels at once; codes
-# past the end of LEVELS read as its last value
-_BYTE_LEVELS = LEVELS[np.minimum(np.arange(256), len(LEVELS) - 1)]
-_PAIR_LEVELS = np.stack(np.meshgrid(_BYTE_LEVELS, _BYTE_LEVELS), axis=-1).reshape(-1, 2)
+# the values the renderer paints besides the cue colors
+_BACKGROUND, _LANE, _TICK, _AGENT = 0.08, 0.25, 0.7, 1.0
+# background and dashed lane lines, the layers every frame starts from
+_EMPTY_FRAME = np.full((CHANNELS, FRAME_SIZE, FRAME_SIZE), _BACKGROUND, dtype=np.float32)
+_EMPTY_FRAME[:, ::3, [8, 23]] = _LANE
 _CUE_SLICE = (slice(1, 4), slice(1, 4))  # rows/cols of the indicator block
+# the columns of SyntheticVideo.paint
+AGENT_ROW, AGENT_COL, TICK_ROW, TICK_COL, CUE = range(5)
 
 # relative preference for switching into each action (self-transitions excluded)
 _ACTION_WEIGHTS = np.array([0.26, 0.12, 0.11, 0.11, 0.12, 0.14, 0.14])
@@ -66,7 +65,9 @@ class WorldState:
 
 @dataclass
 class SyntheticVideo:
-    codes: np.ndarray  # [L, 3, 32, 32] uint8 indices into LEVELS
+    """One video as its labels and the paint coordinates of each frame; frames render on each read."""
+
+    paint: np.ndarray  # [L, 5] int8: agent row and col, tick row and col, cue id (-1: none)
     labels: np.ndarray  # [L] uint8 action ids
     video_id: int = -1
 
@@ -74,19 +75,15 @@ class SyntheticVideo:
         return len(self.labels)
 
     def decode(self, frames=slice(None), out: np.ndarray | None = None) -> np.ndarray:
-        """Float32 frames in [0, 1] for `frames` (a slice or frame indices), written into `out` if given."""
-        pairs = self.codes[frames].view("<u2")
+        """Float32 frames in [0, 1] for `frames` (an index, a slice or frame indices), written into `out` if given."""
         if out is None:
-            out = np.empty((*pairs.shape[:-1], 2 * pairs.shape[-1]), np.float32)
-        rows = out.view()
-        rows.shape = (*pairs.shape, 2)  # raises instead of copying when out has no such view
-        np.take(_PAIR_LEVELS, pairs, axis=0, mode="clip", out=rows)  # mode="raise" would buffer out
-        return out
+            out = np.empty((*self.labels[frames].shape, CHANNELS, FRAME_SIZE, FRAME_SIZE), np.float32)
+        return render([(self, frames)], out)
 
 
 @dataclass(frozen=True)
 class ClipSample:
-    """t past and t_pred future frames of one video from `start`; frames decode on each read."""
+    """t past and t_pred future frames of one video from `start`; frames render on each read."""
 
     video: SyntheticVideo
     start: int
@@ -100,6 +97,36 @@ class ClipSample:
     @property
     def future_labels(self) -> np.ndarray:  # [t_pred]
         return self.video.labels[self.start + self.t : self.start + self.t + self.t_pred].copy()
+
+
+def render(clips: Sequence[tuple[SyntheticVideo, object]], out: np.ndarray) -> np.ndarray:
+    """Paint the float32 frames of each (video, frames) pair in turn into `out` and return it.
+
+    `frames` is an index, a slice or frame indices. `out` holds exactly the
+    frames picked, in any leading shape (a [B, t, 3, 32, 32] batch takes B
+    pairs of t frames each), and must have an [N, 3, 32, 32] view, as every
+    C-contiguous array does; the frames are bitwise those of the per-frame
+    reference renderer in the tests. Layers, each over the last:
+    background, dashed lane lines, the 3x3 agent body on the torus, the
+    heading tick two cells ahead, the cue block.
+    """
+    paint = np.concatenate([video.paint[frames].reshape(-1, 5) for video, frames in clips])
+    canvas = out.view()
+    canvas.shape = (len(paint), CHANNELS, FRAME_SIZE, FRAME_SIZE)  # raises where reshape would copy
+    canvas[...] = _EMPTY_FRAME
+    # a channels-last view, so one (frame, row, col) index paints all channels
+    pixels = canvas.transpose(0, 2, 3, 1)
+    f = np.arange(len(paint))
+    offsets = np.array([-1, 0, 1])
+    rows = (paint[:, AGENT_ROW, None] + offsets) % FRAME_SIZE
+    cols = (paint[:, AGENT_COL, None] + offsets) % FRAME_SIZE
+    pixels[f[:, None, None], rows[:, :, None], cols[:, None, :]] = _AGENT
+    pixels[f, paint[:, TICK_ROW], paint[:, TICK_COL]] = _TICK
+    # cue block last so nothing can occlude it
+    cue = paint[:, CUE]
+    shown = cue >= 0
+    canvas[shown, :, _CUE_SLICE[0], _CUE_SLICE[1]] = CUE_PALETTE[cue[shown]][:, :, None, None]
+    return out
 
 
 def _switch_cdf(current: int) -> np.ndarray:
@@ -142,35 +169,8 @@ def _advance(state: WorldState) -> None:
     state.y = (state.y + step * dy) % FRAME_SIZE
 
 
-def _render_video(x: np.ndarray, y: np.ndarray, heading: np.ndarray, cue: np.ndarray) -> np.ndarray:
-    """Paint the level codes of every frame at once from per-frame poses and cue ids (-1: no cue).
-
-    Layers, each over the last: background, dashed lane lines, the 3x3 agent
-    body on the torus, the heading tick two cells ahead, the cue block.
-    """
-    length = len(x)
-    codes = np.full((length, CHANNELS, FRAME_SIZE, FRAME_SIZE), _BACKGROUND, dtype=np.uint8)
-    codes[:, :, ::3, 8] = _LANE
-    codes[:, :, ::3, 23] = _LANE
-    # a channels-last view, so one (frame, row, col) index paints all channels
-    pixels = codes.transpose(0, 2, 3, 1)
-    f = np.arange(length)
-    # np.rint rounds half to even, like Python's round
-    offsets = np.array([-1, 0, 1])
-    rows = (np.rint(x).astype(np.intp)[:, None] + offsets) % FRAME_SIZE
-    cols = (np.rint(y).astype(np.intp)[:, None] + offsets) % FRAME_SIZE
-    pixels[f[:, None, None], rows[:, :, None], cols[:, None, :]] = _AGENT
-    tick_x = np.rint(x + 2 * np.cos(heading)).astype(np.intp) % FRAME_SIZE
-    tick_y = np.rint(y + 2 * np.sin(heading)).astype(np.intp) % FRAME_SIZE
-    pixels[f, tick_x, tick_y] = _TICK
-    # cue block last so nothing can occlude it
-    shown = cue >= 0
-    codes[shown, :, _CUE_SLICE[0], _CUE_SLICE[1]] = _CUE_CODES[cue[shown]][:, :, None, None]
-    return codes
-
-
 def generate_video(seed: int, length: int) -> SyntheticVideo:
-    """Simulate one scripted video frame by frame, then render all frames at once.
+    """Simulate one scripted video frame by frame, then find every frame's paint coordinates at once.
 
     Identical (seed, length) gives identical bytes.
     """
@@ -185,7 +185,7 @@ def generate_video(seed: int, length: int) -> SyntheticVideo:
         until_change=int(rng.integers(DWELL_RANGE[0], DWELL_RANGE[1] + 1)),
     )
     x, y, heading = np.empty(length), np.empty(length), np.empty(length)
-    cue = np.empty(length, dtype=np.intp)
+    paint = np.empty((length, 5), dtype=np.int8)
     labels = np.empty(length, dtype=np.uint8)
     for f in range(length):
         if state.until_change == 0:
@@ -195,11 +195,16 @@ def generate_video(seed: int, length: int) -> SyntheticVideo:
         if state.until_change == CUE_LEAD:
             state.pending = _next_action(rng, state.action)
         x[f], y[f], heading[f] = state.x, state.y, state.heading
-        cue[f] = -1 if state.pending is None else state.pending
+        paint[f, CUE] = -1 if state.pending is None else state.pending
         labels[f] = state.action
         _advance(state)
         state.until_change -= 1
-    return SyntheticVideo(codes=_render_video(x, y, heading, cue), labels=labels)
+    # np.rint rounds half to even, like Python's round
+    paint[:, AGENT_ROW] = np.rint(x).astype(np.intp) % FRAME_SIZE
+    paint[:, AGENT_COL] = np.rint(y).astype(np.intp) % FRAME_SIZE
+    paint[:, TICK_ROW] = np.rint(x + 2 * np.cos(heading)).astype(np.intp) % FRAME_SIZE
+    paint[:, TICK_COL] = np.rint(y + 2 * np.sin(heading)).astype(np.intp) % FRAME_SIZE
+    return SyntheticVideo(paint=paint, labels=labels)
 
 
 def derive_video_seed(master_seed: int, video_id: int) -> int:

@@ -1831,9 +1831,8 @@ class TestBatchInvariance:
     rows that share the call (as a BLAS GEMV row sum would). Shapes are the
     TemporalTransformer t = 6 ([16, 96, d]), Conv2dRecurrent ([16, 12, 256])
     and Conv3dResidual ([16, 256]) inputs of each op, and the six backbone
-    convs with bias and ReLU. A single-row 2-D linear
-    is left out: numpy runs [1, d] @ [d, k] as a GEMV, which rounds
-    differently from the GEMM of more rows.
+    convs with bias and ReLU. Sub-batches include single rows, which numpy
+    would multiply by a GEMV in linear.
     """
 
     @staticmethod
@@ -1861,6 +1860,7 @@ class TestBatchInvariance:
             ("linear", (16, 12, 256)),
             ("layer_norm", (16, 256)),
             ("gelu", (16, 256)),
+            ("linear", (16, 256)),
         ],
         ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else v,
     )

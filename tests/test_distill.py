@@ -55,18 +55,19 @@ class TestDownsampling:
 
     @pytest.mark.parametrize("t, t_pred", [(6, 6), (6, 2)])
     def test_sample_batch_gives_past_to_student_and_downsampled_window_to_teacher(self, t, t_pred):
-        # the first three codes of frame f of video v spell 24 v + f in base 6,
-        # so a batch reveals which frames it got
+        # frame f of video v paints its heading tick, the only 0.7 pixel, at flat
+        # canvas position 24 v + f, so a batch reveals which frames it got
         videos = make_dataset(master_seed=0, n_videos=3, frames_per_video=24)
         for v, video in enumerate(videos):
             ids = 24 * v + np.arange(24)
-            video.codes[:, 0, 0, :3] = np.stack([ids // 36, ids // 6 % 6, ids % 6], axis=1)
+            video.paint[:, synthdata.TICK_ROW], video.paint[:, synthdata.TICK_COL] = divmod(ids, synthdata.FRAME_SIZE)
+            video.paint[:, synthdata.CUE] = -1
         cfg = DistillConfig(t=t, t_pred=t_pred, batch_size=8)
         past, teacher = ds._sample_batch(videos, cfg, np.random.default_rng(4))
         assert past.shape == teacher.shape == (8, t, 3, 32, 32)
 
         def frame_ids(batch):
-            return np.searchsorted(synthdata.LEVELS, batch[:, :, 0, 0, :3]) @ np.array([36, 6, 1])
+            return np.argmax(batch[:, :, 0].reshape(*batch.shape[:2], -1) == np.float32(0.7), axis=-1)
 
         starts = set()
         for s_ids, t_ids in zip(frame_ids(past), frame_ids(teacher)):
@@ -367,7 +368,7 @@ class TestPretrain:
 
     def test_step_tape_is_freed_before_the_next_batch(self, tiny_dataset, monkeypatch):
         # step k's tape holds every student activation; none may be alive while
-        # step k + 1 decodes its batch and runs the teacher forward
+        # step k + 1 renders its batch and runs the teacher forward
         tapes, alive_at_sample = [], []
 
         class TrackedTape(Tape):

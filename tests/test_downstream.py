@@ -144,7 +144,7 @@ class TestFinetune:
 
     def test_step_tape_is_freed_before_the_next_batch(self, small_world, monkeypatch):
         # step k's tape holds every backbone activation; none may be alive while
-        # step k + 1 decodes its batch
+        # step k + 1 renders its batch
         tapes, alive_at_batch = [], []
 
         class TrackedTape(Tape):

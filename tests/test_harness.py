@@ -547,11 +547,11 @@ class TestCli:
                     continue
                 assert [v.video_id for v in videos] == [v.video_id for v in ref]
                 for a, b in zip(videos, ref):
-                    assert a.codes.tobytes() == b.codes.tobytes()
+                    assert a.paint.tobytes() == b.paint.tobytes()
                     assert a.labels.tobytes() == b.labels.tobytes()
 
     def test_default_splits_fit_the_memory_budget(self):
-        # the uint8 codes of the 48 default train and test videos take 35.4 MB; float32 frames took 4x that
+        # the 48 default train and test videos store 6 bytes per frame (69 kB); float32 frames took 141.6 MB
         cfg = load_config(ROOT / "configs" / "default.ini")
         tracemalloc.start()
         try:
@@ -560,7 +560,7 @@ class TestCli:
         finally:
             tracemalloc.stop()
         assert sum(len(s) for s in splits if s) == 48
-        assert peak < 40e6, f"build_splits peaked at {peak / 1e6:.1f} MB"
+        assert peak < 2e6, f"build_splits peaked at {peak / 1e6:.1f} MB"
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sets glibc's malloc thresholds")
     def test_freed_heap_is_reused_without_page_faults(self):
@@ -1067,7 +1067,8 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert lines[0].startswith("cores: ") and "BLAS threads: 1;" in lines[0]
-        rows = [line.split() for line in lines[3:]]
+        blank = lines.index("")
+        rows = [line.split() for line in lines[3:blank]]
         ops = {
             "conv2d", "conv3d", "lstm_sequence", "layer_norm", "gelu", "attention", "linear",
             "cosine_similarity", "cross_entropy",
@@ -1094,6 +1095,15 @@ class TestCli:
         # the thin stem stacks 9 taps per GEMM, the strided downsampling conv runs one per tap
         gemms = {tuple(row[2:4]): row[-1] for row in rows if row[1] == "conv3d"}
         assert gemms[("2x3x3x16x16", "8x3x3x3x3")] == "3" and gemms[("2x8x3x8x8", "16x8x3x3x3")] == "27"
+        # the clip-batch builders at the [distill] batch, the [downstream] batch and the
+        # embedding batch, which here holds all 45 train windows
+        builders = [line.split() for line in lines[blank + 2 :]]
+        assert [(row[0], row[1]) for row in builders] == [
+            ("distill._sample_batch", "2"), ("downstream._batch_arrays", "16"), ("downstream._batch_arrays", "45"),
+        ]
+        for row in builders:
+            median, q1, q3 = float(row[-3]), float(row[-2].strip("[,")), float(row[-1].strip("]"))
+            assert 0 < q1 <= median <= q3
 
     def test_console_entry_point(self):
         # the child imports the same package as this process, installed or not

@@ -50,6 +50,17 @@ def test_deterministic_build_and_embed(family):
     assert b1.forward(clip).data.tobytes() == b2.forward(clip).data.tobytes()
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_one_clip_embeds_as_its_row_of_a_batch(family):
+    # a one-row product would run as a GEMV, which rounds unlike a row of a GEMM
+    backbone = build_backbone(BackboneSpec(family=family, frames=6), seed=0)
+    clips = np.random.default_rng(4).random((5, 6, 3, 32, 32)).astype(np.float32)
+    with ad.no_grad():
+        batch = backbone.forward(clips).data
+        for i in range(len(clips)):
+            assert backbone.forward(clips[i : i + 1]).data.tobytes() == batch[i : i + 1].tobytes(), i
+
+
 def test_different_seeds_differ():
     spec = BackboneSpec(family="Conv2dRecurrent", frames=6)
     b1 = build_backbone(spec, seed=0)

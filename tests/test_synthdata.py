@@ -88,7 +88,7 @@ def reference_video(seed, length):
 class TestGeneration:
     def test_byte_determinism(self, video):
         again = sd.generate_video(seed=7, length=240)
-        assert video.codes.tobytes() == again.codes.tobytes()
+        assert video.paint.tobytes() == again.paint.tobytes()
         assert video.labels.tobytes() == again.labels.tobytes()
 
     def test_bytes_match_the_per_frame_reference(self):
@@ -105,13 +105,26 @@ class TestGeneration:
                 wrapped_videos += wrapped == {"agent", "tick"}
         assert wrapped_videos > 0, "no compared video wrapped both the agent and its heading tick"
 
-    def test_stores_one_uint8_code_per_pixel_channel(self):
+    def test_stores_five_int8_paint_coordinates_per_frame(self):
         for length in (24, 240):
             video = sd.generate_video(seed=3, length=length)
-            assert video.codes.dtype == np.uint8 and video.codes.flags.c_contiguous
-            assert video.codes.shape == (length, sd.CHANNELS, sd.FRAME_SIZE, sd.FRAME_SIZE)
-            assert video.codes.nbytes == length * sd.CHANNELS * sd.FRAME_SIZE * sd.FRAME_SIZE
-            assert video.codes.max() < len(sd.LEVELS)
+            assert video.paint.dtype == np.int8 and video.paint.shape == (length, 5)
+            cells = video.paint[:, [sd.AGENT_ROW, sd.AGENT_COL, sd.TICK_ROW, sd.TICK_COL]]
+            assert cells.min() >= 0 and cells.max() < sd.FRAME_SIZE
+            assert set(np.unique(video.paint[:, sd.CUE])) <= set(range(-1, sd.N_ACTIONS))
+            # paint coordinates and label: 6 bytes per frame, where one frame of float32 pixels takes 12288
+            assert (video.paint.nbytes + video.labels.nbytes) / length <= 6
+
+    def test_render_fills_a_batch_from_several_videos(self, dataset):
+        pairs = [(dataset[0], slice(5, 8)), (dataset[3], np.array([9, 2, 2])), (dataset[0], slice(230, 233))]
+        batch = np.full((3, 3, sd.CHANNELS, sd.FRAME_SIZE, sd.FRAME_SIZE), np.nan, dtype=np.float32)
+        assert sd.render(pairs, batch) is batch
+        want = np.stack([video.decode()[frames] for video, frames in pairs])
+        assert batch.tobytes() == want.tobytes()
+        with pytest.raises(AttributeError):  # no [9, 3, 32, 32] view of it exists; render never writes a copy
+            sd.render(pairs, batch.swapaxes(0, 1))
+        with pytest.raises(ValueError):
+            sd.render(pairs, batch[:2])
 
     def test_decode_writes_into_out(self, video):
         buf = np.full((5, sd.CHANNELS, sd.FRAME_SIZE, sd.FRAME_SIZE), np.nan, dtype=np.float32)
@@ -162,7 +175,7 @@ class TestGeneration:
         # regenerating any single video by id matches the batch generation
         batch = sd.make_dataset(master_seed=3, n_videos=4, frames_per_video=48)
         solo = sd.generate_video(sd.derive_video_seed(3, 2), 48)
-        assert batch[2].codes.tobytes() == solo.codes.tobytes()
+        assert batch[2].paint.tobytes() == solo.paint.tobytes()
 
     def test_next_action_draws_as_weighted_choice(self):
         # the precomputed CDFs give the same draw, and consume the same
