@@ -5,7 +5,7 @@ Each of the four backbone families is built at the config's [backbone] and
 [distill] settings and run once on a [batch_size, t, C, S, S] clip batch, and
 its [batch_size, embed_dim] output goes through the cosine and the
 cross_entropy fpd_loss, as in a pretrain step. Then [downstream] batch_size x
-t_pred x n_classes logits go through cross_entropy with labels, as in a
+t_pred x N_ACTIONS logits go through cross_entropy with labels, as in a
 fine-tune step. That pass records every distinct call of conv2d, conv3d,
 lstm_sequence, layer_norm, gelu, attention, linear and the losses'
 cosine_similarity and cross_entropy: the shapes and memory layouts of its
@@ -26,7 +26,8 @@ autodiff._conv_grid, and the GEMMs of one forward: its tap groups
 A second table times the clip-batch builders on the config's train split,
 median and quartiles [q1, q3] in ms per call: distill._sample_batch at the
 [distill] batch (past and teacher clips), and downstream._batch_arrays at
-the [downstream] batch and at the 64-window batch that embed_windows reads.
+the [downstream] batch and at the 64-window batch that embed_windows reads,
+both from the clips that downstream.window_clips builds once for the split.
 
 BLAS is pinned to one thread before numpy loads, and glibc's malloc
 thresholds are fixed as every futuredistill command fixes them; the core and
@@ -56,6 +57,7 @@ from futuredistill.autodiff import Tape, Tensor, no_grad  # noqa: E402
 from futuredistill.config import load_config  # noqa: E402
 from futuredistill.distill import DistillConfig, fpd_loss  # noqa: E402
 from futuredistill.models import FAMILIES, build_backbone  # noqa: E402
+from futuredistill.synthdata import N_ACTIONS  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 OPS = (
@@ -120,9 +122,9 @@ def record_calls(cfg) -> list[tuple[str, str, list, dict]]:
                 for variant in ("cosine", "cross_entropy"):
                     fpd_loss(z, z.data, DistillConfig(loss_variant=variant))
         family = "PredictionHead"
-        tune = cfg.downstream
-        logits = Tensor(np.zeros((tune.batch_size, tune.t_pred, tune.n_classes)), requires_grad=True)
-        ad.cross_entropy(logits, np.zeros((tune.batch_size, tune.t_pred), np.int64))
+        shape = (cfg.downstream.batch_size, cfg.distill.t_pred)
+        logits = Tensor(np.zeros((*shape, N_ACTIONS)), requires_grad=True)
+        ad.cross_entropy(logits, np.zeros(shape, np.int64))
     finally:
         for name, fn in originals.items():
             setattr(ad, name, fn)
@@ -192,17 +194,17 @@ def time_batch_builders(cfg, repeats: int) -> list[tuple[str, str, np.ndarray]]:
     """(builder, batch, seconds per call) of each clip-batch builder on the config's train split, after a warm-up."""
     train = cli.build_splits(cfg, "train")[0]
     pre, tune = cfg.distill, cfg.downstream
-    windows = downstream._windows(train, tune)
+    windows = downstream.window_clips(train, pre.t, pre.t_pred)
     embed = windows[:64]  # embed_windows' batch, or every window of a smaller split
     rng = np.random.default_rng(0)
     tune_batch = windows[: tune.batch_size]
     cases = [
         ("distill._sample_batch", f"{pre.batch_size} x {pre.t} frames, twice",
          lambda: distill._sample_batch(train, pre, rng)),
-        ("downstream._batch_arrays", f"{len(tune_batch)} x {tune.t} frames",
-         lambda: downstream._batch_arrays(tune_batch, tune)),
-        ("downstream._batch_arrays", f"{len(embed)} x {tune.t} frames (embed)",
-         lambda: downstream._batch_arrays(embed, tune)),
+        ("downstream._batch_arrays", f"{len(tune_batch)} x {pre.t} frames",
+         lambda: downstream._batch_arrays(tune_batch)),
+        ("downstream._batch_arrays", f"{len(embed)} x {pre.t} frames (embed)",
+         lambda: downstream._batch_arrays(embed)),
     ]
     rows = []
     for name, batch, build in cases:

@@ -940,9 +940,12 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     One tape entry over the [rows, d] view of x. The row mean and variance,
     and the rule's two row means, are row-wise einsum reductions ("ij->i",
     "ij,ij->i"): each row is summed by the same loop however many rows share
-    the call, so a window gets the same bits in any batch, which the
-    embed-once linear probe and the evaluation rely on. Row sums as a BLAS
-    GEMV (x @ ones) would be faster, but OpenBLAS rounds a row differently
+    the call, so for one memory layout of x a window gets the same bits in
+    any batch, which the embed-once linear probe and the evaluation rely on.
+    The loop's order follows x's strides as well as its values: the same
+    values as a C-contiguous copy of a batch-innermost x (Conv3dResidual's
+    flattened pooled features) round differently. Row sums as a BLAS GEMV
+    (x @ ones) would be faster, but OpenBLAS rounds a row differently
     depending on the number of rows. The centred rows are scaled in place by
     inv = 1 / sqrt(var + eps).
 

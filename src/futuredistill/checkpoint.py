@@ -18,10 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .downstream import FinetuneConfig, StandardizedHead
+from .downstream import TASK, ModelWithHead, StandardizedHead
 from .errors import CheckpointError, ConfigurationError
 from .models import BackboneSpec, PredictionHead, build_backbone
 from .nn import Module
+from .synthdata import N_ACTIONS
 
 MAGIC = b"FDCK"
 VERSION = 1
@@ -35,13 +36,12 @@ def save_checkpoint(
     *,
     step: int = 0,
     config_hash: str = "",
-    head_cfg: FinetuneConfig | None = None,
 ) -> None:
     """Atomically persist module parameters plus identifying metadata.
 
-    With head_cfg, `module` is a finetuned ModelWithHead: the header is of kind
-    'finetuned' and describes the head (see `_describe_head`); without it the
-    checkpoint is a 'pretrain' one with no head.
+    A finetuned ModelWithHead gets a header of kind 'finetuned' that describes
+    its head (see `_describe_head`); any other module is a 'pretrain'
+    checkpoint with no head.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -53,10 +53,11 @@ def save_checkpoint(
         index.append({"name": name, "shape": list(arr.shape), "offset": offset})
         chunks.append(arr.tobytes())
         offset += arr.size
+    finetuned = isinstance(module, ModelWithHead)
     header = {
-        "kind": "pretrain" if head_cfg is None else "finetuned",
+        "kind": "finetuned" if finetuned else "pretrain",
         "backbone_spec": dataclasses.asdict(backbone_spec),
-        "head": None if head_cfg is None else _describe_head(module.head, head_cfg),
+        "head": _describe_head(module.head) if finetuned else None,
         "step": step,
         "config_hash": config_hash,
         "params": index,
@@ -180,26 +181,22 @@ def restore_backbone(path: str | Path, header: dict, params: dict[str, np.ndarra
     return backbone, spec
 
 
-def _describe_head(head: Module, cfg: FinetuneConfig) -> dict:
-    """The header's head entry: task, t_pred, n_classes and any standardizer mu/sigma."""
-    info = {"task": cfg.task, "t_pred": cfg.t_pred, "n_classes": cfg.n_classes}
+def _describe_head(head: Module) -> dict:
+    """The header's head entry: task, the predicted frames t_pred, n_classes and any standardizer mu/sigma."""
+    inner = head.inner if isinstance(head, StandardizedHead) else head
+    info = {"task": TASK, "t_pred": inner.horizon, "n_classes": inner.n_classes}
     if isinstance(head, StandardizedHead):
         info["standardizer"] = {"mu": head.mu.tolist(), "sigma": head.sigma.tolist()}
     return info
 
 
-def restore_head(
-    path: str | Path,
-    header: dict,
-    params: dict[str, np.ndarray],
-    head_cfg: FinetuneConfig,
-    spec: BackboneSpec,
-) -> Module:
-    """Rebuild a finetuned checkpoint's head on the restored backbone `spec`.
+def restore_head(path: str | Path, header: dict, params: dict[str, np.ndarray], spec: BackboneSpec) -> Module:
+    """Rebuild a finetuned checkpoint's head, of the horizon its header records, on the restored backbone `spec`.
 
     Raises CheckpointError when the checkpoint has no head, when its head entry
-    is not an object with task, t_pred and n_classes, when those disagree with
-    head_cfg, or when its standardizer or parameters do not fit the head.
+    is not an object with task, t_pred and n_classes, when it is not a
+    prediction head over the N_ACTIONS classes, or when its standardizer or
+    parameters do not fit the head.
     """
     info = header.get("head")
     if not info:
@@ -209,11 +206,11 @@ def restore_head(
     keys = ("task", "t_pred", "n_classes")
     if not isinstance(info, dict) or any(key not in info for key in keys):
         raise CheckpointError(f"{path}: header head {info!r} is not an object with {', '.join(keys)}")
-    stored = {key: info[key] for key in keys}
-    wanted = {"task": head_cfg.task, "t_pred": head_cfg.t_pred, "n_classes": head_cfg.n_classes}
-    if stored != wanted:
-        raise CheckpointError(f"{path}: checkpoint head {stored} does not match config head {wanted}")
-    head = PredictionHead(spec.embed_dim, head_cfg.t_pred, head_cfg.n_classes, np.random.default_rng(0))
+    t_pred = info["t_pred"]
+    if info["task"] != TASK or info["n_classes"] != N_ACTIONS or not (_is_count(t_pred) and t_pred > 0):
+        stored = {key: info[key] for key in keys}
+        raise CheckpointError(f"{path}: checkpoint head {stored} is not a {TASK!r} head over {N_ACTIONS} classes")
+    head = PredictionHead(spec.embed_dim, t_pred, N_ACTIONS, np.random.default_rng(0))
     std = info.get("standardizer")
     if std:
         fits = isinstance(std, dict) and all(np.shape(std.get(key)) == (spec.embed_dim,) for key in ("mu", "sigma"))

@@ -29,7 +29,7 @@ from .checkpoint import (
 )
 from .config import ExperimentConfig, config_hash, load_config, load_grid_config
 from .distill import pretrain, write_training_log
-from .downstream import Protocol, evaluate_model, run_single_protocol, write_finetune_log
+from .downstream import Protocol, evaluate_model, run_single_protocol, window_clips, write_finetune_log
 from .errors import CheckpointError, ConfigurationError, DivergenceError
 from .models import BackboneSpec
 from .reporting import append_metrics, generate_report, read_metrics
@@ -121,22 +121,19 @@ def _run_protocols(cfg: ExperimentConfig, splits, seed: int, protocols, student,
     curve to `<stem>_<protocol>_finetune_log.csv` and its `<stem>_<protocol>.ckpt`,
     which marks it done for `ablate`; a crash in between makes a rerun redo the
     arm and append a row that replaces the first in the report. `student` may
-    be None only for FULL_SUPERVISED.
+    be None only for FULL_SUPERVISED. The train and test windows are built
+    once, as clips of the [distill] horizon, and shared by every arm.
     """
+    d = cfg.distill
+    clips = (window_clips(splits[0], d.t, d.t_pred), window_clips(splits[2], d.t, d.t_pred))
     for protocol in protocols:
         row, model, tune_log = run_single_protocol(
-            cfg.backbone, student, protocol, splits, cfg.downstream, seed, cfg.distill.loss_variant
+            cfg.backbone, student, protocol, clips, cfg.downstream, seed, d.loss_variant
         )
         arm = f"{cell_stem(cfg, seed)}_{protocol.value}"
         append_metrics(out_dir / "metrics.csv", [row])
         write_finetune_log(out_dir / f"{arm}_finetune_log.csv", tune_log)
-        save_checkpoint(
-            out_dir / f"{arm}.ckpt",
-            model,
-            cfg.backbone,
-            config_hash=config_hash(cfg),
-            head_cfg=cfg.downstream,
-        )
+        save_checkpoint(out_dir / f"{arm}.ckpt", model, cfg.backbone, config_hash=config_hash(cfg))
         log.info("%s seed %d: macro precision %.4f", protocol.value, seed, row.macro_precision)
 
 
@@ -189,9 +186,12 @@ def cmd_evaluate(args) -> int:
     header, params = read_checkpoint(args.checkpoint)
     backbone, spec = restore_backbone(args.checkpoint, header, params)
     _check_backbone(cfg, spec)
-    head = restore_head(args.checkpoint, header, params, cfg.downstream, spec)
-    test_videos = build_splits(cfg, "test")[2]
-    result = evaluate_model(backbone, head, test_videos, cfg.downstream)
+    head = restore_head(args.checkpoint, header, params, spec)
+    d = cfg.distill
+    stored, wanted = {"t_pred": header["head"]["t_pred"]}, {"t_pred": d.t_pred}
+    if stored != wanted:
+        raise CheckpointError(f"{args.checkpoint}: checkpoint head {stored} does not match config [distill] {wanted}")
+    result = evaluate_model(backbone, head, window_clips(build_splits(cfg, "test")[2], d.t, d.t_pred))
     print(f"macro_precision={result.macro_precision:.6f} n_frames={result.n_frames}")
     for cls, p in enumerate(result.per_class):
         print(f"  class {cls}: precision {p:.4f}")

@@ -89,9 +89,6 @@ class ExperimentConfig:
         self.backbone.frames = self.distill.t  # the student always sees t frames
         self.backbone.validate()
         self.distill.validate()
-        # the downstream heads read the pretraining horizons
-        self.downstream.t = self.distill.t
-        self.downstream.t_pred = self.distill.t_pred
         self.downstream.validate()
         span, length = self.distill.t + self.distill.t_pred, self.dataset.frames_per_video
         if span > length:
@@ -112,9 +109,8 @@ def derive_cell(base: ExperimentConfig, family: str, interval: int | None, loss:
 
 
 _SECTIONS = ("dataset", "backbone", "distill", "downstream", "run")
-# keys a config file never holds: ExperimentConfig.validate sets backbone.frames
-# and downstream.t/t_pred from [distill]; downstream.n_classes is fixed
-_HIDDEN_KEYS = {"backbone": {"frames"}, "downstream": {"t", "t_pred", "n_classes"}}
+# keys a config file never holds: ExperimentConfig.validate sets backbone.frames from distill.t
+_HIDDEN_KEYS = {"backbone": {"frames"}}
 
 
 def _coerce(section: str, key: str, raw: str, target_type):

@@ -63,7 +63,10 @@ class DistillConfig:
                 f"got {self.learning_rate}, {self.sgd_momentum}"
             )
         if self.temperature_student <= 0 or self.temperature_teacher <= 0:
-            raise ConfigurationError("softmax temperatures must be positive")
+            raise ConfigurationError(
+                f"distill.temperature_student and distill.temperature_teacher must be > 0, "
+                f"got {self.temperature_student}, {self.temperature_teacher}"
+            )
         if not 0.0 <= self.center_momentum < 1.0:
             raise ConfigurationError(f"center_momentum must be in [0, 1), got {self.center_momentum}")
         for m in (self.momentum_start, self.momentum_end):

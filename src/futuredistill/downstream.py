@@ -20,7 +20,9 @@ from . import nn
 from .autodiff import SgdState, Tape, Tensor, backward, no_grad, sgd_step
 from .errors import ConfigurationError, DimensionError, DivergenceError
 from .models import BackboneSpec, PredictionHead, build_backbone
-from .synthdata import CHANNELS, FRAME_SIZE, N_ACTIONS, SyntheticVideo, clip_at, eval_clip_starts, render
+from .synthdata import CHANNELS, FRAME_SIZE, N_ACTIONS, ClipSample, SyntheticVideo, clip_at, eval_clip_starts, render
+
+TASK = "prediction"  # the only downstream task
 
 
 class Protocol(Enum):
@@ -42,25 +44,20 @@ class Protocol(Enum):
 class FinetuneConfig:
     """Supervised-stage hyperparameters shared by all three protocols: the [downstream] section.
 
-    t and t_pred are not keys of that section; ExperimentConfig.validate copies
-    them from [distill]. task names the downstream task, and action prediction
-    is the only one.
+    The horizon is not here: the clips carry t and t_pred, which [distill]
+    decides, and the head predicts N_ACTIONS classes. task names the
+    downstream task, and action prediction is the only one.
     """
 
-    task: str = "prediction"
-    t: int = 12
-    t_pred: int = 12
+    task: str = TASK
     epochs: int = 10
     learning_rate: float = 0.02
     sgd_momentum: float = 0.9
     batch_size: int = 32
-    n_classes: int = N_ACTIONS
 
     def validate(self) -> None:
-        if self.task != "prediction":
-            raise ConfigurationError(f"unknown downstream.task {self.task!r}; the only task is 'prediction'")
-        if self.t < 1 or self.t_pred < 1:
-            raise ConfigurationError(f"bad horizon: t={self.t}, t_pred={self.t_pred}")
+        if self.task != TASK:
+            raise ConfigurationError(f"unknown downstream.task {self.task!r}; the only task is {TASK!r}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigurationError(
                 f"downstream.batch_size must be >= 1 and downstream.epochs >= 0, "
@@ -71,10 +68,6 @@ class FinetuneConfig:
                 f"downstream.learning_rate must be > 0 and downstream.sgd_momentum in [0, 1), "
                 f"got {self.learning_rate}, {self.sgd_momentum}"
             )
-
-    @property
-    def span(self) -> int:
-        return self.t + self.t_pred
 
 
 @dataclass
@@ -112,31 +105,22 @@ def evaluate_precision(preds, golds, n_classes: int) -> EvalResult:
 # clip window plumbing
 
 
-@dataclass
-class _Window:
-    video: SyntheticVideo
-    start: int
+def window_clips(videos: list[SyntheticVideo], t: int, t_pred: int) -> list[ClipSample]:
+    """The deterministic strided windows of the videos as clips of t past and t_pred future frames."""
+    clips = [
+        clip_at(video, start, t, t_pred) for video in videos for start in eval_clip_starts(len(video), t, t_pred)
+    ]
+    if not clips:
+        raise ConfigurationError(f"no clips of {t + t_pred} frames fit the given videos")
+    return clips
 
 
-def _windows(videos: list[SyntheticVideo], cfg: FinetuneConfig) -> list[_Window]:
-    out = []
-    for video in videos:
-        for start in eval_clip_starts(len(video), cfg.t, cfg.t_pred):
-            out.append(_Window(video, start))
-    if not out:
-        raise ConfigurationError(f"no clips of {cfg.span} frames fit the given videos")
-    return out
-
-
-def _batch_arrays(windows: list[_Window], cfg: FinetuneConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The windows' past frames [N, t, 3, 32, 32], rendered by one call, and future labels [N, t_pred]."""
-    samples = [clip_at(w.video, w.start, cfg.t, cfg.t_pred) for w in windows]
-    clips = np.empty((len(windows), cfg.t, CHANNELS, FRAME_SIZE, FRAME_SIZE), np.float32)
-    render([(c.video, slice(c.start, c.start + cfg.t)) for c in samples], clips)
-    labels = np.empty((len(windows), cfg.t_pred), np.int64)
-    for i, clip in enumerate(samples):
-        labels[i] = clip.future_labels
-    return clips, labels
+def _batch_arrays(clips: list[ClipSample]) -> tuple[np.ndarray, np.ndarray]:
+    """The clips' past frames [N, t, 3, 32, 32], rendered by one call, and future labels [N, t_pred]."""
+    t = clips[0].t
+    frames = np.empty((len(clips), t, CHANNELS, FRAME_SIZE, FRAME_SIZE), np.float32)
+    render([(c.video, slice(c.start, c.start + t)) for c in clips], frames)
+    return frames, np.array([clip.future_labels for clip in clips], np.int64)
 
 
 class StandardizedHead(nn.Module):
@@ -157,13 +141,13 @@ class StandardizedHead(nn.Module):
         return self.inner(shifted)
 
 
-def embed_windows(backbone, windows: list[_Window], cfg: FinetuneConfig) -> tuple[np.ndarray, np.ndarray]:
-    """No-grad embeddings z [N, d] of the windows, in order and 64 at a time, with their labels."""
+def embed_windows(backbone, clips: list[ClipSample]) -> tuple[np.ndarray, np.ndarray]:
+    """No-grad embeddings z [N, d] of the clips, in order and 64 at a time, with their labels."""
     feats, targets = [], []
-    for lo in range(0, len(windows), 64):
-        clips, labels = _batch_arrays(windows[lo : lo + 64], cfg)
+    for lo in range(0, len(clips), 64):
+        frames, labels = _batch_arrays(clips[lo : lo + 64])
         with no_grad():
-            feats.append(backbone.forward(Tensor(clips)).data)
+            feats.append(backbone.forward(Tensor(frames)).data)
         targets.append(labels)
     return np.concatenate(feats), np.concatenate(targets)
 
@@ -204,25 +188,26 @@ def finetune(
     backbone,
     head,
     protocol: Protocol,
-    train_videos: list[SyntheticVideo],
+    train_clips: list[ClipSample],
     cfg: FinetuneConfig,
     seed: int = 0,
 ) -> tuple[ModelWithHead, list[FinetuneLogRow]]:
-    """Cross-entropy training; LINEAR_PROBE leaves every backbone bit untouched.
+    """Cross-entropy training on `train_clips`; LINEAR_PROBE leaves every backbone bit untouched.
 
-    Each step's loss is autodiff.cross_entropy of the [N, t_pred, C] logits
-    against the [N, t_pred] future labels: the mean over every predicted frame.
+    The clips decide the horizon: the backbone reads their t past frames and
+    each step's loss is autodiff.cross_entropy of the head's [N, t_pred, C]
+    logits against their [N, t_pred] future labels, the mean over every
+    predicted frame. cfg gives the epochs, batch size and optimizer.
 
     Only LINEAR_PROBE standardizes the head's input: a frozen backbone needs
     the fixed affine feature conditioning, while trainable backbones adapt on
     their own and the amplified 1/sigma backprop would destabilize them.
     """
     cfg.validate()
-    windows = _windows(train_videos, cfg)
     freeze_backbone = protocol is Protocol.LINEAR_PROBE
     if freeze_backbone:
-        # the frozen backbone embeds each window once; every epoch trains the head on these rows
-        z, targets = embed_windows(backbone, windows, cfg)
+        # the frozen backbone embeds each clip once; every epoch trains the head on these rows
+        z, targets = embed_windows(backbone, train_clips)
         mu, sigma = feature_stats(z)
         head = StandardizedHead(head, mu, sigma)
     model = ModelWithHead(backbone, head)
@@ -232,14 +217,14 @@ def finetune(
     rng = np.random.default_rng([seed, 3])
     log: list[FinetuneLogRow] = []
     for epoch in range(cfg.epochs):
-        order = rng.permutation(len(windows))
+        order = rng.permutation(len(train_clips))
         epoch_losses = []
         for lo in range(0, len(order), cfg.batch_size):
             batch = order[lo : lo + cfg.batch_size]
             if freeze_backbone:
                 inputs, labels = z[batch], targets[batch]
             else:
-                inputs, labels = _batch_arrays([windows[i] for i in batch], cfg)
+                inputs, labels = _batch_arrays([train_clips[i] for i in batch])
             tape = Tape()
             with tape:
                 loss = ad.cross_entropy(trained(Tensor(inputs)), labels)
@@ -256,14 +241,13 @@ def finetune(
     return model, log
 
 
-def evaluate_model(backbone, head, videos: list[SyntheticVideo], cfg: FinetuneConfig) -> EvalResult:
-    """Argmax predictions over deterministic strided windows of the given videos."""
-    cfg.validate()
-    z, golds = embed_windows(backbone, _windows(videos, cfg), cfg)
+def evaluate_model(backbone, head, clips: list[ClipSample]) -> EvalResult:
+    """Argmax predictions for the future frames of the clips, as built by window_clips."""
+    z, golds = embed_windows(backbone, clips)
     with no_grad():
         logits = head(Tensor(z))
     preds = np.argmax(logits.data, axis=-1)
-    return evaluate_precision(preds.reshape(-1), golds.reshape(-1), cfg.n_classes)
+    return evaluate_precision(preds.reshape(-1), golds.reshape(-1), N_ACTIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +269,18 @@ def run_single_protocol(
     backbone_spec: BackboneSpec,
     student,
     protocol: Protocol,
-    splits,
+    clips: tuple[list[ClipSample], list[ClipSample]],
     tune_cfg: FinetuneConfig,
     seed: int,
     loss_variant: str = "cosine",
 ) -> tuple[MetricsRow, ModelWithHead, list[FinetuneLogRow]]:
-    """Train one protocol arm from `student` (ignored when FULL_SUPERVISED).
+    """Train one protocol arm from `student` (ignored when FULL_SUPERVISED) on the (train, test) clips.
 
     Returns the arm's test metrics row, the trained model and its per-epoch
     fine-tune losses.
     """
-    train_videos, _, test_videos = splits
+    train_clips, test_clips = clips
+    t, t_pred = train_clips[0].t, train_clips[0].t_pred
     if protocol is Protocol.FULL_SUPERVISED:
         arm_backbone = build_backbone(backbone_spec, seed)
     elif student is None:
@@ -303,12 +288,12 @@ def run_single_protocol(
     else:
         arm_backbone = student.copy()
     rng = np.random.default_rng(seed + 1000)
-    head = PredictionHead(backbone_spec.embed_dim, tune_cfg.t_pred, tune_cfg.n_classes, rng)
-    model, tune_log = finetune(arm_backbone, head, protocol, train_videos, tune_cfg, seed=seed)
-    result_eval = evaluate_model(model.backbone, model.head, test_videos, tune_cfg)
+    head = PredictionHead(backbone_spec.embed_dim, t_pred, N_ACTIONS, rng)
+    model, tune_log = finetune(arm_backbone, head, protocol, train_clips, tune_cfg, seed=seed)
+    result_eval = evaluate_model(model.backbone, model.head, test_clips)
     row = MetricsRow(
         backbone=backbone_spec.family,
-        interval=tune_cfg.t,
+        interval=t,
         protocol=protocol.value,
         loss_variant=loss_variant,
         seed=seed,

@@ -145,7 +145,13 @@ def _patchify(clips: Tensor, patch: int) -> Tensor:
 
 
 def _pool2x2(x: Tensor) -> Tensor:
-    """Average-pool the trailing two spatial dims by a factor of 2."""
+    """Average-pool the trailing two spatial dims by a factor of 2.
+
+    The window mean rounds by x's memory layout as well as its values: it adds
+    (x00 + x01) + (x10 + x11) on a C-contiguous x and ((x00 + x01) + x10) + x11
+    on a batch-innermost one. So a contiguous copy of an activation upstream
+    moves Conv3dResidual's outputs, as it does through layer_norm.
+    """
     *lead, h, w = x.shape
     y = ad.reshape(x, (*lead, h // 2, 2, w // 2, 2))
     return ad.mean(y, axis=(-3, -1))

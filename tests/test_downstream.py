@@ -16,14 +16,14 @@ from futuredistill.downstream import (
     Protocol,
     StandardizedHead,
     _batch_arrays,
-    _windows,
     evaluate_model,
     evaluate_precision,
     finetune,
+    window_clips,
 )
 from futuredistill.errors import ConfigurationError, DimensionError
 from futuredistill.models import BackboneSpec, PredictionHead, build_backbone
-from futuredistill.synthdata import make_dataset, split_dataset
+from futuredistill.synthdata import N_ACTIONS, ClipSample, eval_clip_starts, make_dataset, split_dataset
 
 
 def brute_force_precision(preds, golds, n_classes):
@@ -97,26 +97,34 @@ class TestEvaluatePrecision:
         assert np.array_equal(a.confusion, b.confusion)
 
 
+T, T_PRED = 6, 6  # the horizon of every clip below
+
+
 @pytest.fixture(scope="module")
 def small_world():
+    """(train, val, test) windows of six short videos, as clips of T past and T_PRED future frames."""
     videos = make_dataset(master_seed=2, n_videos=6, frames_per_video=96)
-    return split_dataset(videos, ratios=(0.5, 0.25, 0.25), seed=0)
+    return tuple(window_clips(split, T, T_PRED) for split in split_dataset(videos, ratios=(0.5, 0.25, 0.25), seed=0))
 
 
 def quick_cfg(**kw):
-    base = dict(task="prediction", t=6, t_pred=6, epochs=1, learning_rate=0.02, batch_size=16)
+    base = dict(task="prediction", epochs=1, learning_rate=0.02, batch_size=16)
     base.update(kw)
     return FinetuneConfig(**base)
+
+
+def make_head(spec, seed):
+    return PredictionHead(spec.embed_dim, T_PRED, N_ACTIONS, np.random.default_rng(seed))
 
 
 class TestFinetune:
     def test_linear_probe_freezes_backbone_bits(self, small_world):
         train, _, _ = small_world
-        spec = BackboneSpec(family="Conv2dRecurrent", frames=6)
+        spec = BackboneSpec(family="Conv2dRecurrent", frames=T)
         backbone = build_backbone(spec, seed=0)
         before = params_hash(backbone)
         cfg = quick_cfg()
-        head = PredictionHead(spec.embed_dim, cfg.t_pred, cfg.n_classes, np.random.default_rng(9))
+        head = make_head(spec, 9)
         head_before = params_hash(head)
         finetune(backbone, head, Protocol.LINEAR_PROBE, train, cfg, seed=0)
         assert params_hash(backbone) == before
@@ -124,21 +132,21 @@ class TestFinetune:
 
     def test_zero_epochs_is_identity(self, small_world):
         train, _, _ = small_world
-        spec = BackboneSpec(family="Conv2dRecurrent", frames=6)
+        spec = BackboneSpec(family="Conv2dRecurrent", frames=T)
         backbone = build_backbone(spec, seed=0)
         cfg = quick_cfg(epochs=0)
-        head = PredictionHead(spec.embed_dim, cfg.t_pred, cfg.n_classes, np.random.default_rng(9))
+        head = make_head(spec, 9)
         before = params_hash(backbone), params_hash(head)
         finetune(backbone, head, Protocol.FINE_TUNE, train, cfg, seed=0)
         assert (params_hash(backbone), params_hash(head)) == before
 
     def test_fine_tune_updates_backbone(self, small_world):
         train, _, _ = small_world
-        spec = BackboneSpec(family="Conv2dRecurrent", frames=6)
+        spec = BackboneSpec(family="Conv2dRecurrent", frames=T)
         backbone = build_backbone(spec, seed=0)
         before = params_hash(backbone)
         cfg = quick_cfg()
-        head = PredictionHead(spec.embed_dim, cfg.t_pred, cfg.n_classes, np.random.default_rng(9))
+        head = make_head(spec, 9)
         finetune(backbone, head, Protocol.FINE_TUNE, train, cfg, seed=0)
         assert params_hash(backbone) != before
 
@@ -159,33 +167,50 @@ class TestFinetune:
         monkeypatch.setattr(downstream, "Tape", TrackedTape)
         monkeypatch.setattr(downstream, "_batch_arrays", checking_batch)
         train, _, _ = small_world
-        spec = BackboneSpec(family="Conv2dRecurrent", frames=6)
+        spec = BackboneSpec(family="Conv2dRecurrent", frames=T)
         cfg = quick_cfg()
-        head = PredictionHead(spec.embed_dim, cfg.t_pred, cfg.n_classes, np.random.default_rng(9))
+        head = make_head(spec, 9)
         finetune(build_backbone(spec, seed=0), head, Protocol.FINE_TUNE, train, cfg, seed=0)
         assert len(tapes) == len(alive_at_batch) >= 2
         assert alive_at_batch == [0] * len(tapes)
 
     def test_identical_model_evaluates_identically(self, small_world):
         _, _, test = small_world
-        spec = BackboneSpec(family="Conv2dRecurrent", frames=6)
+        spec = BackboneSpec(family="Conv2dRecurrent", frames=T)
         backbone = build_backbone(spec, seed=1)
         cfg = quick_cfg()
-        head = PredictionHead(spec.embed_dim, cfg.t_pred, cfg.n_classes, np.random.default_rng(5))
-        a = evaluate_model(backbone, head, test, cfg)
-        b = evaluate_model(backbone, head, test, cfg)
+        head = make_head(spec, 5)
+        a = evaluate_model(backbone, head, test)
+        b = evaluate_model(backbone, head, test)
         assert a.macro_precision == b.macro_precision
         assert np.array_equal(a.confusion, b.confusion)
 
     def test_batch_arrays_equal_slices_of_fully_decoded_videos(self, small_world):
-        train, _, _ = small_world
-        cfg = quick_cfg()
-        windows = _windows(train, cfg)[3:40]
-        clips, labels = _batch_arrays(windows, cfg)
-        want = np.stack([w.video.decode()[w.start : w.start + cfg.t] for w in windows])
-        assert clips.dtype == np.float32 and clips.tobytes() == want.tobytes()
-        want_labels = [w.video.labels[w.start + cfg.t : w.start + cfg.span] for w in windows]
+        clips = small_world[0][3:40]
+        frames, labels = _batch_arrays(clips)
+        want = np.stack([c.video.decode()[c.start : c.start + T] for c in clips])
+        assert frames.dtype == np.float32 and frames.tobytes() == want.tobytes()
+        want_labels = [c.video.labels[c.start + T : c.start + T + T_PRED] for c in clips]
         assert labels.dtype == np.int64 and np.array_equal(labels, want_labels)
+
+    def test_window_clips_are_the_strided_windows_of_each_video(self):
+        videos = make_dataset(master_seed=2, n_videos=2, frames_per_video=40)
+        clips = window_clips(videos, 5, 3)
+        want = [(v, s) for v in videos for s in eval_clip_starts(len(v), 5, 3)]
+        assert [(c.video, c.start) for c in clips] == want
+        assert all(type(c) is ClipSample and (c.t, c.t_pred) == (5, 3) for c in clips)
+        with pytest.raises(ConfigurationError, match="no clips of 41 frames"):
+            window_clips(videos, 38, 3)
+
+    def test_clips_are_built_once_not_per_batch(self, small_world, monkeypatch):
+        calls = []
+        monkeypatch.setattr(downstream, "clip_at", lambda *args: calls.append(args))
+        train, _, test = small_world
+        spec = BackboneSpec(family="Conv2dRecurrent", frames=T)
+        for protocol in (Protocol.LINEAR_PROBE, Protocol.FINE_TUNE):
+            model, _ = finetune(build_backbone(spec, seed=0), make_head(spec, 9), protocol, train, quick_cfg(), seed=0)
+            evaluate_model(model.backbone, model.head, test)
+        assert calls == []
 
     def test_protocol_parse(self):
         assert Protocol.parse("linear_probe") is Protocol.LINEAR_PROBE
@@ -194,13 +219,12 @@ class TestFinetune:
             Protocol.parse("zero_shot")
 
 
-def reference_linear_probe(backbone, head, train_videos, cfg, seed):
+def reference_linear_probe(backbone, head, windows, cfg, seed):
     """The per-batch probe: standardizer from a separate pass, every window re-embedded each epoch."""
-    windows = _windows(train_videos, cfg)
     first = windows[:512]
     feats = []
     for lo in range(0, len(first), 64):
-        clips, _ = _batch_arrays(first[lo : lo + 64], cfg)
+        clips, _ = _batch_arrays(first[lo : lo + 64])
         with no_grad():
             feats.append(backbone.forward(Tensor(clips)).data)
     z = np.concatenate(feats)
@@ -214,7 +238,7 @@ def reference_linear_probe(backbone, head, train_videos, cfg, seed):
         order = rng.permutation(len(windows))
         epoch_losses = []
         for lo in range(0, len(order), cfg.batch_size):
-            clips, labels = _batch_arrays([windows[i] for i in order[lo : lo + cfg.batch_size]], cfg)
+            clips, labels = _batch_arrays([windows[i] for i in order[lo : lo + cfg.batch_size]])
             with no_grad():
                 z = backbone.forward(Tensor(clips))
             tape = Tape()
@@ -229,24 +253,23 @@ def reference_linear_probe(backbone, head, train_videos, cfg, seed):
     return head, losses
 
 
-def reference_evaluate(backbone, head, videos, cfg):
+def reference_evaluate(backbone, head, windows):
     """Argmax predictions with the head applied chunk by chunk, 64 windows at a time."""
-    windows = _windows(videos, cfg)
     preds, golds = [], []
     for lo in range(0, len(windows), 64):
-        clips, labels = _batch_arrays(windows[lo : lo + 64], cfg)
+        clips, labels = _batch_arrays(windows[lo : lo + 64])
         with no_grad():
             logits = head(backbone.forward(Tensor(clips)))
         preds.append(np.argmax(logits.data, axis=-1).reshape(-1))
         golds.append(labels.reshape(-1))
-    return evaluate_precision(np.concatenate(preds), np.concatenate(golds), cfg.n_classes)
+    return evaluate_precision(np.concatenate(preds), np.concatenate(golds), N_ACTIONS)
 
 
 class TestEmbedOnce:
     def test_linear_probe_embeds_each_train_window_once(self, small_world, monkeypatch):
         train, _, _ = small_world
         cfg = quick_cfg(epochs=2)
-        spec = BackboneSpec(family="Conv2dRecurrent", frames=6)
+        spec = BackboneSpec(family="Conv2dRecurrent", frames=T)
         backbone = build_backbone(spec, seed=0)
         rows = []
         forward = backbone.forward
@@ -256,26 +279,25 @@ class TestEmbedOnce:
             return forward(clips)
 
         monkeypatch.setattr(backbone, "forward", counting_forward)
-        head = PredictionHead(spec.embed_dim, cfg.t_pred, cfg.n_classes, np.random.default_rng(9))
+        head = make_head(spec, 9)
         finetune(backbone, head, Protocol.LINEAR_PROBE, train, cfg)
-        n_windows = len(_windows(train, cfg))
-        assert sum(rows) == n_windows
+        assert sum(rows) == len(train)
 
     @pytest.mark.parametrize("family", ["Conv2dRecurrent", "TemporalTransformer"])
     def test_probe_and_evaluation_bitwise_equal_to_per_batch_reference(self, small_world, family):
         train, _, test = small_world
         cfg = quick_cfg(epochs=2)
-        spec = BackboneSpec(family=family, frames=6)
+        spec = BackboneSpec(family=family, frames=T)
         backbone = build_backbone(spec, seed=0)
-        head = PredictionHead(spec.embed_dim, cfg.t_pred, cfg.n_classes, np.random.default_rng(9))
+        head = make_head(spec, 9)
         ref_head, ref_losses = reference_linear_probe(backbone, head.copy(), train, cfg, seed=0)
         model, log = finetune(backbone, head, Protocol.LINEAR_PROBE, train, cfg, seed=0)
         assert [row.loss for row in log] == ref_losses
         assert params_hash(model.head) == params_hash(ref_head)
         assert model.head.mu.tobytes() == ref_head.mu.tobytes()
         assert model.head.sigma.tobytes() == ref_head.sigma.tobytes()
-        got = evaluate_model(backbone, model.head, test, cfg)
-        want = reference_evaluate(backbone, ref_head, test, cfg)
+        got = evaluate_model(backbone, model.head, test)
+        want = reference_evaluate(backbone, ref_head, test)
         assert got.macro_precision == want.macro_precision
         assert got.n_frames == want.n_frames
         assert np.array_equal(got.per_class, want.per_class)

@@ -99,6 +99,17 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="unknown key distill.warmup"):
             parse_config(broken)
 
+    @pytest.mark.parametrize("key", ["t", "t_pred", "n_classes"])
+    def test_horizon_under_downstream_exits_2_as_an_unknown_key(self, tmp_path, capsys, key):
+        # [distill] owns the horizon and the head always predicts the seven actions
+        out_dir = tmp_path / "out"
+        path = tmp_path / "bad.ini"
+        text = QUICK_CONFIG.replace("out_dir = runs/quick", f"out_dir = {out_dir}")
+        path.write_text(text.replace("task = prediction", f"task = prediction\n{key} = 6"))
+        assert cli.main(["ablate", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert f"unknown key downstream.{key}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigurationError, match=r"unknown config section \[optimizer\]"):
             parse_config(QUICK_CONFIG + "\n[optimizer]\nlr = 1\n")
@@ -154,6 +165,8 @@ class TestConfig:
             ("distill", "epochs", "-1"),
             ("distill", "learning_rate", "0"),
             ("distill", "sgd_momentum", "-0.1"),
+            ("distill", "temperature_student", "0"),
+            ("distill", "temperature_teacher", "-1"),
         ],
     )
     def test_bad_stage_value_exits_2_before_any_work(self, tmp_path, capsys, section, key, value):
@@ -168,7 +181,8 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=f"{section}.{key}"):
             load_config(path)
         assert cli.main(["ablate", "--config", str(path)]) == cli.EXIT_CONFIG
-        assert f"{section}.{key}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{section}.{key}" in err and value in err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
@@ -253,6 +267,39 @@ class TestConfig:
             ref.validate()
             assert config_hash(cell) == config_hash(ref)
 
+    # every run directory records these in its checkpoint headers: a change to
+    # the dump would mark all of them stale
+    SHIPPED_CELL_HASHES = {
+        "default.ini": ["53ce50557cb4670b43f5c7745c86f0fe5785d6ed3cfe126e7a14308288d551a2"],
+        "table1_grid.ini": [
+            "75779dfa331eebd33edf5edd727f1fc18b92fb2b0202bdc12806e9143ec0f090",
+            "e286cc904ce303bbedd117812f18016e2a917dbde69b504815e6f6496cc23a09",
+            "ccc0c81893e4785ca4592155edc39af81f773c3c869757c524414616e0df13ed",
+            "a70becd6c314ec3cd7ea8747c49b48bab145c75fdca3d7d95147d981db37c05b",
+            "4f15146846d6fe7f3d6a0294da26aa95ec6da0bd82010191f6705c6af4b31062",
+            "cf37fe2078721a4ee375f43e319d783d1a9a6ea4e81eff691b2e3d25622bf79d",
+            "4cfc79ba06559017f60c4f51d884d72e3ebc950d256c6d9ee02c2cf21ddcfdc8",
+            "8af5257d9628929f65f269a21ab68a23a0abd306c12294156bf111067e1fa23f",
+            "077ad5ad0a16ee14b1e481da09c7dc5fe20b994051381faf464b75a662440cc3",
+            "a86c0551e6fea22bb5c3efdfa55db5713b633eec50b730cb20d963da19f90484",
+            "6898b93c7b8d7f6736b5ec1e8e2c1116eef234ad0450d28ebdfbf272101b8bca",
+            "158e98b51a37c31bc2763d561bcf032b6e68f0e8b19e1dca16d9b52b306de5e9",
+        ],
+        "table2_losses.ini": [
+            "e286cc904ce303bbedd117812f18016e2a917dbde69b504815e6f6496cc23a09",
+            "49810fccb13ba864f4cf96d6d4dd3043c0ea058bba4e0429bdb65303c8d0b64e",
+            "ce2cd077efe208ed83befcd56bc7b1a9547d56e1f454dac16f5a3d3a7453a092",
+            "4f15146846d6fe7f3d6a0294da26aa95ec6da0bd82010191f6705c6af4b31062",
+            "1a73f2b2b039356ce2f342f5431e114d8be3aeab534fb55ca42ca43bb755a796",
+            "bd3c7b18ad96137683d3d2b602c5a438084c801cbde44280312cf2c4ebe8e4bc",
+        ],
+    }
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_CELL_HASHES))
+    def test_shipped_cell_hashes_are_pinned(self, name):
+        base, grid = load_grid_config(ROOT / "configs" / name)
+        assert [config_hash(cell) for cell in grid.cells(base)] == self.SHIPPED_CELL_HASHES[name]
+
     def test_grid_without_intervals_keeps_the_base_horizons(self, tmp_path):
         path = tmp_path / "t_pred6.ini"
         path.write_text(
@@ -263,7 +310,6 @@ class TestConfig:
         (cell,) = grid.cells(base)
         assert (base.distill.t, base.distill.t_pred) == (12, 6)
         assert (cell.distill.t, cell.distill.t_pred) == (12, 6)
-        assert (cell.downstream.t, cell.downstream.t_pred) == (12, 6)
         assert dump_config(cell) == dump_config(base)
 
     def test_hash_changes_with_content(self):
@@ -687,10 +733,14 @@ class TestCli:
             lambda h: h["head"].update(standardizer={"mu": [0.0] * 64}),
             lambda h: h["head"].update(standardizer={"mu": [0.0] * 3, "sigma": [1.0] * 3}),
             lambda h: h.update(params=[p for p in h["params"] if not p["name"].startswith("head.")]),
+            lambda h: h["head"].update(task="recognition"),
+            lambda h: h["head"].update(n_classes=5),
+            lambda h: h["head"].update(t_pred=0),
         ],
         ids=[
             "unknown_family", "bad_frame_size", "no_embed_dim", "no_head_task", "head_not_object",
             "int_conv_widths", "no_standardizer_sigma", "short_standardizer", "no_head_params",
+            "other_task", "other_n_classes", "zero_t_pred",
         ],
     )
     def test_bad_supervised_header_exits_4(self, supervised_checkpoint, tmp_path, capsys, edit):

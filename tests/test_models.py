@@ -61,6 +61,23 @@ def test_one_clip_embeds_as_its_row_of_a_batch(family):
             assert backbone.forward(clips[i : i + 1]).data.tobytes() == batch[i : i + 1].tobytes(), i
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_one_clip_trains_through_getitem(family):
+    # distill.batch_size = 1, or a one-window last batch: the clip runs as row 0
+    # of a two-row batch, and Tensor.__getitem__ takes that row back out
+    spec = BackboneSpec(family=family, frames=6)
+    backbone = build_backbone(spec, seed=0)
+    tape = Tape()
+    with tape:
+        z = backbone.forward(random_clip(np.random.default_rng(2), 6))
+        loss = ad.sum_(ad.mul(z, z))
+    assert z.shape == (1, spec.embed_dim)
+    assert any(entry.backward_rule.__qualname__ == "getitem.<locals>.rule" for entry in tape.entries)
+    backward(loss, tape)
+    for name, p in backbone.named_parameters():
+        assert p.grad is not None and np.all(np.isfinite(p.grad)), name
+
+
 def test_different_seeds_differ():
     spec = BackboneSpec(family="Conv2dRecurrent", frames=6)
     b1 = build_backbone(spec, seed=0)
