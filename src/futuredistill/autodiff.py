@@ -703,7 +703,8 @@ def _conv_nd(name: str, x: Tensor, k: Tensor, stride, padding, bias: Tensor | No
     y_grid = np.empty((c_out, *out_grid), dtype=dtype)
     y = y_grid.reshape(c_out, -1)
     part = np.empty((c_out, _CONV_CHUNK), dtype=dtype)
-    stack = None if per_call else np.empty((len(tap_groups[0]) * c_in, _CONV_CHUNK), dtype=dtype)
+    stacked = not per_call and len(tap_groups[0]) > 1  # a thin input copies each group's taps into one operand
+    stack = np.empty((len(tap_groups[0]) * c_in, _CONV_CHUNK), dtype=dtype) if stacked else None
     for lo in range(0, n_valid, _CONV_CHUNK):
         hi = min(lo + _CONV_CHUNK, n_valid)
         acc, tmp = y[:, lo:hi], part[:, : hi - lo]

@@ -5,8 +5,8 @@
 the three protocol arms, skips each arm whose checkpoint records the cell's
 config hash, and writes the report to `<out>/report`, also after a failure.
 
-Exit codes: 0 ok, 1 partial grid failure, 2 invalid config, 3 training
-divergence, 4 checkpoint/config mismatch, 5 empty or missing metrics input.
+Exit codes: 0 ok, 1 partial grid failure, 2 invalid config, 3 training divergence,
+4 checkpoint/config mismatch, 5 empty, missing or unreadable metrics or log for `report`.
 The FUTUREDISTILL_OUT_ROOT environment variable re-roots relative output dirs.
 """
 
@@ -28,11 +28,11 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .config import ExperimentConfig, config_hash, load_config, load_grid_config
-from .distill import pretrain, write_training_log
-from .downstream import Protocol, evaluate_model, run_single_protocol, window_clips, write_finetune_log
+from .distill import PretrainLogRow, pretrain
+from .downstream import FinetuneLogRow, Protocol, evaluate_model, run_single_protocol, window_clips
 from .errors import CheckpointError, ConfigurationError, DivergenceError
 from .models import BackboneSpec
-from .reporting import append_metrics, generate_report, read_metrics
+from .reporting import MetricsRow, append_metrics, generate_report, read_metrics, write_log
 from .synthdata import CHANNELS, FRAME_SIZE, make_dataset, split_dataset
 
 log = logging.getLogger("futuredistill")
@@ -104,7 +104,7 @@ def _pretrain_one(cfg: ExperimentConfig, splits, seed: int, out_dir: Path) -> No
     save_checkpoint(
         ckpt_path, result.pair.student, cfg.backbone, step=result.pair.step, config_hash=config_hash(cfg)
     )
-    write_training_log(out_dir / f"{stem}_train_log.csv", result.log)
+    write_log(out_dir / f"{stem}_train_log.csv", PretrainLogRow, result.log)
     final = result.log[-1] if result.log else None
     log.info(
         "pretrained %s: %d steps, final loss %s",
@@ -127,12 +127,13 @@ def _run_protocols(cfg: ExperimentConfig, splits, seed: int, protocols, student,
     d = cfg.distill
     clips = (window_clips(splits[0], d.t, d.t_pred), window_clips(splits[2], d.t, d.t_pred))
     for protocol in protocols:
-        row, model, tune_log = run_single_protocol(
-            cfg.backbone, student, protocol, clips, cfg.downstream, seed, d.loss_variant
+        result, model, tune_log = run_single_protocol(cfg.backbone, student, protocol, clips, cfg.downstream, seed)
+        row = MetricsRow(
+            cfg.backbone.family, d.t, protocol.value, d.loss_variant, seed, result.macro_precision, result.n_frames
         )
         arm = f"{cell_stem(cfg, seed)}_{protocol.value}"
         append_metrics(out_dir / "metrics.csv", [row])
-        write_finetune_log(out_dir / f"{arm}_finetune_log.csv", tune_log)
+        write_log(out_dir / f"{arm}_finetune_log.csv", FinetuneLogRow, tune_log)
         save_checkpoint(out_dir / f"{arm}.ckpt", model, cfg.backbone, config_hash=config_hash(cfg))
         log.info("%s seed %d: macro precision %.4f", protocol.value, seed, row.macro_precision)
 

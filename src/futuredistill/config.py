@@ -116,7 +116,7 @@ _HIDDEN_KEYS = {"backbone": {"frames"}}
 def _coerce(section: str, key: str, raw: str, target_type):
     raw = raw.strip()
     try:
-        if target_type is bool or target_type == "bool":
+        if target_type is bool:
             if raw.lower() in ("true", "yes", "1", "on"):
                 return True
             if raw.lower() in ("false", "no", "0", "off"):

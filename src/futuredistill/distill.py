@@ -9,11 +9,9 @@ exponential moving average under a cosine momentum schedule.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -303,18 +301,3 @@ def _sample_batch(dataset, cfg: DistillConfig, rng) -> tuple[np.ndarray, np.ndar
     combined = render([(c.video, c.start + idx) for c in clips], np.empty(shape, np.float32))
     return past, combined
 
-
-def write_training_log(path: str | Path, log: list[PretrainLogRow]) -> None:
-    """CSV with one row per logged step: step,loss,momentum,embed_std.
-
-    embed_std is PretrainLogRow.embed_std: the student's training output
-    (the projector output when projection_head is true), not the backbone
-    embedding.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "loss", "momentum", "embed_std"])
-        for row in log:
-            writer.writerow([row.step, f"{row.loss:.6f}", f"{row.momentum:.6f}", f"{row.embed_std:.6f}"])

@@ -7,11 +7,9 @@ precision over those frames is the headline metric.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -171,17 +169,10 @@ class ModelWithHead(nn.Module):
 
 @dataclass
 class FinetuneLogRow:
+    """One fine-tune epoch and its mean train loss."""
+
     epoch: int
     loss: float
-
-
-def write_finetune_log(path: str | Path, log: list[FinetuneLogRow]) -> None:
-    """CSV with one row per epoch: epoch,loss (the mean train loss, at full float precision)."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss"])
-        for row in log:
-            writer.writerow([row.epoch, repr(row.loss)])
 
 
 def finetune(
@@ -254,17 +245,6 @@ def evaluate_model(backbone, head, clips: list[ClipSample]) -> EvalResult:
 # one protocol arm
 
 
-@dataclass
-class MetricsRow:
-    backbone: str
-    interval: int
-    protocol: str
-    loss_variant: str
-    seed: int
-    macro_precision: float
-    n_frames: int
-
-
 def run_single_protocol(
     backbone_spec: BackboneSpec,
     student,
@@ -272,15 +252,13 @@ def run_single_protocol(
     clips: tuple[list[ClipSample], list[ClipSample]],
     tune_cfg: FinetuneConfig,
     seed: int,
-    loss_variant: str = "cosine",
-) -> tuple[MetricsRow, ModelWithHead, list[FinetuneLogRow]]:
+) -> tuple[EvalResult, ModelWithHead, list[FinetuneLogRow]]:
     """Train one protocol arm from `student` (ignored when FULL_SUPERVISED) on the (train, test) clips.
 
-    Returns the arm's test metrics row, the trained model and its per-epoch
+    Returns the arm's test result, the trained model and its per-epoch
     fine-tune losses.
     """
     train_clips, test_clips = clips
-    t, t_pred = train_clips[0].t, train_clips[0].t_pred
     if protocol is Protocol.FULL_SUPERVISED:
         arm_backbone = build_backbone(backbone_spec, seed)
     elif student is None:
@@ -288,16 +266,6 @@ def run_single_protocol(
     else:
         arm_backbone = student.copy()
     rng = np.random.default_rng(seed + 1000)
-    head = PredictionHead(backbone_spec.embed_dim, t_pred, N_ACTIONS, rng)
+    head = PredictionHead(backbone_spec.embed_dim, train_clips[0].t_pred, N_ACTIONS, rng)
     model, tune_log = finetune(arm_backbone, head, protocol, train_clips, tune_cfg, seed=seed)
-    result_eval = evaluate_model(model.backbone, model.head, test_clips)
-    row = MetricsRow(
-        backbone=backbone_spec.family,
-        interval=t,
-        protocol=protocol.value,
-        loss_variant=loss_variant,
-        seed=seed,
-        macro_precision=result_eval.macro_precision,
-        n_frames=result_eval.n_frames,
-    )
-    return row, model, tune_log
+    return evaluate_model(model.backbone, model.head, test_clips), model, tune_log

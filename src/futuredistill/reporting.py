@@ -1,37 +1,86 @@
-"""Metrics CSV handling and report generation.
+"""The run's records, each row a dataclass whose fields name and type its CSV columns, and the report on them.
 
-The metrics file is append-only: a version line, a header of the MetricsRow
-fields, then one row per (protocol, seed) evaluation. A rerun appends a second
-row for the same cell and seed; reports count only the last one, which belongs
-to the checkpoint the rerun overwrote. Reports aggregate seeds as mean and std
-per Protocol and emit the REPORT_TABLES (a missing arm reads `-`, or an empty
-CSV cell) plus loss-curve plot data as CSV and SVG. Reports are pure functions
-of their inputs.
+`metrics.csv` is append-only: a version line, the MetricsRow header, then one
+row per (protocol, seed) evaluation, floats at 6 decimals. A rerun appends a
+second row for the same cell and seed; reports count only the last one, which
+belongs to the checkpoint the rerun overwrote. `write_log` writes each training
+log (PretrainLogRow, FinetuneLogRow) whole, floats at full precision. Readers
+raise ConfigurationError naming the file and line of a bad header, field count
+or value. Reports aggregate seeds as mean and std per Protocol and emit the
+REPORT_TABLES (a missing arm reads `-`, or an empty CSV cell) plus both logs'
+loss curves as CSV and SVG. Reports are pure functions of their inputs.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from collections import defaultdict
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence, get_type_hints
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
-from .downstream import MetricsRow, Protocol
+from .distill import PretrainLogRow
+from .downstream import FinetuneLogRow, Protocol
 from .errors import ConfigurationError
 
 METRICS_VERSION_LINE = "#metrics-v1"
-METRICS_HEADER = [f.name for f in fields(MetricsRow)]
-_COLUMN_TYPES = [get_type_hints(MetricsRow)[name] for name in METRICS_HEADER]  # each column's parser
+
+
+@dataclass
+class MetricsRow:
+    """The test result of one protocol arm of one (cell config, seed)."""
+
+    backbone: str
+    interval: int
+    protocol: str
+    loss_variant: str
+    seed: int
+    macro_precision: float
+    n_frames: int
+
+
+@functools.cache
+def _columns(row_type: type) -> tuple[list[str], list[type]]:
+    """The field names of the dataclass row_type, its CSV header, and their types, each its column's parser."""
+    hints = get_type_hints(row_type)
+    return [f.name for f in fields(row_type)], [hints[f.name] for f in fields(row_type)]
+
+
+def _record(row, float_text: Callable[[float], str]) -> list[str]:
+    """The row's CSV record: a float field by float_text(float(v)), any other field by str."""
+    names, kinds = _columns(type(row))
+    values = (getattr(row, name) for name in names)
+    return [float_text(float(v)) if kind is float else str(v) for kind, v in zip(kinds, values)]
+
+
+def _parse_rows(path: str | Path, lines: list[str], row_type: type, first_line: int) -> list:
+    """The row_type rows of the CSV lines, a header then records, whose first line is line first_line of path."""
+    names, kinds = _columns(row_type)
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header != names:
+        raise ConfigurationError(f"{path}, line {first_line}: bad header {header}, expected {names}")
+    rows = []
+    for rec in reader:
+        if not rec:
+            continue
+        line = first_line + reader.line_num - 1  # the header is line first_line
+        if len(rec) != len(names):
+            raise ConfigurationError(f"{path}, line {line}: {len(rec)} fields, expected {len(names)}")
+        try:
+            rows.append(row_type(*(kind(value) for kind, value in zip(kinds, rec))))
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}, line {line}: {exc}") from None
+    return rows
 
 
 def format_row(row: MetricsRow) -> list[str]:
-    """One CSV record: a float field with 6 decimals, any other field by str."""
-    values = (getattr(row, name) for name in METRICS_HEADER)
-    return [f"{v:.6f}" if kind is float else str(v) for kind, v in zip(_COLUMN_TYPES, values)]
+    """One metrics.csv record: a float field with 6 decimals, any other field by str."""
+    return _record(row, "{:.6f}".format)
 
 
 def append_metrics(path: str | Path, rows: list[MetricsRow]) -> None:
@@ -43,16 +92,18 @@ def append_metrics(path: str | Path, rows: list[MetricsRow]) -> None:
     writer = csv.writer(buf)
     if fresh:
         buf.write(METRICS_VERSION_LINE + "\n")
-        writer.writerow(METRICS_HEADER)
-    for row in rows:
-        writer.writerow(format_row(row))
-    payload = buf.getvalue()
+        writer.writerow(_columns(MetricsRow)[0])
+    writer.writerows(map(format_row, rows))
     with path.open("a", newline="") as fh:
-        _locked_write(fh, payload)
+        _locked_write(fh, buf.getvalue())
 
 
 def _locked_write(fh, payload: str) -> None:
-    """Guard concurrent appends from parallel grid cells where flock exists."""
+    """Append payload under an exclusive flock where flock exists.
+
+    Nothing runs grid cells in parallel; the lock guards the appends of
+    concurrent commands that share one out dir, such as two `finetune` arms.
+    """
     try:
         import fcntl
 
@@ -76,22 +127,22 @@ def read_metrics(path: str | Path) -> list[MetricsRow]:
         raise ConfigurationError(f"{path}: missing metrics version line")
     if lines[0] != METRICS_VERSION_LINE:
         raise ConfigurationError(f"{path}: unsupported metrics version {lines[0]!r}")
-    reader = csv.reader(lines[1:])
-    header = next(reader, None)
-    if header != METRICS_HEADER:
-        raise ConfigurationError(f"{path}: bad header {header}")
-    rows = []
-    for rec in reader:
-        if not rec:
-            continue
-        line = reader.line_num + 1  # the reader starts after the version line
-        if len(rec) != len(METRICS_HEADER):
-            raise ConfigurationError(f"{path}, line {line}: {len(rec)} fields, expected {len(METRICS_HEADER)}")
-        try:
-            rows.append(MetricsRow(*(kind(value) for kind, value in zip(_COLUMN_TYPES, rec))))
-        except ValueError as exc:
-            raise ConfigurationError(f"{path}, line {line}: {exc}") from None
-    return rows
+    return _parse_rows(path, lines[1:], MetricsRow, first_line=2)
+
+
+def write_log(path: str | Path, row_type: type, rows: Sequence) -> None:
+    """Write rows as CSV under row_type's header: a float field by repr(float(v)), never np.float64(...)."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_columns(row_type)[0])
+        writer.writerows(_record(row, repr) for row in rows)
+
+
+def read_log(path: str | Path, row_type: type) -> list:
+    """The row_type rows of a log written by write_log."""
+    return _parse_rows(path, Path(path).read_text().splitlines(), row_type, first_line=1)
 
 
 # ---------------------------------------------------------------------------
@@ -232,19 +283,14 @@ def svg_line_plot(
     Path(path).write_text("\n".join(parts))
 
 
-def collect_logs(directory: str | Path, tag: str, x_key: str) -> dict[str, tuple[list[float], list[float]]]:
-    """Read every *<tag>.csv under directory into plot series of loss over x_key, named by run stem."""
+def collect_logs(directory: str | Path, tag: str, row_type: type) -> dict[str, tuple[list[float], list[float]]]:
+    """Each *<tag>.csv log of row_type under directory with rows, as loss over row_type's first field, by run stem."""
+    x_key = fields(row_type)[0].name
     series = {}
-    directory = Path(directory)
-    for log_path in sorted(directory.rglob(f"*{tag}.csv")):
-        xs, losses = [], []
-        with log_path.open() as fh:
-            reader = csv.DictReader(fh)
-            for rec in reader:
-                xs.append(float(rec[x_key]))
-                losses.append(float(rec["loss"]))
-        if xs:
-            series[log_path.stem.replace(f"_{tag}", "")] = (xs, losses)
+    for log_path in sorted(Path(directory).rglob(f"*{tag}.csv")):
+        rows = read_log(log_path, row_type)
+        if rows:
+            series[log_path.stem.replace(f"_{tag}", "")] = ([getattr(r, x_key) for r in rows], [r.loss for r in rows])
     return series
 
 
@@ -278,11 +324,11 @@ def generate_report(metrics_path: str | Path, out_dir: str | Path) -> list[Path]
 
     # "*train_log.csv" does not match the fine-tune arms' "*_finetune_log.csv".
     curves = (
-        ("train_log", "step", "loss_curves", "Pretraining loss"),
-        ("finetune_log", "epoch", "finetune_curves", "Fine-tune train loss"),
+        ("train_log", PretrainLogRow, "loss_curves", "Pretraining loss"),
+        ("finetune_log", FinetuneLogRow, "finetune_curves", "Fine-tune train loss"),
     )
-    for tag, x_key, name, title in curves:
-        series = collect_logs(Path(metrics_path).parent, tag, x_key)
+    for tag, row_type, name, title in curves:
+        series = collect_logs(Path(metrics_path).parent, tag, row_type)
         if series:
-            written += _write_curves(out_dir, name, series, x_key, title)
+            written += _write_curves(out_dir, name, series, fields(row_type)[0].name, title)
     return written

@@ -27,6 +27,7 @@ from futuredistill.distill import (
 )
 from futuredistill.errors import ConfigurationError, DimensionError, DivergenceError
 from futuredistill.models import BackboneSpec, build_backbone
+from futuredistill.reporting import read_log, write_log
 from futuredistill.synthdata import make_dataset
 
 from oracles import finite_difference_gradient, max_relative_error
@@ -393,7 +394,8 @@ class TestPretrain:
         spec = BackboneSpec(family="Conv2dRecurrent", frames=6)
         result = pretrain(spec, tiny_dataset, self.cfg(), seed=0)
         out = tmp_path / "log.csv"
-        ds.write_training_log(out, result.log)
+        write_log(out, ds.PretrainLogRow, result.log)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "step,loss,momentum,embed_std"
         assert len(lines) == len(result.log) + 1
+        assert read_log(out, ds.PretrainLogRow) == result.log  # every float at full precision

@@ -32,15 +32,19 @@ from futuredistill.config import (
     load_grid_config,
     parse_config,
 )
-from futuredistill.downstream import MetricsRow, Protocol
+from futuredistill.distill import PretrainLogRow
+from futuredistill.downstream import FinetuneLogRow, Protocol
 from futuredistill.errors import CheckpointError, ConfigurationError, DivergenceError
 from futuredistill.models import BackboneSpec, build_backbone
 from futuredistill.reporting import (
+    MetricsRow,
     aggregate,
     append_metrics,
     generate_report,
+    read_log,
     read_metrics,
     svg_line_plot,
+    write_log,
     write_table_csv,
     write_table_text,
 )
@@ -552,6 +556,37 @@ class TestMetricsAndReport:
         assert cli.main(["report", "--metrics", str(path)]) == cli.EXIT_EMPTY_METRICS
         assert "line 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [PretrainLogRow(0, 0.1 + 0.2, np.float64(0.996), float(np.float32(0.3))), PretrainLogRow(1, 1e-300, 1, 0)],
+            [FinetuneLogRow(0, 2.0794415416798357), FinetuneLogRow(1, np.float64(1 / 3))],
+        ],
+        ids=["pretrain", "finetune"],
+    )
+    def test_log_round_trips_exactly(self, tmp_path, rows):
+        path = tmp_path / "log.csv"
+        write_log(path, type(rows[0]), rows)
+        assert read_log(path, type(rows[0])) == rows
+        assert "np.float64" not in path.read_text()
+
+    @pytest.mark.parametrize(
+        "log, line, match",
+        [
+            ("step,train_loss,momentum,embed_std\n0,1.0,0.996,0.1\n", 1, "bad header"),
+            ("step,loss,momentum,embed_std\n0,1.0,0.996,0.1\n1\n", 3, "1 fields, expected 4"),
+            ("step,loss,momentum,embed_std\n0,1.0,0.996,0.1\n1,high,0.996,0.1\n", 3, "could not convert"),
+        ],
+        ids=["wrong_header", "short_row", "bad_loss"],
+    )
+    def test_bad_train_log_names_its_line_and_report_exits_5(self, tmp_path, capsys, log, line, match):
+        path = tmp_path / "metrics.csv"
+        append_metrics(path, sample_rows())
+        (tmp_path / "a_train_log.csv").write_text(log)
+        assert cli.main(["report", "--metrics", str(path)]) == cli.EXIT_EMPTY_METRICS
+        err = capsys.readouterr().err
+        assert f"a_train_log.csv, line {line}: " in err and match in err
+
 
 @pytest.fixture()
 def quick_config_file(tmp_path):
@@ -629,6 +664,18 @@ class TestCli:
         logs = list(out.glob("*_train_log.csv"))
         assert len(ckpts) == 1 and len(logs) == 1
         assert len(logs[0].read_text().splitlines()) >= 2
+
+    def test_pretrain_without_epochs_writes_a_header_only_log_and_no_curve(self, quick_config_file, tmp_path):
+        text = quick_config_file.read_text()
+        quick_config_file.write_text(text.replace("batch_size = 4\nepochs = 1", "batch_size = 4\nepochs = 0"))
+        assert self.run_cli("pretrain", "--config", str(quick_config_file)) == cli.EXIT_OK
+        out = tmp_path / "out"
+        (log,) = out.glob("*_train_log.csv")
+        assert log.read_text() == "step,loss,momentum,embed_std\n"
+        assert read_log(log, PretrainLogRow) == []
+        append_metrics(out / "metrics.csv", sample_rows())
+        assert self.run_cli("report", "--metrics", str(out / "metrics.csv")) == cli.EXIT_OK
+        assert not list((out / "report").glob("loss_curves.*"))
 
     def test_finetune_all_protocols_and_row_counts(self, quick_config_file, tmp_path):
         assert self.run_cli("pretrain", "--config", str(quick_config_file)) == cli.EXIT_OK
