@@ -2,9 +2,9 @@
 
 A define-by-run tape: while a Tape is active, every primitive op appends an
 entry holding its inputs, output and a backward rule. backward() replays the
-tape in reverse, which is a valid topological order by construction. Training
-math runs in float32; the test suite's finite-difference oracles run in
-float64.
+tape in reverse, a valid topological order by construction, and returns the
+gradients it was asked for; tensors hold none. Training math runs in float32;
+the test suite's finite-difference oracles run in float64.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ __all__ = [
 
 
 class Tensor:
-    """N-dimensional float array with optional gradient buffer."""
+    """N-dimensional float array; requires_grad marks it for recording on a tape."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
@@ -62,7 +62,6 @@ class Tensor:
                 dtype = np.float32
         self.data = np.asarray(data, dtype=dtype)
         self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -87,15 +86,6 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
-        else:
-            self.grad = self.grad + g.astype(self.data.dtype, copy=False)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
@@ -178,34 +168,31 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.einsum(grad, range(grad.ndim), kept).reshape(shape)
 
 
-def backward(loss: Tensor, tape: Tape) -> None:
-    """Populate .grad for every requires_grad tensor that fed `loss` on `tape`.
+def backward(loss: Tensor, tape: Tape, wrt: Sequence[Tensor]) -> list[np.ndarray | None]:
+    """The gradient of the scalar `loss` with respect to each tensor of `wrt`, replaying `tape`.
 
-    Repeated calls without zeroing accumulate, matching the additive
-    semantics of gradient buffers.
+    Each gradient is a fresh array in its tensor's dtype; a tensor that `loss`
+    does not depend on through the ops on `tape` gets None. Calls share no
+    state, so replaying the same tape again returns equal, distinct arrays.
     """
     if loss.data.size != 1:
         raise UsageError(f"backward() needs a scalar loss, got shape {loss.shape}")
-    # transient per-sweep accumulators; a Tensor hashes by identity
+    if tape.entries and not any(e.output is loss for e in reversed(tape.entries)):
+        raise UsageError("loss tensor was not produced on the given tape")
+    wanted = set(wrt)  # a Tensor hashes by identity
+    # transient per-sweep accumulators; an output's entry is dropped once its rule ran unless it is wanted
     sweep: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
-    touched = False
     for entry in reversed(tape.entries):
         g_out = sweep.get(entry.output)
         if g_out is None:
             continue
-        if entry.output is loss:
-            touched = True
         grads = entry.backward_rule(g_out)
         for inp, g in zip(entry.inputs, grads):
             if g is not None and inp.requires_grad:
                 sweep[inp] = sweep[inp] + g if inp in sweep else g
-        if entry.output is not loss:
+        if entry.output not in wanted:
             del sweep[entry.output]
-    if not touched and tape.entries:
-        raise UsageError("loss tensor was not produced on the given tape")
-    for t, g in sweep.items():
-        if t.requires_grad and (t is not loss or not tape.entries):
-            t.accumulate_grad(g)
+    return [None if (g := sweep.get(t)) is None else g.astype(t.dtype, copy=True) for t in wrt]
 
 
 # ---------------------------------------------------------------------------
@@ -1138,17 +1125,20 @@ class SgdState:
             raise ConfigurationError(f"momentum must be in [0, 1), got {self.momentum}")
 
 
-def sgd_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: SgdState) -> None:
+def sgd_step(params: Sequence[Tensor], grads: Sequence[np.ndarray | None], state: SgdState) -> None:
     """SGD with momentum: v <- momentum * v + g, then p.data -= lr * v.
 
+    grads is backward()'s list for params; a None entry raises UsageError.
     Velocities and parameter arrays are updated in place; the first step's
     velocity is a copy of g, so the caller's gradient arrays are never
     written. With zero momentum this is exactly p -= lr * g.
     """
     if len(params) != len(grads):
         raise DimensionError(f"sgd_step: {len(params)} params vs {len(grads)} grads")
-    for g in grads:
-        if g is None or not np.all(np.isfinite(g)):
+    for idx, g in enumerate(grads):
+        if g is None:
+            raise UsageError(f"sgd_step: no gradient for parameter {idx}; the loss does not depend on it")
+        if not np.all(np.isfinite(g)):
             raise DivergenceError("sgd_step: non-finite gradient, aborting step")
     if not state.velocities:
         state.velocities = [None] * len(params)

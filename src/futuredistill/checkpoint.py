@@ -153,8 +153,8 @@ def restore_backbone(path: str | Path, header: dict, params: dict[str, np.ndarra
     """Rebuild the backbone named in a read header; returns (backbone, spec).
 
     Only 'backbone.*' parameters (or unprefixed ones) are restored. A spec
-    with a missing or unknown field, or one that builds no backbone, raises
-    CheckpointError.
+    with a missing or unknown field, or one that builds no backbone, and a
+    missing parameter or one of another shape raise CheckpointError.
     """
     stored = header["backbone_spec"]
     absent = [f.name for f in dataclasses.fields(BackboneSpec) if f.name not in stored]
@@ -177,7 +177,10 @@ def restore_backbone(path: str | Path, header: dict, params: dict[str, np.ndarra
     missing = set(own) - set(restored)
     if missing:
         raise CheckpointError(f"{path}: checkpoint lacks parameters {sorted(missing)[:4]}")
-    backbone.load_state_arrays(restored)
+    try:
+        backbone.load_state_arrays(restored)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: checkpoint backbone parameters do not fit the backbone ({exc})") from None
     return backbone, spec
 
 

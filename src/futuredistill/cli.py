@@ -6,7 +6,7 @@ the three protocol arms, skips each arm whose checkpoint records the cell's
 config hash, and writes the report to `<out>/report`, also after a failure.
 
 Exit codes: 0 ok, 1 partial grid failure, 2 invalid config, 3 training divergence,
-4 checkpoint/config mismatch, 5 empty, missing or unreadable metrics or log for `report`.
+4 checkpoint/config mismatch, 5 empty, missing or unreadable metrics or log for a report.
 The FUTUREDISTILL_OUT_ROOT environment variable re-roots relative output dirs.
 """
 
@@ -238,12 +238,15 @@ def cmd_ablate(args) -> int:
             except (ConfigurationError, DivergenceError, CheckpointError) as exc:
                 log.error("cell %s failed: %s", stem, exc)
                 failures.append({"cell": stem, "error": str(exc)})
-    if metrics_path.exists():
-        generate_report(metrics_path, out_dir / "report")
     if failures:
         (out_dir / "failures.json").write_text(json.dumps(failures, indent=2))
-        return EXIT_PARTIAL
-    return EXIT_OK
+    if metrics_path.exists():
+        try:
+            generate_report(metrics_path, out_dir / "report")
+        except ConfigurationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_EMPTY_METRICS
+    return EXIT_PARTIAL if failures else EXIT_OK
 
 
 def cmd_report(args) -> int:
@@ -258,6 +261,13 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _seed(raw: str) -> int:
+    seed = int(raw)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="futuredistill",
@@ -268,7 +278,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pretrain", help="run distillation pretraining, write checkpoint + log")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_pretrain)
 
@@ -276,7 +286,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--protocol", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_finetune)
 

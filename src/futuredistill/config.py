@@ -95,6 +95,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"distill.t + distill.t_pred = {span} exceeds dataset.frames_per_video = {length}")
         if not self.run.seeds:
             raise ConfigurationError("run.seeds must list at least one seed")
+        if min(self.run.seeds) < 0:
+            raise ConfigurationError(f"run.seeds must be non-negative, got {', '.join(map(str, self.run.seeds))}")
 
 
 def derive_cell(base: ExperimentConfig, family: str, interval: int | None, loss: str) -> ExperimentConfig:

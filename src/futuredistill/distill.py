@@ -267,9 +267,7 @@ def pretrain(
             raise DivergenceError(
                 f"pretraining diverged at step {step}: loss={loss_val!r}, config={cfg}"
             )
-        pair.student.zero_grads()
-        backward(loss, tape)
-        sgd_step(params, [p.grad for p in params], opt)
+        sgd_step(params, backward(loss, tape, params), opt)
         m = momentum_at(pair.step, total_steps, cfg.momentum_start, cfg.momentum_end)
         ema_update(pair, m)
         pair.step += 1

@@ -222,10 +222,7 @@ def finetune(
             val = loss.item()
             if not math.isfinite(val):
                 raise DivergenceError(f"fine-tuning diverged at epoch {epoch} (loss={val!r})")
-            for p in params:
-                p.zero_grad()
-            backward(loss, tape)
-            sgd_step(params, [p.grad for p in params], opt)
+            sgd_step(params, backward(loss, tape, params), opt)
             epoch_losses.append(val)
             del tape, loss  # the step's activations, freed before the next batch is rendered
         log.append(FinetuneLogRow(epoch=epoch, loss=float(np.mean(epoch_losses))))

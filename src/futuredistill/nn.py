@@ -45,10 +45,6 @@ class Module:
     def parameter_count(self) -> int:
         return sum(p.size for p in self.parameters())
 
-    def zero_grads(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
     def copy(self) -> "Module":
         return copy.deepcopy(self)
 

@@ -29,9 +29,9 @@ def fd_check(f, x: Tensor, tol: float = 1e-5, eps: float = 1e-4) -> float:
     tape = Tape()
     with tape:
         loss = f(x64)
-    backward(loss, tape)
+    (grad,) = backward(loss, tape, [x64])
     fd = finite_difference_gradient(f, x64, eps=eps)
-    err = max_relative_error(fd.data, x64.grad)
+    err = max_relative_error(fd.data, grad)
     assert err < tol, f"gradient mismatch: {err:.3e} >= {tol}"
     return err
 
@@ -164,8 +164,8 @@ class TestConv3d:
             with tape:
                 y = conv(xt, kt, stride=stride, padding=padding)
                 loss = ad.sum_(ad.mul(y, y))
-            backward(loss, tape)
-            results.append((y.data.reshape(-1), xt.grad.reshape(-1), kt.grad.reshape(-1)))
+            gx, gk = backward(loss, tape, [xt, kt])
+            results.append((y.data.reshape(-1), gx.reshape(-1), gk.reshape(-1)))
         for a, b in zip(*results):
             assert np.array_equal(a, b)
 
@@ -227,8 +227,7 @@ def _conv_with_grads(conv, x, k, stride, padding, w):
     tape = Tape()
     with tape:
         loss = ad.sum_(ad.mul(conv(xt, kt, stride, padding), w))
-    backward(loss, tape)
-    return tape.entries[0].output.data, xt.grad, kt.grad
+    return (tape.entries[0].output.data, *backward(loss, tape, [xt, kt]))
 
 
 class TestConvMatchesIm2colReference:
@@ -389,12 +388,12 @@ class TestConvMatchesIm2colReference:
         with tape:
             y = ad.conv2d(xt, kt, stride=2, padding=1)
             loss = ad.sum_(ad.mul(y, y))
-        backward(loss, tape)
+        gx, gk = backward(loss, tape, [xt, kt])
         assert y.dtype == np.float64
         y64, gx64, gk64 = _conv_with_grads(ad.conv2d, x.astype(np.float64), k, 2, 1, 2 * y.data)
         assert np.array_equal(y.data, y64)
-        assert xt.grad.dtype == np.float32 and kt.grad.dtype == np.float64
-        assert np.allclose(xt.grad, gx64, rtol=1e-6) and np.array_equal(kt.grad, gk64)
+        assert gx.dtype == np.float32 and gk.dtype == np.float64
+        assert np.allclose(gx, gx64, rtol=1e-6) and np.array_equal(gk, gk64)
 
 
 def composite_conv(conv):
@@ -413,8 +412,7 @@ def _fused_conv_with_grads(conv, x, k, b, stride, padding, relu, w):
     with tape:
         y = conv(xt, kt, stride, padding, bias=bt, relu=relu)
         loss = ad.sum_(ad.mul(y, w))
-    backward(loss, tape)
-    return y.data, xt.grad, kt.grad, bt.grad
+    return (y.data, *backward(loss, tape, [xt, kt, bt]))
 
 
 class TestFusedConv:
@@ -790,16 +788,16 @@ class TestBackward:
         tape = Tape()
         with tape:
             loss = ad.sum_(x)
-        backward(loss, tape)
-        assert np.array_equal(x.grad, np.ones((2, 3), dtype=np.float32))
+        (gx,) = backward(loss, tape, [x])
+        assert np.array_equal(gx, np.ones((2, 3), dtype=np.float32))
 
     def test_zero_times_anything_gives_zeros(self):
         x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
         tape = Tape()
         with tape:
             loss = ad.mul(ad.sum_(ad.mul(x, x)), 0.0)
-        backward(loss, tape)
-        assert np.array_equal(x.grad, np.zeros(3, dtype=np.float32))
+        (gx,) = backward(loss, tape, [x])
+        assert np.array_equal(gx, np.zeros(3, dtype=np.float32))
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.zeros(3), requires_grad=True)
@@ -807,16 +805,32 @@ class TestBackward:
         with tape:
             y = ad.mul(x, 2.0)
         with pytest.raises(UsageError):
-            backward(y, tape)
+            backward(y, tape, [x])
 
-    def test_accumulation_without_reset(self):
+    def test_repeated_calls_return_equal_distinct_arrays(self):
         x = Tensor(np.ones(4), requires_grad=True)
         tape = Tape()
         with tape:
-            loss = ad.sum_(x)
-        backward(loss, tape)
-        backward(loss, tape)
-        assert np.array_equal(x.grad, 2.0 * np.ones(4, dtype=np.float32))
+            loss = ad.sum_(ad.mul(x, 3.0))
+        (first,), (second,) = backward(loss, tape, [x]), backward(loss, tape, [x])
+        assert np.array_equal(first, 3.0 * np.ones(4, dtype=np.float32))
+        assert np.array_equal(first, second) and first is not second
+        first += 1.0
+        assert np.array_equal(second, 3.0 * np.ones(4, dtype=np.float32))
+
+    def test_leaf_and_intermediate_get_gradients_and_a_tensor_off_the_tape_none(self):
+        x = Tensor(np.ones(4), requires_grad=True)
+        off_tape = Tensor(np.ones(4), requires_grad=True)
+        tape = Tape()
+        with tape:
+            y = ad.mul(x, 2.0)
+            loss = ad.sum_(y)
+        gx, gy, g_off = backward(loss, tape, [x, y, off_tape])
+        assert np.array_equal(gx, np.full(4, 2.0, dtype=np.float32))
+        assert np.array_equal(gy, np.ones(4, dtype=np.float32)) and g_off is None
+
+    def test_tensor_holds_no_gradient_state(self):
+        assert Tensor.__slots__ == ("data", "requires_grad")
 
     def test_fanout_sums_both_consumers(self):
         # y feeds two consumers; grad must be the sum of both paths
@@ -846,7 +860,7 @@ class TestBackward:
         tape = Tape()
         with tape:
             loss = net_loss()
-        backward(loss, tape)
+        grads = dict(zip(params, backward(loss, tape, list(params.values()))))
         for name, p in params.items():
             def f(t, p=p):
                 saved = p.data
@@ -856,7 +870,7 @@ class TestBackward:
                 finally:
                     p.data = saved
             fd = finite_difference_gradient(f, p)
-            assert max_relative_error(fd.data, p.grad) < 1e-4, name
+            assert max_relative_error(fd.data, grads[name]) < 1e-4, name
 
 
 # add and mul as they were before their rules skipped constant operands:
@@ -912,8 +926,7 @@ class TestConstantOperands:
             tape = Tape()
             with tape:
                 out = fpd_loss(student.forward(clips), teacher, DistillConfig(t=6, t_pred=6, loss_variant=loss))
-            backward(out, tape)
-            return [p.grad.tobytes() for p in student.parameters()]
+            return [g.tobytes() for g in backward(out, tape, student.parameters())]
 
         skipped = step_grads()
         for name, op in REFERENCE_BINARY.items():
@@ -983,6 +996,13 @@ class TestSgd:
         with pytest.raises(DivergenceError):
             sgd_step([p], [np.array([np.nan], dtype=np.float32)], SgdState(learning_rate=0.1))
         assert p.data[0] == 1.0  # step aborted before mutation
+
+    def test_missing_grad_names_the_parameter(self):
+        params = [Tensor(np.ones(2, dtype=np.float32), requires_grad=True) for _ in range(3)]
+        grads = [np.ones(2, dtype=np.float32), np.ones(2, dtype=np.float32), None]
+        with pytest.raises(UsageError, match="parameter 2"):
+            sgd_step(params, grads, SgdState(learning_rate=0.1))
+        assert all(np.array_equal(p.data, np.ones(2)) for p in params)  # no parameter was stepped
 
 
 class TestFiniteDifferences:
@@ -1214,9 +1234,9 @@ class TestFusedOpOracles:
             loss = ad.sum_(ad.mul(y, y))
         (rule_out,) = [e.backward_rule(np.ones_like(y.data)) for e in tape.entries if e.output is y]
         assert rule_out[0] is None
-        backward(loss, tape)
-        assert x.grad is None
-        for p in (gain, bias):
+        gx, *grads = backward(loss, tape, [x, gain, bias])
+        assert gx is None
+        for p, grad in zip((gain, bias), grads):
             def f(t, p=p):
                 saved = p.data
                 p.data = t.data
@@ -1225,7 +1245,7 @@ class TestFusedOpOracles:
                 finally:
                     p.data = saved
 
-            assert max_relative_error(finite_difference_gradient(f, p).data, p.grad) < 1e-6
+            assert max_relative_error(finite_difference_gradient(f, p).data, grad) < 1e-6
 
     @pytest.mark.parametrize("x_shape,gain_shape", [((4, 6), (1, 6)), ((4, 6), (4,)), ((), ())])
     def test_layer_norm_rejects_gain_and_bias_not_of_width_d(self, x_shape, gain_shape):
@@ -1244,9 +1264,9 @@ class TestFusedOpOracles:
         with tape:
             y = ad.gelu(x)
             loss = ad.sum_(y)
-        backward(loss, tape)
-        assert y.dtype == np.float32 and x.grad.dtype == np.float32
-        assert np.all(np.isfinite(x.grad))
+        (gx,) = backward(loss, tape, [x])
+        assert y.dtype == np.float32 and gx.dtype == np.float32
+        assert np.all(np.isfinite(gx))
 
     @pytest.mark.parametrize(
         "idx",
@@ -1264,8 +1284,8 @@ class TestFusedOpOracles:
         tape = Tape()
         with tape:
             loss = ad.sum_(x[[0, 0, 2]])
-        backward(loss, tape)
-        assert np.array_equal(x.grad, np.array([[2.0] * 3, [0.0] * 3, [1.0] * 3, [0.0] * 3]))
+        (gx,) = backward(loss, tape, [x])
+        assert np.array_equal(gx, np.array([[2.0] * 3, [0.0] * 3, [1.0] * 3, [0.0] * 3]))
         fd_check(lambda t: ad.sum_(ad.mul(t[[0, 0, 2]], t[[0, 0, 2]])), x, tol=1e-6)
         rows = (np.array([1, 3, 1]), np.array([2, 0, 2]))
         fd_check(lambda t: ad.sum_(ad.mul(t[rows], t[rows])), x, tol=1e-6)
@@ -1298,14 +1318,14 @@ class TestCosineSimilarity:
         tape = Tape()
         with tape:
             loss = f(x)
-        backward(loss, tape)
+        (gx,) = backward(loss, tape, [x])
         fd = finite_difference_gradient(f, x)
         # the cosine jumps where a perturbation leaves x's own zero row, so that row is left out of
         # the comparison; its gradient and the one of the row paired with the other zero row are zero
         own_zero, paired_zero = (1, 3) if operand == 0 else (3, 1)
         kept = np.arange(5) != own_zero
-        assert not x.grad[own_zero].any() and not x.grad[paired_zero].any()
-        assert max_relative_error(fd.data[kept], x.grad[kept]) < 1e-6
+        assert not gx[own_zero].any() and not gx[paired_zero].any()
+        assert max_relative_error(fd.data[kept], gx[kept]) < 1e-6
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -1326,10 +1346,10 @@ class TestCosineSimilarity:
         with tape:
             cos = ad.cosine_similarity(x, y)
             loss = ad.sum_(cos)
-        backward(loss, tape)
+        gx, gy = backward(loss, tape, [x, y])
         assert cos.data[0] == sign and abs(cos.data[0]) <= 1.0
-        assert not x.grad[0].any() and not y.grad[0].any()
-        assert x.grad[1].any() and y.grad[1].any()
+        assert not gx[0].any() and not gy[0].any()
+        assert gx[1].any() and gy[1].any()
 
     def test_constant_operand_gets_none_and_shapes_must_match(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
@@ -1508,8 +1528,7 @@ class TestFusedOpsMatchComposite:
             y = layer_norm(x, gain, bias)
             z = gelu(ad.mul(y, 2.0))
             loss = ad.sum_(ad.mul(z, w))
-        backward(loss, tape)
-        return y.data, z.data, (x.grad, gain.grad, bias.grad)
+        return y.data, z.data, tuple(backward(loss, tape, [x, gain, bias]))
 
     # max |fused - composite| over the largest composite magnitude: the fused ops
     # reduce rows with einsum and evaluate the tanh argument as x (c + a c x^2)
@@ -1544,8 +1563,7 @@ class TestFusedOpsMatchComposite:
         with tape:
             h = op(xs, w_x, w_h, bias)
             loss = ad.sum_(ad.mul(h, w))
-        backward(loss, tape)
-        return h.data, (xs.grad, w_x.grad, w_h.grad, bias.grad)
+        return h.data, tuple(backward(loss, tape, [xs, w_x, w_h, bias]))
 
     @pytest.mark.parametrize("batch", [1, 2, 16])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -1568,8 +1586,8 @@ class TestFusedOpsMatchComposite:
         tape = Tape()
         with tape:
             loss = loss_fn(s, Tensor(tch))
-        backward(loss, tape)
-        return loss.data, s.grad, len(tape)
+        (gs,) = backward(loss, tape, [s])
+        return loss.data, gs, len(tape)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_cosine_loss_matches_composite(self, dtype):
@@ -1594,8 +1612,8 @@ class TestFusedOpsMatchComposite:
         tape = Tape()
         with tape:
             loss = loss_fn(logits)
-        backward(loss, tape)
-        return loss.data, logits.grad, len(tape)
+        (g_logits,) = backward(loss, tape, [logits])
+        return loss.data, g_logits, len(tape)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_label_cross_entropy_is_bitwise_the_composite(self, dtype):
@@ -1735,8 +1753,8 @@ class TestAttentionAndLinear:
         with tape:
             y = op(qkv, heads)
             loss = ad.sum_(ad.mul(y, w))
-        backward(loss, tape)
-        return y.data, qkv.grad
+        (g_qkv,) = backward(loss, tape, [qkv])
+        return y.data, g_qkv
 
     # TemporalTransformer at t = 6 and batch 16; PatchTransformerRecurrent at t = 12, batch 2
     @pytest.mark.parametrize("shape", [(16, 96, 192), (24, 16, 192)], ids=["temporal", "patch"])
@@ -1792,8 +1810,7 @@ class TestAttentionAndLinear:
             with tape:
                 y = op(x, w, b)
                 loss = ad.sum_(ad.mul(y, r))
-            backward(loss, tape)
-            return y.data, x.grad, w.grad, b.grad
+            return (y.data, *backward(loss, tape, [x, w, b]))
 
         fused = run(ad.linear)
         composite = run(lambda x, w, b: ad.add(ad.matmul(x, w), b))

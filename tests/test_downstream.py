@@ -244,10 +244,7 @@ def reference_linear_probe(backbone, head, windows, cfg, seed):
             tape = Tape()
             with tape:
                 loss = ad.cross_entropy(head(z.detach()), labels)
-            for p in params:
-                p.zero_grad()
-            backward(loss, tape)
-            sgd_step(params, [p.grad for p in params], opt)
+            sgd_step(params, backward(loss, tape, params), opt)
             epoch_losses.append(loss.item())
         losses.append(float(np.mean(epoch_losses)))
     return head, losses

@@ -157,6 +157,30 @@ class TestConfig:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
+        "command", [["pretrain"], ["finetune", "--protocol", "supervised"], ["ablate"]], ids=["pretrain", "finetune", "ablate"]
+    )
+    def test_negative_config_seed_exits_2_before_any_work(self, tmp_path, capsys, command):
+        out_dir = tmp_path / "out"
+        path = tmp_path / "neg.ini"
+        path.write_text(QUICK_CONFIG.replace("seeds = 0", "seeds = 0,-1").replace("out_dir = runs/quick", f"out_dir = {out_dir}"))
+        assert cli.main([*command, "--config", str(path)]) == cli.EXIT_CONFIG
+        assert "run.seeds must be non-negative" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "command", [["pretrain"], ["finetune", "--protocol", "supervised"]], ids=["pretrain", "finetune"]
+    )
+    def test_negative_seed_flag_exits_2_before_any_work(self, tmp_path, capsys, command):
+        out_dir = tmp_path / "out"
+        path = tmp_path / "exp.ini"
+        path.write_text(QUICK_CONFIG.replace("out_dir = runs/quick", f"out_dir = {out_dir}"))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*command, "--config", str(path), "--seed", "-1"])
+        assert exit_info.value.code == cli.EXIT_CONFIG
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
         "section, key, value",
         [
             ("downstream", "task", "foo"),
@@ -1079,6 +1103,55 @@ class TestCli:
         assert failure["cell"] == cli.cell_stem(cfg, 0) and "corrupt header" in failure["error"]
         assert {seed for _, seed in calls} == {1}
         assert (out / "report" / "table_backbone_interval.csv").is_file()
+
+    @staticmethod
+    def _misshapen_checkpoint(cfg, path):
+        """A pretrain checkpoint of cfg's backbone, current for cfg, whose first conv kernel is (8, 3, 2, 2)."""
+        backbone = build_backbone(cfg.backbone, seed=0)
+        backbone.encoder.conv1.kernels.data = np.zeros((8, 3, 2, 2), dtype=np.float32)
+        save_checkpoint(path, backbone, cfg.backbone, config_hash=config_hash(cfg))
+        return path
+
+    @pytest.mark.parametrize(
+        "command", [["finetune", "--protocol", "fine_tune"], ["evaluate"]], ids=["finetune", "evaluate"]
+    )
+    def test_misshapen_checkpoint_parameter_exits_4(self, quick_config_file, tmp_path, capsys, command):
+        ckpt = self._misshapen_checkpoint(load_config(quick_config_file), tmp_path / "bad.ckpt")
+        code = self.run_cli(*command, "--config", str(quick_config_file), "--checkpoint", str(ckpt))
+        assert code == cli.EXIT_MISMATCH
+        assert "encoder.conv1.kernels" in capsys.readouterr().err
+
+    def test_ablate_fails_only_the_seed_with_a_misshapen_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "exp.ini"
+        path.write_text(
+            QUICK_CONFIG.replace("out_dir = runs/quick", f"out_dir = {tmp_path / 'out'}").replace("seeds = 0", "seeds = 0,1")
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = load_config(path)
+        self._misshapen_checkpoint(cfg, out / f"{cli.cell_stem(cfg, 0)}.ckpt")
+        calls = self._ablate_calls(monkeypatch)
+        assert self.run_cli("ablate", "--config", str(path)) == cli.EXIT_PARTIAL
+        (failure,) = json.loads((out / "failures.json").read_text())
+        assert failure["cell"] == cli.cell_stem(cfg, 0) and "encoder.conv1.kernels" in failure["error"]
+        assert calls == [("pretrain", 1), ("linear_probe", 1), ("fine_tune", 1), ("supervised", 1)]
+
+    def test_ablate_writes_failures_then_exits_5_when_its_report_fails(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "exp.ini"
+        path.write_text(QUICK_CONFIG.replace("out_dir = runs/quick", f"out_dir = {tmp_path / 'out'}"))
+        out = tmp_path / "out"
+        out.mkdir()
+        append_metrics(out / "metrics.csv", sample_rows())
+        (out / "a_train_log.csv").write_text("step,loss,momentum,embed_std\n0,1.0,0.996,0.1\n1\n")
+
+        def diverge(*args, seed):
+            raise DivergenceError(f"seed {seed} diverged (injected)")
+
+        monkeypatch.setattr(cli, "pretrain", diverge)
+        assert self.run_cli("ablate", "--config", str(path)) == cli.EXIT_EMPTY_METRICS
+        assert "error: " in capsys.readouterr().err
+        (failure,) = json.loads((out / "failures.json").read_text())
+        assert "seed 0 diverged" in failure["error"]
 
     def test_ablate_redoes_an_arm_whose_checkpoint_was_not_saved(self, tmp_path, monkeypatch):
         path = tmp_path / "exp.ini"
