@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .downstream import TASK, ModelWithHead, StandardizedHead
+from .downstream import TASK, ModelWithHead
 from .errors import CheckpointError, ConfigurationError
 from .models import BackboneSpec, PredictionHead, build_backbone
 from .nn import Module
@@ -39,9 +39,9 @@ def save_checkpoint(
 ) -> None:
     """Atomically persist module parameters plus identifying metadata.
 
-    A finetuned ModelWithHead gets a header of kind 'finetuned' that describes
-    its head (see `_describe_head`); any other module is a 'pretrain'
-    checkpoint with no head.
+    A finetuned ModelWithHead gets a header entry that describes its head
+    (see `_describe_head`); any other module is a pretrain checkpoint, whose
+    header `head` is null.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -55,7 +55,6 @@ def save_checkpoint(
         offset += arr.size
     finetuned = isinstance(module, ModelWithHead)
     header = {
-        "kind": "finetuned" if finetuned else "pretrain",
         "backbone_spec": dataclasses.asdict(backbone_spec),
         "head": _describe_head(module.head) if finetuned else None,
         "step": step,
@@ -184,42 +183,34 @@ def restore_backbone(path: str | Path, header: dict, params: dict[str, np.ndarra
     return backbone, spec
 
 
-def _describe_head(head: Module) -> dict:
-    """The header's head entry: task, the predicted frames t_pred, n_classes and any standardizer mu/sigma."""
-    inner = head.inner if isinstance(head, StandardizedHead) else head
-    info = {"task": TASK, "t_pred": inner.horizon, "n_classes": inner.n_classes}
-    if isinstance(head, StandardizedHead):
-        info["standardizer"] = {"mu": head.mu.tolist(), "sigma": head.sigma.tolist()}
-    return info
+def _describe_head(head: PredictionHead) -> dict:
+    """The header's head entry: task, the predicted frames t_pred and n_classes."""
+    return {"task": TASK, "t_pred": head.horizon, "n_classes": head.n_classes}
 
 
-def restore_head(path: str | Path, header: dict, params: dict[str, np.ndarray], spec: BackboneSpec) -> Module:
+def restore_head(path: str | Path, header: dict, params: dict[str, np.ndarray], spec: BackboneSpec) -> PredictionHead:
     """Rebuild a finetuned checkpoint's head, of the horizon its header records, on the restored backbone `spec`.
 
     Raises CheckpointError when the checkpoint has no head, when its head entry
-    is not an object with task, t_pred and n_classes, when it is not a
-    prediction head over the N_ACTIONS classes, or when its standardizer or
-    parameters do not fit the head.
+    is not an object with exactly task, t_pred and n_classes (an older
+    linear-probe checkpoint, whose head entry also holds the probe's feature
+    mean and std, is refused rather than evaluated without them), when it is
+    not a prediction head over the N_ACTIONS classes, or when its parameters
+    do not fit the head.
     """
     info = header.get("head")
     if not info:
-        raise CheckpointError(
-            f"{path}: {header.get('kind')} checkpoint has no head; need a finetuned one"
-        )
+        raise CheckpointError(f"{path}: checkpoint has no head; need a finetuned one")
     keys = ("task", "t_pred", "n_classes")
     if not isinstance(info, dict) or any(key not in info for key in keys):
         raise CheckpointError(f"{path}: header head {info!r} is not an object with {', '.join(keys)}")
+    unknown = sorted(set(info) - set(keys))
+    if unknown:
+        raise CheckpointError(f"{path}: header head has unknown key(s) {unknown}; it holds only {', '.join(keys)}")
     t_pred = info["t_pred"]
     if info["task"] != TASK or info["n_classes"] != N_ACTIONS or not (_is_count(t_pred) and t_pred > 0):
-        stored = {key: info[key] for key in keys}
-        raise CheckpointError(f"{path}: checkpoint head {stored} is not a {TASK!r} head over {N_ACTIONS} classes")
+        raise CheckpointError(f"{path}: checkpoint head {info} is not a {TASK!r} head over {N_ACTIONS} classes")
     head = PredictionHead(spec.embed_dim, t_pred, N_ACTIONS, np.random.default_rng(0))
-    std = info.get("standardizer")
-    if std:
-        fits = isinstance(std, dict) and all(np.shape(std.get(key)) == (spec.embed_dim,) for key in ("mu", "sigma"))
-        if not fits:
-            raise CheckpointError(f"{path}: header head standardizer is not mu and sigma of length {spec.embed_dim}")
-        head = StandardizedHead(head, np.asarray(std["mu"]), np.asarray(std["sigma"]))
     prefix = "head."
     try:
         head.load_state_arrays(

@@ -168,12 +168,12 @@ def _load_student_for(cfg: ExperimentConfig, checkpoint: str | Path | None):
 def cmd_finetune(args) -> int:
     cfg = load_config(args.config)
     _check_frames(cfg)
-    out_dir = resolve_out_dir(cfg.run.out_dir, args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     protocol = Protocol.parse(args.protocol)
     if protocol is not Protocol.FULL_SUPERVISED and not args.checkpoint:
         raise ConfigurationError(f"protocol {protocol.value} requires --checkpoint")
     student = _load_student_for(cfg, args.checkpoint)
+    out_dir = resolve_out_dir(cfg.run.out_dir, args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     splits = build_splits(cfg, "train", "test")
     seeds = [args.seed] if args.seed is not None else list(cfg.run.seeds)
     for seed in seeds:

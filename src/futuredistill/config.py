@@ -39,6 +39,10 @@ class DatasetConfig:
             )
         if self.frames_per_video < 24:
             raise ConfigurationError(f"dataset.frames_per_video must be >= 24, got {self.frames_per_video}")
+        if self.seed < 0 or self.split_seed < 0:
+            raise ConfigurationError(
+                f"dataset.seed and dataset.split_seed must be non-negative, got {self.seed}, {self.split_seed}"
+            )
 
 
 @dataclass

@@ -121,24 +121,6 @@ def _batch_arrays(clips: list[ClipSample]) -> tuple[np.ndarray, np.ndarray]:
     return frames, np.array([clip.future_labels for clip in clips], np.int64)
 
 
-class StandardizedHead(nn.Module):
-    """Fixed affine feature standardization in front of a trainable head.
-
-    (z - mu) / sigma keeps the composed map affine (no added capacity) but
-    conditions the optimization: frozen-backbone embeddings concentrate around
-    a large constant component that otherwise swamps the head's gradients.
-    """
-
-    def __init__(self, inner: nn.Module, mu: np.ndarray, sigma: np.ndarray):
-        self.inner = inner
-        self.mu = mu.astype(np.float32)
-        self.sigma = sigma.astype(np.float32)
-
-    def __call__(self, z) -> Tensor:
-        shifted = ad.mul(ad.add(z, Tensor(-self.mu)), Tensor(1.0 / self.sigma))
-        return self.inner(shifted)
-
-
 def embed_windows(backbone, clips: list[ClipSample]) -> tuple[np.ndarray, np.ndarray]:
     """No-grad embeddings z [N, d] of the clips, in order and 64 at a time, with their labels."""
     feats, targets = [], []
@@ -156,6 +138,19 @@ def feature_stats(z: np.ndarray):
     sigma = z.std(axis=0)
     floor = max(1e-6, 1e-3 * float(sigma.mean()))
     return z.mean(axis=0), np.maximum(sigma, floor)
+
+
+def fold_standardization(linear: nn.Linear, mu: np.ndarray, inv_sigma: np.ndarray) -> None:
+    """Fold the input map z -> (z - mu) * inv_sigma into `linear`, in place.
+
+    The layer then maps raw z to the same outputs: W' = diag(inv_sigma) W and
+    b' = b - (mu * inv_sigma) W, computed in float64 and stored in the
+    layer's float32.
+    """
+    w = linear.weight.data.astype(np.float64)
+    scale = inv_sigma.astype(np.float64)
+    linear.bias.data = (linear.bias.data - (mu.astype(np.float64) * scale) @ w).astype(np.float32)
+    linear.weight.data = (w * scale[:, None]).astype(np.float32)
 
 
 class ModelWithHead(nn.Module):
@@ -190,17 +185,24 @@ def finetune(
     logits against their [N, t_pred] future labels, the mean over every
     predicted frame. cfg gives the epochs, batch size and optimizer.
 
-    Only LINEAR_PROBE standardizes the head's input: a frozen backbone needs
-    the fixed affine feature conditioning, while trainable backbones adapt on
-    their own and the amplified 1/sigma backprop would destabilize them.
+    Only LINEAR_PROBE standardizes the head's input: frozen-backbone
+    embeddings concentrate around a large constant component that otherwise
+    swamps the head's gradients, while trainable backbones adapt on their own
+    and the amplified 1/sigma backprop would destabilize them. The probe
+    trains the head on (z - mu) * (1/sigma), with feature_stats' mu and sigma,
+    then folds that affine map into the head's linear layer, so the returned
+    head reads raw embeddings like every other arm's.
     """
     cfg.validate()
     freeze_backbone = protocol is Protocol.LINEAR_PROBE
     if freeze_backbone:
-        # the frozen backbone embeds each clip once; every epoch trains the head on these rows
+        # the frozen backbone embeds each clip once; every epoch trains the head on these rows,
+        # standardized in place in float32
         z, targets = embed_windows(backbone, train_clips)
         mu, sigma = feature_stats(z)
-        head = StandardizedHead(head, mu, sigma)
+        inv_sigma = 1.0 / sigma
+        z -= mu
+        z *= inv_sigma
     model = ModelWithHead(backbone, head)
     params = head.parameters() if freeze_backbone else model.parameters()
     trained = head if freeze_backbone else model.forward
@@ -226,6 +228,8 @@ def finetune(
             epoch_losses.append(val)
             del tape, loss  # the step's activations, freed before the next batch is rendered
         log.append(FinetuneLogRow(epoch=epoch, loss=float(np.mean(epoch_losses))))
+    if freeze_backbone:
+        fold_standardization(head.linear, mu, inv_sigma)
     return model, log
 
 

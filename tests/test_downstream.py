@@ -14,11 +14,12 @@ from futuredistill.autodiff import SgdState, Tape, Tensor, backward, no_grad, sg
 from futuredistill.downstream import (
     FinetuneConfig,
     Protocol,
-    StandardizedHead,
     _batch_arrays,
     evaluate_model,
     evaluate_precision,
+    feature_stats,
     finetune,
+    fold_standardization,
     window_clips,
 )
 from futuredistill.errors import ConfigurationError, DimensionError
@@ -130,6 +131,24 @@ class TestFinetune:
         assert params_hash(backbone) == before
         assert params_hash(head) != head_before  # the head did train
 
+    def test_folded_head_gives_the_standardized_logits(self):
+        # frozen embeddings: a large constant component, and one constant dimension whose sigma is the floor
+        rng = np.random.default_rng(4)
+        z = (4.0 + rng.normal(0.0, 0.5, (600, 64)) * rng.uniform(0.1, 2.0, 64)).astype(np.float32)
+        z[:, 3] = 7.25
+        mu, sigma = feature_stats(z)
+        assert sigma[3] == np.float32(1e-3 * float(z[:512].std(axis=0).mean()))
+        head = PredictionHead(64, T_PRED, N_ACTIONS, rng)
+        w, b = head.linear.weight.data.astype(np.float64), head.linear.bias.data.astype(np.float64)
+        want = (z - mu.astype(np.float64)) / sigma.astype(np.float64) @ w + b
+        fold_standardization(head.linear, mu, 1.0 / sigma)
+        with no_grad():
+            got = head(Tensor(z)).data.reshape(want.shape)
+        # float32 rounds each term of z @ W' + b', and the 1/sigma-sized terms of a floored
+        # dimension cancel: allow 16 float32 ulps of the sum of the terms' magnitudes
+        terms = np.abs(z) @ np.abs(head.linear.weight.data.astype(np.float64)) + np.abs(head.linear.bias.data)
+        assert np.all(np.abs(got - want) <= 16 * np.finfo(np.float32).eps * terms)
+
     def test_zero_epochs_is_identity(self, small_world):
         train, _, _ = small_world
         spec = BackboneSpec(family="Conv2dRecurrent", frames=T)
@@ -220,7 +239,11 @@ class TestFinetune:
 
 
 def reference_linear_probe(backbone, head, windows, cfg, seed):
-    """The per-batch probe: standardizer from a separate pass, every window re-embedded each epoch."""
+    """The per-batch probe: mu and sigma from a separate pass, every window re-embedded and standardized each epoch.
+
+    Returns the bare head as trained on (z - mu) * (1 / sigma), the epoch
+    losses, mu and sigma.
+    """
     first = windows[:512]
     feats = []
     for lo in range(0, len(first), 64):
@@ -228,8 +251,8 @@ def reference_linear_probe(backbone, head, windows, cfg, seed):
         with no_grad():
             feats.append(backbone.forward(Tensor(clips)).data)
     z = np.concatenate(feats)
-    sigma = z.std(axis=0)
-    head = StandardizedHead(head, z.mean(axis=0), np.maximum(sigma, max(1e-6, 1e-3 * float(sigma.mean()))))
+    mu, sigma = z.mean(axis=0), z.std(axis=0)
+    sigma = np.maximum(sigma, max(1e-6, 1e-3 * float(sigma.mean())))
     params = head.parameters()
     opt = SgdState(learning_rate=cfg.learning_rate, momentum=cfg.sgd_momentum)
     rng = np.random.default_rng([seed, 3])
@@ -240,14 +263,14 @@ def reference_linear_probe(backbone, head, windows, cfg, seed):
         for lo in range(0, len(order), cfg.batch_size):
             clips, labels = _batch_arrays([windows[i] for i in order[lo : lo + cfg.batch_size]])
             with no_grad():
-                z = backbone.forward(Tensor(clips))
+                z = backbone.forward(Tensor(clips)).data
             tape = Tape()
             with tape:
-                loss = ad.cross_entropy(head(z.detach()), labels)
+                loss = ad.cross_entropy(head(Tensor((z - mu) * (1.0 / sigma))), labels)
             sgd_step(params, backward(loss, tape, params), opt)
             epoch_losses.append(loss.item())
         losses.append(float(np.mean(epoch_losses)))
-    return head, losses
+    return head, losses, mu, sigma
 
 
 def reference_evaluate(backbone, head, windows):
@@ -287,12 +310,11 @@ class TestEmbedOnce:
         spec = BackboneSpec(family=family, frames=T)
         backbone = build_backbone(spec, seed=0)
         head = make_head(spec, 9)
-        ref_head, ref_losses = reference_linear_probe(backbone, head.copy(), train, cfg, seed=0)
+        ref_head, ref_losses, mu, sigma = reference_linear_probe(backbone, head.copy(), train, cfg, seed=0)
+        fold_standardization(ref_head.linear, mu, 1.0 / sigma)
         model, log = finetune(backbone, head, Protocol.LINEAR_PROBE, train, cfg, seed=0)
         assert [row.loss for row in log] == ref_losses
         assert params_hash(model.head) == params_hash(ref_head)
-        assert model.head.mu.tobytes() == ref_head.mu.tobytes()
-        assert model.head.sigma.tobytes() == ref_head.sigma.tobytes()
         got = evaluate_model(backbone, model.head, test)
         want = reference_evaluate(backbone, ref_head, test)
         assert got.macro_precision == want.macro_precision

@@ -181,6 +181,19 @@ class TestConfig:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
+        "protocol, match",
+        [("nope", "unknown protocol 'nope'"), ("linear_probe", "requires --checkpoint")],
+        ids=["unknown_protocol", "no_checkpoint"],
+    )
+    def test_rejected_finetune_makes_no_out_dir(self, tmp_path, capsys, protocol, match):
+        out_dir = tmp_path / "out"
+        path = tmp_path / "exp.ini"
+        path.write_text(QUICK_CONFIG.replace("out_dir = runs/quick", f"out_dir = {out_dir}"))
+        assert cli.main(["finetune", "--config", str(path), "--protocol", protocol]) == cli.EXIT_CONFIG
+        assert match in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
         "section, key, value",
         [
             ("downstream", "task", "foo"),
@@ -195,6 +208,8 @@ class TestConfig:
             ("distill", "sgd_momentum", "-0.1"),
             ("distill", "temperature_student", "0"),
             ("distill", "temperature_teacher", "-1"),
+            ("dataset", "seed", "-1"),
+            ("dataset", "split_seed", "-1"),
         ],
     )
     def test_bad_stage_value_exits_2_before_any_work(self, tmp_path, capsys, section, key, value):
@@ -793,28 +808,34 @@ class TestCli:
         assert match in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, match",
         [
-            lambda h: h["backbone_spec"].update(family="Nope"),
-            lambda h: h["backbone_spec"].update(frame_size=30),
-            lambda h: h["backbone_spec"].pop("embed_dim"),
-            lambda h: h["head"].pop("task"),
-            lambda h: h.update(head="x"),
-            lambda h: h["backbone_spec"].update(conv_widths=5),
-            lambda h: h["head"].update(standardizer={"mu": [0.0] * 64}),
-            lambda h: h["head"].update(standardizer={"mu": [0.0] * 3, "sigma": [1.0] * 3}),
-            lambda h: h.update(params=[p for p in h["params"] if not p["name"].startswith("head.")]),
-            lambda h: h["head"].update(task="recognition"),
-            lambda h: h["head"].update(n_classes=5),
-            lambda h: h["head"].update(t_pred=0),
+            (lambda h: h["backbone_spec"].update(family="Nope"), "does not fit BackboneSpec"),
+            (lambda h: h["backbone_spec"].update(frame_size=30), "does not fit BackboneSpec"),
+            (lambda h: h["backbone_spec"].pop("embed_dim"), "missing ['embed_dim']"),
+            (lambda h: h["head"].pop("task"), "is not an object with task, t_pred, n_classes"),
+            (lambda h: h.update(head="x"), "is not an object with task, t_pred, n_classes"),
+            (lambda h: h["backbone_spec"].update(conv_widths=5), "does not fit BackboneSpec"),
+            (
+                lambda h: h["head"].update(standardizer={"mu": [0.0] * 64, "sigma": [1.0] * 64}),
+                "unknown key(s) ['standardizer']",
+            ),
+            (lambda h: h["head"].update(horizon=3), "unknown key(s) ['horizon']"),
+            (
+                lambda h: h.update(params=[p for p in h["params"] if not p["name"].startswith("head.")]),
+                "head parameters do not fit",
+            ),
+            (lambda h: h["head"].update(task="recognition"), "is not a 'prediction' head"),
+            (lambda h: h["head"].update(n_classes=5), "is not a 'prediction' head"),
+            (lambda h: h["head"].update(t_pred=0), "is not a 'prediction' head"),
         ],
         ids=[
             "unknown_family", "bad_frame_size", "no_embed_dim", "no_head_task", "head_not_object",
-            "int_conv_widths", "no_standardizer_sigma", "short_standardizer", "no_head_params",
+            "int_conv_widths", "legacy_standardizer", "unknown_head_key", "no_head_params",
             "other_task", "other_n_classes", "zero_t_pred",
         ],
     )
-    def test_bad_supervised_header_exits_4(self, supervised_checkpoint, tmp_path, capsys, edit):
+    def test_bad_supervised_header_exits_4(self, supervised_checkpoint, tmp_path, capsys, edit, match):
         config, ckpt = supervised_checkpoint
         raw = ckpt.read_bytes()
         _, _, n = struct.unpack_from("<4sII", raw)
@@ -825,7 +846,8 @@ class TestCli:
         path.write_bytes(struct.pack("<4sII", MAGIC, VERSION, len(head)) + head + raw[12 + n :])
         code = self.run_cli("evaluate", "--config", str(config), "--checkpoint", str(path))
         assert code == cli.EXIT_MISMATCH
-        assert "checkpoint error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "checkpoint error" in err and match in err
 
     def test_evaluate_reproduces_every_arms_metrics_row(self, quick_config_file, tmp_path, capsys):
         assert self.run_cli("pretrain", "--config", str(quick_config_file)) == cli.EXIT_OK
