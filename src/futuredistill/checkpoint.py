@@ -34,14 +34,14 @@ def save_checkpoint(
     module: Module,
     backbone_spec: BackboneSpec,
     *,
-    step: int = 0,
     config_hash: str = "",
 ) -> None:
     """Atomically persist module parameters plus identifying metadata.
 
-    A finetuned ModelWithHead gets a header entry that describes its head
-    (see `_describe_head`); any other module is a pretrain checkpoint, whose
-    header `head` is null.
+    The header holds the backbone spec, the head entry, the config hash and
+    the parameter index. A finetuned ModelWithHead gets a head entry that
+    describes its head (see `_describe_head`); any other module is a pretrain
+    checkpoint, whose header `head` is null.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -57,7 +57,6 @@ def save_checkpoint(
     header = {
         "backbone_spec": dataclasses.asdict(backbone_spec),
         "head": _describe_head(module.head) if finetuned else None,
-        "step": step,
         "config_hash": config_hash,
         "params": index,
         "total_floats": offset,

@@ -98,18 +98,15 @@ def cell_stem(cfg: ExperimentConfig, seed: int) -> str:
 
 def _pretrain_one(cfg: ExperimentConfig, splits, seed: int, out_dir: Path) -> None:
     """Train one seed and write checkpoint + training log."""
-    result = pretrain(cfg.backbone, splits[0], cfg.distill, seed=seed)
+    student, train_log = pretrain(cfg.backbone, splits[0], cfg.distill, seed=seed)
     stem = cell_stem(cfg, seed)
-    ckpt_path = out_dir / f"{stem}.ckpt"
-    save_checkpoint(
-        ckpt_path, result.pair.student, cfg.backbone, step=result.pair.step, config_hash=config_hash(cfg)
-    )
-    write_log(out_dir / f"{stem}_train_log.csv", PretrainLogRow, result.log)
-    final = result.log[-1] if result.log else None
+    save_checkpoint(out_dir / f"{stem}.ckpt", student, cfg.backbone, config_hash=config_hash(cfg))
+    write_log(out_dir / f"{stem}_train_log.csv", PretrainLogRow, train_log)
+    final = train_log[-1] if train_log else None
     log.info(
         "pretrained %s: %d steps, final loss %s",
         stem,
-        result.pair.step,
+        len(train_log),
         f"{final.loss:.5f}" if final else "n/a",
     )
 

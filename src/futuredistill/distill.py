@@ -73,16 +73,13 @@ class DistillConfig:
 
 
 def momentum_at(step: int, total_steps: int, m_start: float, m_end: float) -> float:
-    """Cosine ramp from m_start at step 0 to m_end at total_steps."""
+    """Cosine ramp from m_start at step 0 to m_end at total_steps.
+
+    `pretrain` passes its loop index, 0 <= step < total_steps; the step is
+    not checked, and past total_steps the cosine ramps back down.
+    """
     if total_steps < 1:
         raise ConfigurationError(f"total_steps must be >= 1, got {total_steps}")
-    if step < 0 or step > total_steps:
-        warnings.warn(
-            f"momentum_at: step {step} outside [0, {total_steps}], clamping",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        step = min(max(step, 0), total_steps)
     phase = (math.cos(math.pi * step / total_steps) + 1.0) / 2.0
     return m_end - (m_end - m_start) * phase
 
@@ -154,7 +151,7 @@ def update_center(center: np.ndarray | None, teacher_batch: np.ndarray, momentum
 
 
 # ---------------------------------------------------------------------------
-# student-teacher pair
+# student and EMA teacher
 
 
 class DistillModel(nn.Module):
@@ -169,24 +166,19 @@ class DistillModel(nn.Module):
         return self.projector(z) if self.projector is not None else z
 
 
-@dataclass
-class StudentTeacherPair:
-    student: nn.Module
-    teacher: nn.Module
-    step: int = 0
+def ema_update(teacher: nn.Module, student: nn.Module, m: float) -> None:
+    """Teacher <- m * teacher + (1 - m) * student, elementwise and in place, no gradients.
 
-    @classmethod
-    def from_student(cls, student: nn.Module) -> "StudentTeacherPair":
-        return cls(student=student, teacher=student.copy(), step=0)
-
-
-def ema_update(pair: StudentTeacherPair, m: float) -> None:
-    """Teacher <- m * teacher + (1 - m) * student, elementwise and in place, no gradients."""
+    Each teacher array is scaled by m, then (1 - m) times the student array is
+    added to it, both in the array's dtype. Raises ConfigurationError for m
+    outside [0, 1] and RuntimeError when a teacher parameter has no student
+    parameter of its name and shape.
+    """
     if not 0.0 <= m <= 1.0:
         raise ConfigurationError(f"EMA momentum must be in [0, 1], got {m}")
-    student = dict(pair.student.named_parameters())
-    for name, tp in pair.teacher.named_parameters():
-        sp = student.get(name)
+    student_params = dict(student.named_parameters())
+    for name, tp in teacher.named_parameters():
+        sp = student_params.get(name)
         if sp is None or sp.data.shape != tp.data.shape:
             raise RuntimeError(f"student/teacher structure mismatch at {name}")
         tp.data *= tp.data.dtype.type(m)
@@ -212,12 +204,6 @@ class PretrainLogRow:
     embed_std: float
 
 
-@dataclass
-class PretrainResult:
-    pair: StudentTeacherPair
-    log: list[PretrainLogRow]
-
-
 def steps_per_epoch(n_videos: int, frames_per_video: int, cfg: DistillConfig) -> int:
     frames = n_videos * frames_per_video
     return max(1, frames // (cfg.batch_size * (cfg.t + cfg.t_pred)))
@@ -228,8 +214,12 @@ def pretrain(
     dataset: list[SyntheticVideo],
     cfg: DistillConfig,
     seed: int = 0,
-) -> PretrainResult:
-    """Run the full distillation loop; the teacher starts as a copy of the student."""
+) -> tuple[DistillModel, list[PretrainLogRow]]:
+    """Run the full distillation loop; returns (student, log), one log row per step.
+
+    The teacher starts as a copy of the student and follows it by ema_update
+    after every optimizer step; it only guides training and is not returned.
+    """
     cfg.validate()
     if not dataset:
         raise ConfigurationError("pretrain: empty dataset")
@@ -243,13 +233,13 @@ def pretrain(
         proj_rng = np.random.default_rng([seed, 2])
         projector = nn.Mlp(backbone_spec.embed_dim, backbone_spec.embed_dim, backbone_spec.embed_dim, proj_rng)
     student = DistillModel(backbone, projector)
-    pair = StudentTeacherPair.from_student(student)
+    teacher = student.copy()
 
     per_epoch = steps_per_epoch(len(dataset), min(len(v) for v in dataset), cfg)
     total_steps = cfg.epochs * per_epoch
 
     sample_rng = np.random.default_rng([seed, 1])
-    params = pair.student.parameters()
+    params = student.parameters()
     opt = SgdState(learning_rate=cfg.learning_rate, momentum=cfg.sgd_momentum)
     center: np.ndarray | None = None
     log: list[PretrainLogRow] = []
@@ -257,10 +247,10 @@ def pretrain(
     for step in range(total_steps):
         past, combined = _sample_batch(dataset, cfg, sample_rng)
         with no_grad():
-            tch = pair.teacher.forward(Tensor(combined))
+            tch = teacher.forward(Tensor(combined))
         tape = Tape()
         with tape:
-            s = pair.student.forward(Tensor(past))
+            s = student.forward(Tensor(past))
             loss = fpd_loss(s, tch, cfg, center)
         loss_val = loss.item()
         if not math.isfinite(loss_val):
@@ -268,9 +258,8 @@ def pretrain(
                 f"pretraining diverged at step {step}: loss={loss_val!r}, config={cfg}"
             )
         sgd_step(params, backward(loss, tape, params), opt)
-        m = momentum_at(pair.step, total_steps, cfg.momentum_start, cfg.momentum_end)
-        ema_update(pair, m)
-        pair.step += 1
+        m = momentum_at(step, total_steps, cfg.momentum_start, cfg.momentum_end)
+        ema_update(teacher, student, m)
         if cfg.loss_variant == "cross_entropy":
             center = update_center(center, tch.data, cfg.center_momentum)
         log.append(
@@ -284,7 +273,7 @@ def pretrain(
         # the tape holds every activation of the student forward; freed here, it
         # does not live through the next step's batch render and teacher forward
         del tape, loss, s
-    return PretrainResult(pair=pair, log=log)
+    return student, log
 
 
 def _sample_batch(dataset, cfg: DistillConfig, rng) -> tuple[np.ndarray, np.ndarray]:

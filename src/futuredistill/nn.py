@@ -48,12 +48,6 @@ class Module:
     def copy(self) -> "Module":
         return copy.deepcopy(self)
 
-    def to_dtype(self, dtype) -> "Module":
-        """Cast all parameters in place; used by float64 gradient checks."""
-        for p in self.parameters():
-            p.data = p.data.astype(dtype)
-        return self
-
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
         for name, p in self.named_parameters():
             src = state[name]

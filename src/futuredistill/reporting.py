@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import os
 from collections import defaultdict
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -84,38 +85,39 @@ def format_row(row: MetricsRow) -> list[str]:
 
 
 def append_metrics(path: str | Path, rows: list[MetricsRow]) -> None:
-    """Append rows, creating the version/header preamble on first write."""
+    """Append rows, preceded by the version/header preamble when the file is empty."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fresh = not path.exists() or path.stat().st_size == 0
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    if fresh:
-        buf.write(METRICS_VERSION_LINE + "\n")
-        writer.writerow(_columns(MetricsRow)[0])
-    writer.writerows(map(format_row, rows))
+    preamble, body = io.StringIO(), io.StringIO()
+    preamble.write(METRICS_VERSION_LINE + "\n")
+    csv.writer(preamble).writerow(_columns(MetricsRow)[0])
+    csv.writer(body).writerows(map(format_row, rows))
     with path.open("a", newline="") as fh:
-        _locked_write(fh, buf.getvalue())
+        _locked_append(fh, preamble.getvalue(), body.getvalue())
 
 
-def _locked_write(fh, payload: str) -> None:
-    """Append payload under an exclusive flock where flock exists.
+def _locked_append(fh, preamble: str, payload: str) -> None:
+    """Append payload, preceded by preamble when the file is empty, under an exclusive flock where flock exists.
 
     Nothing runs grid cells in parallel; the lock guards the appends of
     concurrent commands that share one out dir, such as two `finetune` arms.
+    The file's size is read under the lock, so only the first of them to
+    append writes the preamble.
     """
     try:
         import fcntl
-
-        fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-        try:
-            fh.write(payload)
-            fh.flush()
-        finally:
-            fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
     except ImportError:  # non-POSIX: single-process appends only
+        fcntl = None
+    if fcntl is not None:
+        fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+    try:
+        if os.fstat(fh.fileno()).st_size == 0:
+            fh.write(preamble)
         fh.write(payload)
         fh.flush()
+    finally:
+        if fcntl is not None:
+            fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
 
 
 def read_metrics(path: str | Path) -> list[MetricsRow]:

@@ -17,7 +17,6 @@ from futuredistill.autodiff import (
 )
 from futuredistill.distill import (
     DistillConfig,
-    StudentTeacherPair,
     downsample_indices,
     ema_update,
     fpd_loss,
@@ -219,12 +218,6 @@ class TestMomentumSchedule:
     def test_midpoint(self):
         assert momentum_at(50, 100, 0.9, 1.0) == pytest.approx(0.95, abs=1e-12)
 
-    def test_out_of_range_clamps_and_warns(self):
-        with pytest.warns(RuntimeWarning, match="clamping"):
-            assert momentum_at(11, 10, 0.9, 1.0) == pytest.approx(1.0)
-        with pytest.warns(RuntimeWarning, match="clamping"):
-            assert momentum_at(-1, 10, 0.9, 1.0) == pytest.approx(0.9)
-
     @given(st.integers(1, 500))
     @settings(max_examples=30, deadline=None)
     def test_monotone_nondecreasing(self, total):
@@ -233,63 +226,84 @@ class TestMomentumSchedule:
 
 
 class TestEmaUpdate:
-    def make_pair(self):
+    def make_modules(self):
         spec = BackboneSpec(family="Conv2dRecurrent", frames=3)
         student = build_backbone(spec, seed=0)
-        pair = StudentTeacherPair.from_student(student)
-        for p in pair.student.parameters():  # make them differ
+        teacher = student.copy()
+        for p in student.parameters():  # make them differ
             p.data = p.data + 0.25
-        return pair
+        return teacher, student
 
     def test_m_one_freezes_teacher(self):
-        pair = self.make_pair()
-        before = [p.data.copy() for p in pair.teacher.parameters()]
-        ema_update(pair, 1.0)
-        for b, p in zip(before, pair.teacher.parameters()):
+        teacher, student = self.make_modules()
+        before = [p.data.copy() for p in teacher.parameters()]
+        ema_update(teacher, student, 1.0)
+        for b, p in zip(before, teacher.parameters()):
             assert np.array_equal(b, p.data)
 
     def test_m_zero_copies_student(self):
-        pair = self.make_pair()
-        ema_update(pair, 0.0)
-        for sp, tp in zip(pair.student.parameters(), pair.teacher.parameters()):
+        teacher, student = self.make_modules()
+        ema_update(teacher, student, 0.0)
+        for sp, tp in zip(student.parameters(), teacher.parameters()):
             assert np.array_equal(sp.data, tp.data)
 
     def test_arithmetic(self):
-        pair = self.make_pair()
-        phi = pair.teacher.parameters()[0]
-        theta = pair.student.parameters()[0]
+        teacher, student = self.make_modules()
+        phi = teacher.parameters()[0]
+        theta = student.parameters()[0]
         phi.data = np.ones_like(phi.data)
         theta.data = np.zeros_like(theta.data)
-        ema_update(pair, 0.996)
+        ema_update(teacher, student, 0.996)
         assert np.allclose(phi.data, 0.996, atol=1e-7)
 
     def test_linearity_then_copy(self):
-        pair = self.make_pair()
-        ema_update(pair, 0.5)
-        ema_update(pair, 0.0)
-        for sp, tp in zip(pair.student.parameters(), pair.teacher.parameters()):
+        teacher, student = self.make_modules()
+        ema_update(teacher, student, 0.5)
+        ema_update(teacher, student, 0.0)
+        for sp, tp in zip(student.parameters(), teacher.parameters()):
             assert np.array_equal(sp.data, tp.data)
 
     def test_in_place_bitwise_as_out_of_place_and_never_aliases_the_student(self):
-        pair = StudentTeacherPair.from_student(build_backbone(BackboneSpec(family="Conv2dRecurrent", frames=3), seed=0))
-        pairs = list(zip(pair.student.parameters(), pair.teacher.parameters()))
+        student = build_backbone(BackboneSpec(family="Conv2dRecurrent", frames=3), seed=0)
+        teacher = student.copy()
+        pairs = list(zip(student.parameters(), teacher.parameters()))
         for sp, tp in pairs:
             assert not np.shares_memory(sp.data, tp.data)
             sp.data += 0.25
         for m in (0.996, 0.5, 0.0):
             arrays = [tp.data for _, tp in pairs]
             expect = [np.float32(m) * tp.data + np.float32(1.0 - m) * sp.data for sp, tp in pairs]
-            ema_update(pair, m)
+            ema_update(teacher, student, m)
             for (sp, tp), arr, e in zip(pairs, arrays, expect):
                 assert tp.data is arr
                 assert tp.data.tobytes() == e.tobytes()
                 assert not np.shares_memory(sp.data, tp.data)
 
     def test_structure_mismatch_detected(self):
-        pair = self.make_pair()
-        pair.teacher.parameters()[0].data = np.zeros((2, 2), dtype=np.float32)
+        teacher, student = self.make_modules()
+        teacher.parameters()[0].data = np.zeros((2, 2), dtype=np.float32)
         with pytest.raises(RuntimeError, match="mismatch"):
-            ema_update(pair, 0.5)
+            ema_update(teacher, student, 0.5)
+
+    @pytest.mark.parametrize("m", [-0.1, 1.5])
+    def test_momentum_out_of_range_refused(self, m):
+        teacher, student = self.make_modules()
+        before = [p.data.copy() for p in teacher.parameters()]
+        with pytest.raises(ConfigurationError, match="EMA momentum"):
+            ema_update(teacher, student, m)
+        assert all(np.array_equal(b, p.data) for b, p in zip(before, teacher.parameters()))
+
+
+def record_ema(monkeypatch):
+    """Route pretrain's ema_update through a recorder of (teacher, its arrays after the update, m) per call."""
+    calls = []
+
+    def recording(teacher, student, m):
+        ema_update(teacher, student, m)
+        calls.append((teacher, [p.data.copy() for p in teacher.parameters()], m))
+
+    monkeypatch.setattr(ds, "ema_update", recording)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -308,28 +322,23 @@ class TestPretrain:
 
     def test_zero_epochs_returns_initialization(self, tiny_dataset):
         spec = BackboneSpec(family="Conv2dRecurrent", frames=6)
-        result = pretrain(spec, tiny_dataset, self.cfg(epochs=0), seed=3)
+        student, log = pretrain(spec, tiny_dataset, self.cfg(epochs=0), seed=3)
         fresh = build_backbone(spec, seed=3)
-        for (n1, p1), (n2, p2) in zip(result.pair.student.backbone.named_parameters(), fresh.named_parameters()):
+        assert log == []
+        for (n1, p1), (n2, p2) in zip(student.backbone.named_parameters(), fresh.named_parameters()):
             assert n1 == n2 and np.array_equal(p1.data, p2.data)
-        for sp, tp in zip(result.pair.student.parameters(), result.pair.teacher.parameters()):
-            assert np.array_equal(sp.data, tp.data)
 
-    def test_one_step_m_one_freezes_teacher_moves_student(self, tiny_dataset):
+    def test_one_step_m_one_freezes_teacher_moves_student(self, tiny_dataset, monkeypatch):
+        calls = record_ema(monkeypatch)
         spec = BackboneSpec(family="Conv2dRecurrent", frames=6)
         cfg = self.cfg(momentum_start=1.0, momentum_end=1.0)
-        result = pretrain(spec, tiny_dataset, cfg, seed=3)
-        assert result.pair.step >= 1
-        fresh = build_backbone(spec, seed=3)
-        teacher_same = all(
-            np.array_equal(p.data, q.data)
-            for p, q in zip(result.pair.teacher.parameters(), fresh.parameters())
-        )
-        student_same = all(
-            np.array_equal(p.data, q.data)
-            for p, q in zip(result.pair.student.parameters(), fresh.parameters())
-        )
-        assert teacher_same and not student_same
+        student, log = pretrain(spec, tiny_dataset, cfg, seed=3)
+        assert len(calls) == len(log) >= 1
+        fresh = [p.data for p in build_backbone(spec, seed=3).parameters()]
+        for teacher, arrays, m in calls:
+            assert teacher is calls[0][0] and teacher is not student and m == 1.0
+            assert all(np.array_equal(a, q) for a, q in zip(arrays, fresh))
+        assert not all(np.array_equal(p.data, q) for p, q in zip(student.parameters(), fresh))
 
     def test_no_gradient_reaches_teacher(self, tiny_dataset, monkeypatch):
         steps = []
@@ -339,29 +348,34 @@ class TestPretrain:
             return backward(loss, tape, wrt)
 
         monkeypatch.setattr(ds, "backward", recording_backward)
+        calls = record_ema(monkeypatch)
         spec = BackboneSpec(family="Conv2dRecurrent", frames=6)
-        result = pretrain(spec, tiny_dataset, self.cfg(), seed=0)
-        student, teacher = result.pair.student.parameters(), result.pair.teacher.parameters()
+        student, _ = pretrain(spec, tiny_dataset, self.cfg(), seed=0)
+        teacher = calls[0][0]
         assert steps
         for loss, tape in steps:
-            assert all(g is not None for g in backward(loss, tape, student))
-            assert all(g is None for g in backward(loss, tape, teacher))
+            assert all(g is not None for g in backward(loss, tape, student.parameters()))
+            assert all(g is None for g in backward(loss, tape, teacher.parameters()))
 
-    def test_log_schema_and_length(self, tiny_dataset):
+    def test_log_schema_and_length(self, tiny_dataset, monkeypatch):
+        # the loop index numbers the log rows and drives the momentum schedule
+        calls = record_ema(monkeypatch)
         spec = BackboneSpec(family="Conv2dRecurrent", frames=6)
-        cfg = self.cfg(epochs=2)
-        result = pretrain(spec, tiny_dataset, cfg, seed=0)
-        assert len(result.log) == result.pair.step > 0
-        for row in result.log:
-            assert np.isfinite(row.loss) and 0 < row.momentum <= 1.0
-            assert row.embed_std >= 0.0
+        cfg = self.cfg(epochs=2, momentum_start=0.9, momentum_end=1.0)
+        _, log = pretrain(spec, tiny_dataset, cfg, seed=0)
+        total = cfg.epochs * ds.steps_per_epoch(len(tiny_dataset), 24, cfg)
+        assert total > 0 and [row.step for row in log] == list(range(total))
+        expected = [momentum_at(i, total, 0.9, 1.0) for i in range(total)]
+        assert [m for _, _, m in calls] == [row.momentum for row in log] == expected
+        for row in log:
+            assert np.isfinite(row.loss) and row.embed_std >= 0.0
 
     def test_determinism(self, tiny_dataset):
         spec = BackboneSpec(family="Conv2dRecurrent", frames=6)
-        r1 = pretrain(spec, tiny_dataset, self.cfg(), seed=5)
-        r2 = pretrain(spec, tiny_dataset, self.cfg(), seed=5)
-        assert [r.loss for r in r1.log] == [r.loss for r in r2.log]
-        for p, q in zip(r1.pair.student.parameters(), r2.pair.student.parameters()):
+        s1, log1 = pretrain(spec, tiny_dataset, self.cfg(), seed=5)
+        s2, log2 = pretrain(spec, tiny_dataset, self.cfg(), seed=5)
+        assert [r.loss for r in log1] == [r.loss for r in log2]
+        for p, q in zip(s1.parameters(), s2.parameters()):
             assert np.array_equal(p.data, q.data)
 
     def test_divergence_reported_with_step(self, tiny_dataset):
@@ -373,9 +387,9 @@ class TestPretrain:
 
     def test_projection_head_variant_runs(self, tiny_dataset):
         spec = BackboneSpec(family="Conv2dRecurrent", frames=6)
-        result = pretrain(spec, tiny_dataset, self.cfg(projection_head=True), seed=0)
-        assert result.pair.student.projector is not None
-        names = [name for name, _ in result.pair.student.named_parameters()]
+        student, _ = pretrain(spec, tiny_dataset, self.cfg(projection_head=True), seed=0)
+        assert student.projector is not None
+        names = [name for name, _ in student.named_parameters()]
         assert any(n.startswith("backbone.") for n in names) and any(n.startswith("projector.") for n in names)
 
     def test_step_tape_is_freed_before_the_next_batch(self, tiny_dataset, monkeypatch):
@@ -397,16 +411,16 @@ class TestPretrain:
         monkeypatch.setattr(ds, "Tape", TrackedTape)
         monkeypatch.setattr(ds, "_sample_batch", checking_sample)
         spec = BackboneSpec(family="Conv2dRecurrent", frames=6)
-        result = pretrain(spec, tiny_dataset, self.cfg(epochs=2), seed=0)
-        assert len(tapes) == result.pair.step >= 2
-        assert alive_at_sample == [0] * result.pair.step
+        _, log = pretrain(spec, tiny_dataset, self.cfg(epochs=2), seed=0)
+        assert len(tapes) == len(log) >= 2
+        assert alive_at_sample == [0] * len(log)
 
     def test_training_log_csv(self, tiny_dataset, tmp_path):
         spec = BackboneSpec(family="Conv2dRecurrent", frames=6)
-        result = pretrain(spec, tiny_dataset, self.cfg(), seed=0)
+        _, log = pretrain(spec, tiny_dataset, self.cfg(), seed=0)
         out = tmp_path / "log.csv"
-        write_log(out, ds.PretrainLogRow, result.log)
+        write_log(out, ds.PretrainLogRow, log)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "step,loss,momentum,embed_std"
-        assert len(lines) == len(result.log) + 1
-        assert read_log(out, ds.PretrainLogRow) == result.log  # every float at full precision
+        assert len(lines) == len(log) + 1
+        assert read_log(out, ds.PretrainLogRow) == log  # every float at full precision

@@ -4,6 +4,7 @@ import configparser
 import csv
 import io
 import json
+import multiprocessing
 import os
 import resource
 import struct
@@ -414,14 +415,30 @@ class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         backbone, spec = self.make_backbone()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, backbone, spec, step=42, config_hash="abc")
+        save_checkpoint(path, backbone, spec, config_hash="abc")
         loaded, loaded_spec, header = load_backbone_checkpoint(path)
-        assert header["step"] == 42
-        assert header["config_hash"] == "abc"
+        assert header["config_hash"] == "abc" and "step" not in header
         assert loaded_spec == spec
         for (n1, p1), (n2, p2) in zip(backbone.named_parameters(), loaded.named_parameters()):
             assert n1 == n2
             assert p1.data.tobytes() == p2.data.tobytes()
+
+    def test_header_with_a_step_key_loads_and_is_current(self, tmp_path):
+        # headers written before the `step` key was dropped still carry it
+        backbone, spec = self.make_backbone()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, backbone, spec, config_hash="abc")
+        raw = path.read_bytes()
+        _, _, n = struct.unpack_from("<4sII", raw)
+        header = json.loads(raw[12 : 12 + n])
+        header["step"] = 7
+        head = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(struct.pack("<4sII", MAGIC, VERSION, len(head)) + head + raw[12 + n :])
+        loaded, loaded_spec, loaded_header = load_backbone_checkpoint(path)
+        assert loaded_header["step"] == 7 and loaded_spec == spec
+        for p1, p2 in zip(backbone.parameters(), loaded.parameters()):
+            assert p1.data.tobytes() == p2.data.tobytes()
+        assert cli._is_current(path, "abc") and not cli._is_current(path, "other")
 
     def test_save_is_atomic_no_tmp_left(self, tmp_path):
         backbone, spec = self.make_backbone()
@@ -486,6 +503,34 @@ class TestMetricsAndReport:
         assert back[0].protocol == "linear_probe"
         assert back[-1].macro_precision == pytest.approx(0.51)
         assert path.read_text().splitlines()[0] == "#metrics-v1"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork to release two appenders together")
+    def test_concurrent_first_appends_write_one_preamble(self, tmp_path):
+        # two appenders spin on a shared flag, so both reach the fresh file at
+        # once; forked, they start in microseconds and run no BLAS call
+        ctx = multiprocessing.get_context("fork")
+        rows = sample_rows()[:2]
+        for round_ in range(5):
+            path = tmp_path / f"metrics{round_}.csv"
+            ready, go = ctx.Semaphore(0), ctx.RawValue("i", 0)
+
+            def append_one(row, path=path, ready=ready, go=go):
+                ready.release()
+                while not go.value:
+                    pass
+                append_metrics(path, [row])
+
+            procs = [ctx.Process(target=append_one, args=(row,)) for row in rows]
+            for proc in procs:
+                proc.start()
+            for _ in procs:
+                ready.acquire()
+            go.value = 1
+            for proc in procs:
+                proc.join(timeout=60)
+            assert [proc.exitcode for proc in procs] == [0, 0]
+            back = read_metrics(path)
+            assert sorted(r.macro_precision for r in back) == sorted(r.macro_precision for r in rows)
 
     def test_improvement_recomputed_matches(self, tmp_path):
         rows = sample_rows()

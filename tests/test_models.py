@@ -193,7 +193,8 @@ class TestHeads:
     def test_ce_gradient_through_head_weights(self):
         rng = np.random.default_rng(5)
         head = PredictionHead(4, horizon=3, n_classes=5, rng=rng)
-        head.linear.to_dtype(np.float64)
+        for p in head.linear.parameters():
+            p.data = p.data.astype(np.float64)
         z = Tensor(rng.normal(size=(6, 4)))
         labels = rng.integers(0, 5, size=(6, 3))
 
