@@ -103,9 +103,9 @@ class TapeEntry:
     backward_rule: Callable[[np.ndarray], tuple]
 
 
-@dataclass
+@dataclass(eq=False)
 class Tape:
-    """Ordered record of ops; reverse order is a topological sweep."""
+    """Ordered record of ops; reverse order is a topological sweep. Tapes compare by identity."""
 
     entries: list[TapeEntry] = field(default_factory=list)
 
@@ -270,6 +270,7 @@ def relu(a) -> Tensor:
 
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
+LAYER_NORM_EPS = 1e-5  # added to each row's variance
 
 
 def gelu(a) -> Tensor:
@@ -359,13 +360,12 @@ def reshape(a, shape) -> Tensor:
     return out
 
 
-def transpose(a, axes=None) -> Tensor:
+def transpose(a, axes) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(np.transpose(a.data, axes))
 
     def rule(g):
-        inv = None if axes is None else np.argsort(axes)
-        return (np.transpose(g, inv),)
+        return (np.transpose(g, np.argsort(axes)),)
 
     _record(out, (a,), rule)
     return out
@@ -922,7 +922,7 @@ def softmax(logits, temperature: float = 1.0, axis: int = -1) -> Tensor:
     return out
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Normalize over the last axis of x, then scale by gain [d] and shift by bias [d] (Ba et al. 2016).
 
     One tape entry over the [rows, d] view of x. The row mean and variance,
@@ -935,7 +935,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     flattened pooled features) round differently. Row sums as a BLAS GEMV
     (x @ ones) would be faster, but OpenBLAS rounds a row differently
     depending on the number of rows. The centred rows are scaled in place by
-    inv = 1 / sqrt(var + eps).
+    inv = 1 / sqrt(var + LAYER_NORM_EPS).
 
     The rule keeps only xhat and inv and applies the closed form
     dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = g * gain;
@@ -952,7 +952,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     scale = dt(1.0 / d)
     rows = x.data.reshape(-1, d)
     xhat = rows - (np.einsum("ij->i", rows) * scale)[:, None]
-    inv = dt(1.0) / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) * scale + dt(eps))
+    inv = dt(1.0) / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) * scale + dt(LAYER_NORM_EPS))
     xhat *= inv[:, None]
     y = xhat * gain.data
     y += bias.data

@@ -231,7 +231,7 @@ def pretrain(
     projector = None
     if cfg.projection_head:
         proj_rng = np.random.default_rng([seed, 2])
-        projector = nn.Mlp(backbone_spec.embed_dim, backbone_spec.embed_dim, backbone_spec.embed_dim, proj_rng)
+        projector = nn.Mlp(backbone_spec.embed_dim, proj_rng)
     student = DistillModel(backbone, projector)
     teacher = student.copy()
 

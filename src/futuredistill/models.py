@@ -20,14 +20,6 @@ from .errors import ConfigurationError, DimensionError
 
 log = logging.getLogger(__name__)
 
-FAMILIES = (
-    "Conv3dResidual",
-    "TemporalTransformer",
-    "Conv2dRecurrent",
-    "PatchTransformerRecurrent",
-)
-
-
 @dataclass
 class BackboneSpec:
     """Architecture hyperparameters; frames fixes the clip length the net accepts."""
@@ -168,7 +160,7 @@ class TemporalTransformer(Backbone):
         tokens = spec.frames * grid * grid
         self.embed = nn.Linear(spec.channels * spec.patch_size**2, dm, rng)
         self.pos = nn.uniform_init(rng, (tokens, dm), dm)
-        self.blocks = [nn.TransformerBlock(dm, spec.heads, 2, rng) for _ in range(spec.blocks)]
+        self.blocks = [nn.TransformerBlock(dm, spec.heads, rng) for _ in range(spec.blocks)]
         self.norm = nn.LayerNorm(dm)
         self.proj = nn.Linear(dm, spec.embed_dim, rng)
 
@@ -224,7 +216,7 @@ class PatchTransformerRecurrent(Backbone):
         self.patch = spec.patch_size
         self.embed = nn.Linear(spec.channels * spec.patch_size**2, dm, rng)
         self.pos = nn.uniform_init(rng, (grid * grid, dm), dm)
-        self.block = nn.TransformerBlock(dm, spec.heads, 2, rng)
+        self.block = nn.TransformerBlock(dm, spec.heads, rng)
         self.norm = nn.LayerNorm(dm)
         self.rnn = nn.LstmCell(dm, spec.recurrent_hidden, rng)
         self.state_norm = nn.LayerNorm(spec.recurrent_hidden)
@@ -247,6 +239,7 @@ _FAMILY_CLASSES = {
     "Conv2dRecurrent": Conv2dRecurrent,
     "PatchTransformerRecurrent": PatchTransformerRecurrent,
 }
+FAMILIES = tuple(_FAMILY_CLASSES)
 
 
 def build_backbone(spec: BackboneSpec, seed: int) -> Backbone:

@@ -22,7 +22,7 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) 
 
 
 class Module:
-    """Base with recursive, insertion-ordered parameter discovery."""
+    """Base with insertion-ordered parameter discovery in Tensor, Module and list-of-Module attributes."""
 
     def named_parameters(self):
         for name, value in vars(self).items():
@@ -36,8 +36,6 @@ class Module:
                     if isinstance(item, Module):
                         for sub, p in item.named_parameters():
                             yield f"{name}.{i}.{sub}", p
-                    elif isinstance(item, Tensor) and item.requires_grad:
-                        yield f"{name}.{i}", item
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
@@ -68,13 +66,14 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5):
+    """autodiff.layer_norm over the last axis with a learned gain and bias (eps autodiff.LAYER_NORM_EPS)."""
+
+    def __init__(self, dim: int):
         self.gain = Tensor(np.ones(dim, dtype=np.float32), requires_grad=True)
         self.bias = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x) -> Tensor:
-        return ad.layer_norm(x, self.gain, self.bias, eps=self.eps)
+        return ad.layer_norm(x, self.gain, self.bias)
 
 
 class Conv(Module):
@@ -133,14 +132,14 @@ class SelfAttention(Module):
 
 
 class TransformerBlock(Module):
-    """Pre-norm block: LN -> attention -> residual, LN -> MLP(GELU) -> residual."""
+    """Pre-norm block: LN -> attention -> residual, LN -> MLP(GELU, 2 * dim wide) -> residual."""
 
-    def __init__(self, dim: int, heads: int, mlp_ratio: int, rng: np.random.Generator):
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         self.norm1 = LayerNorm(dim)
         self.attn = SelfAttention(dim, heads, rng)
         self.norm2 = LayerNorm(dim)
-        self.fc1 = Linear(dim, mlp_ratio * dim, rng)
-        self.fc2 = Linear(mlp_ratio * dim, dim, rng)
+        self.fc1 = Linear(dim, 2 * dim, rng)
+        self.fc2 = Linear(2 * dim, dim, rng)
 
     def __call__(self, x) -> Tensor:
         x = ad.add(x, self.attn(self.norm1(x)))
@@ -148,11 +147,11 @@ class TransformerBlock(Module):
 
 
 class Mlp(Module):
-    """Two-layer GELU MLP, used as the optional distillation projection head."""
+    """Two-layer GELU MLP from dim to dim through dim hidden units: the optional distillation projection head."""
 
-    def __init__(self, d_in: int, d_hidden: int, d_out: int, rng: np.random.Generator):
-        self.fc1 = Linear(d_in, d_hidden, rng)
-        self.fc2 = Linear(d_hidden, d_out, rng)
+    def __init__(self, dim: int, rng: np.random.Generator):
+        self.fc1 = Linear(dim, dim, rng)
+        self.fc2 = Linear(dim, dim, rng)
 
     def __call__(self, x) -> Tensor:
         return self.fc2(ad.gelu(self.fc1(x)))

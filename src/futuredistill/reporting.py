@@ -121,11 +121,14 @@ def _locked_append(fh, preamble: str, payload: str) -> None:
 
 
 def read_metrics(path: str | Path) -> list[MetricsRow]:
+    """The rows of a metrics.csv; an empty file holds none (append_metrics writes its preamble first)."""
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"metrics file not found: {path}")
     lines = path.read_text().splitlines()
-    if not lines or not lines[0].startswith("#metrics-v"):
+    if not lines:
+        return []
+    if not lines[0].startswith("#metrics-v"):
         raise ConfigurationError(f"{path}: missing metrics version line")
     if lines[0] != METRICS_VERSION_LINE:
         raise ConfigurationError(f"{path}: unsupported metrics version {lines[0]!r}")

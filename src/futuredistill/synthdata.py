@@ -25,6 +25,7 @@ CUE_LEAD = 4  # frames of warning before a transition
 DWELL_RANGE = (6, 18)  # inclusive frames an action persists (min > CUE_LEAD)
 FRAME_SIZE = 32
 CHANNELS = 3
+SPLIT_RATIOS = (0.6, 0.2, 0.2)  # train, val, test shares of the videos
 
 # one distinct saturated color per upcoming action; never white/gray so the
 # cue block is unambiguous against agent and background pixels
@@ -74,10 +75,9 @@ class SyntheticVideo:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def decode(self, frames=slice(None), out: np.ndarray | None = None) -> np.ndarray:
-        """Float32 frames in [0, 1] for `frames` (an index, a slice or frame indices), written into `out` if given."""
-        if out is None:
-            out = np.empty((*self.labels[frames].shape, CHANNELS, FRAME_SIZE, FRAME_SIZE), np.float32)
+    def decode(self, frames=slice(None)) -> np.ndarray:
+        """New float32 frames in [0, 1] for `frames` (an index, a slice or frame indices)."""
+        out = np.empty((*self.labels[frames].shape, CHANNELS, FRAME_SIZE, FRAME_SIZE), np.float32)
         return render([(self, frames)], out)
 
 
@@ -228,25 +228,16 @@ def make_dataset(
 
 
 def split_dataset(
-    videos: list[SyntheticVideo],
-    ratios: tuple[float, float, float] = (0.6, 0.2, 0.2),
-    seed: int = 0,
+    videos: list[SyntheticVideo], seed: int = 0
 ) -> tuple[list[SyntheticVideo], list[SyntheticVideo], list[SyntheticVideo]]:
-    """Partition at video granularity: (train, val, test), remainder to train."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigurationError(f"split ratios must sum to 1, got {ratios}")
+    """Partition at video granularity into (train, val, test) by SPLIT_RATIOS, remainder to train."""
     n = len(videos)
-    n_val = int(np.floor(ratios[1] * n))
-    n_test = int(np.floor(ratios[2] * n))
+    n_val, n_test = (int(np.floor(ratio * n)) for ratio in SPLIT_RATIOS[1:])
+    if min(n_val, n_test) == 0:  # train, the largest share plus the remainder, is then never empty
+        raise ConfigurationError(f"too few videos ({n}) to give every split at ratios {SPLIT_RATIOS}")
+    shuffled = [videos[i] for i in np.random.default_rng(seed).permutation(n)]
     n_train = n - n_val - n_test
-    for name, count, ratio in (("train", n_train, ratios[0]), ("val", n_val, ratios[1]), ("test", n_test, ratios[2])):
-        if ratio > 0 and count == 0:
-            raise ConfigurationError(f"too few videos ({n}) to give the {name} split at ratio {ratio}")
-    order = np.random.default_rng(seed).permutation(n)
-    train = [videos[i] for i in order[:n_train]]
-    val = [videos[i] for i in order[n_train : n_train + n_val]]
-    test = [videos[i] for i in order[n_train + n_val :]]
-    return train, val, test
+    return shuffled[:n_train], shuffled[n_train : n_train + n_val], shuffled[n_train + n_val :]
 
 
 def sample_clip(video: SyntheticVideo, t: int, t_pred: int, rng: np.random.Generator) -> ClipSample:

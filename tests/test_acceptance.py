@@ -25,9 +25,8 @@ from futuredistill.distill import (
     downsample_indices,
     ema_update,
     fpd_loss,
-    pretrain,
 )
-from futuredistill.downstream import FinetuneConfig, evaluate_precision
+from futuredistill.downstream import evaluate_precision
 from futuredistill.errors import CheckpointError
 from futuredistill.models import BackboneSpec, build_backbone
 

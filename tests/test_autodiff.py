@@ -818,6 +818,16 @@ class TestBackward:
         first += 1.0
         assert np.array_equal(second, 3.0 * np.ones(4, dtype=np.float32))
 
+    def test_nested_tapes_pop_the_tape_that_exits(self):
+        # both tapes are empty, so equal by value, when the inner one exits
+        x = Tensor(np.ones(2), requires_grad=True)
+        with Tape() as outer:
+            with Tape() as inner:
+                pass
+            ad.mul(x, 3.0)
+        assert (len(outer), len(inner)) == (1, 0)
+        assert ad._TAPE_STACK == []
+
     def test_leaf_and_intermediate_get_gradients_and_a_tensor_off_the_tape_none(self):
         x = Tensor(np.ones(4), requires_grad=True)
         off_tape = Tensor(np.ones(4), requires_grad=True)
@@ -919,7 +929,7 @@ class TestConstantOperands:
 
         def step_grads():
             spec = BackboneSpec(family=family, frames=6, embed_dim=16, frame_size=16, recurrent_hidden=16)
-            student = DistillModel(build_backbone(spec, 0), nn.Mlp(16, 16, 16, np.random.default_rng(0)))
+            student = DistillModel(build_backbone(spec, 0), nn.Mlp(16, np.random.default_rng(0)))
             rng = np.random.default_rng(83)
             clips = Tensor(rng.normal(size=(2, 6, 3, 16, 16)).astype(np.float32))
             teacher = rng.normal(size=(2, 16)).astype(np.float32)
@@ -1699,7 +1709,7 @@ class TestFusedOpsMatchComposite:
         from futuredistill.models import BackboneSpec, build_backbone
 
         spec = BackboneSpec(family=family, frames=t, embed_dim=16, frame_size=16, recurrent_hidden=16)
-        student = DistillModel(build_backbone(spec, 0), nn.Mlp(16, 16, 16, np.random.default_rng(0)))
+        student = DistillModel(build_backbone(spec, 0), nn.Mlp(16, np.random.default_rng(0)))
         rng = np.random.default_rng(79)
         clips = Tensor(rng.normal(size=(2, t, 3, 16, 16)).astype(np.float32))
         teacher = rng.normal(size=(2, 16)).astype(np.float32)

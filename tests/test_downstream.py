@@ -105,7 +105,7 @@ T, T_PRED = 6, 6  # the horizon of every clip below
 def small_world():
     """(train, val, test) windows of six short videos, as clips of T past and T_PRED future frames."""
     videos = make_dataset(master_seed=2, n_videos=6, frames_per_video=96)
-    return tuple(window_clips(split, T, T_PRED) for split in split_dataset(videos, ratios=(0.5, 0.25, 0.25), seed=0))
+    return tuple(window_clips(split, T, T_PRED) for split in split_dataset(videos, seed=0))
 
 
 def quick_cfg(**kw):

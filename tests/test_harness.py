@@ -25,7 +25,6 @@ from futuredistill.checkpoint import (
     save_checkpoint,
 )
 from futuredistill.config import (
-    ExperimentConfig,
     GridConfig,
     config_hash,
     dump_config,
@@ -614,6 +613,14 @@ class TestMetricsAndReport:
         with pytest.raises(ConfigurationError):
             svg_line_plot({}, tmp_path / "x.svg")
 
+    def test_read_empty_file_has_no_rows_but_a_blank_line_is_refused(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.touch()
+        assert read_metrics(path) == []
+        path.write_text("\n")
+        with pytest.raises(ConfigurationError, match="missing metrics version line"):
+            read_metrics(path)
+
     def test_read_rejects_bad_version(self, tmp_path):
         path = tmp_path / "metrics.csv"
         path.write_text("#metrics-v9\nbackbone\n")
@@ -1050,9 +1057,16 @@ class TestCli:
         header, _ = read_checkpoint(tmp_path / "ablate" / f"{cli.cell_stem(cfg, 1)}_fine_tune.ckpt")
         assert header["head"]["t_pred"] == 3
 
-    def test_report_empty_metrics_exits_5(self, tmp_path, capsys):
-        code = self.run_cli("report", "--metrics", str(tmp_path / "none.csv"), "--out", str(tmp_path))
+    @pytest.mark.parametrize(
+        "content, match", [(None, "metrics file not found"), ("", "no metrics rows")], ids=["missing", "zero_bytes"]
+    )
+    def test_report_empty_metrics_exits_5(self, tmp_path, capsys, content, match):
+        metrics = tmp_path / "metrics.csv"
+        if content is not None:
+            metrics.write_text(content)
+        code = self.run_cli("report", "--metrics", str(metrics), "--out", str(tmp_path))
         assert code == cli.EXIT_EMPTY_METRICS
+        assert match in capsys.readouterr().err
 
     def test_ablate_runs_and_reruns_idempotently(self, tmp_path):
         cfg_text = QUICK_CONFIG.replace("out_dir = runs/quick", f"out_dir = {tmp_path / 'grid'}")
@@ -1152,6 +1166,15 @@ class TestCli:
         assert self.run_cli("ablate", "--config", str(path)) == cli.EXIT_CONFIG
         assert "metrics.csv, line 4" in capsys.readouterr().err
         assert calls == [] and not list((tmp_path / "out").glob("*.ckpt"))
+
+    def test_ablate_trains_into_a_zero_byte_metrics_file(self, tmp_path):
+        # a command killed while it waits for the append lock leaves metrics.csv created but empty
+        path = tmp_path / "exp.ini"
+        path.write_text(QUICK_CONFIG.replace("out_dir = runs/quick", f"out_dir = {tmp_path / 'out'}"))
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "metrics.csv").touch()
+        assert self.run_cli("ablate", "--config", str(path)) == cli.EXIT_OK
+        assert len(read_metrics(tmp_path / "out" / "metrics.csv")) == 3
 
     def test_ablate_fails_only_the_seed_with_an_unreadable_header(self, tmp_path, monkeypatch):
         path = tmp_path / "exp.ini"

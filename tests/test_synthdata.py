@@ -126,14 +126,6 @@ class TestGeneration:
         with pytest.raises(ValueError):
             sd.render(pairs, batch[:2])
 
-    def test_decode_writes_into_out(self, video):
-        buf = np.full((5, sd.CHANNELS, sd.FRAME_SIZE, sd.FRAME_SIZE), np.nan, dtype=np.float32)
-        assert video.decode(slice(10, 15), out=buf) is buf
-        assert buf.tobytes() == video.decode()[10:15].tobytes()
-        picked, head = np.array([3, 9, 200]), buf[:3]
-        assert video.decode(picked, out=head) is head
-        assert buf[:3].tobytes() == video.decode()[picked].tobytes()
-
     def test_frames_are_finite_unit_range(self, video):
         frames = video.decode()
         assert frames.dtype == np.float32
